@@ -1,6 +1,6 @@
 """Runnable acceptance criteria.
 
-Ten numbered checks covering the metric recursion, the gluing functor, the
+Ten numbered checks covering the metric kernel, the gluing functor, the
 plane embedding, and the counterexample gallery. Each returns a
 CriterionResult; `run_suite` groups them the way the `verify` subcommand
 exposes them. Every gate is exact (Fraction comparisons); randomness is
@@ -74,7 +74,7 @@ def _result(number: int, name: str, passed: bool, detail: str) -> CriterionResul
 
 
 def metric_matches_oracle() -> CriterionResult:
-    """Recursive two-path distance vs brute-force quotient-graph metric."""
+    """Closed-form two-path kernel (dist_level) vs brute-force quotient-graph metric."""
     checked = 0
     for level in range(4):
         ws = list(iter_words(level))

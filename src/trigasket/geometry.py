@@ -17,7 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import decimal_str
-from .words import AddressWord, CanonicalAddress, canonicalize, iter_canonical
+from .words import (
+    AddressWord,
+    CanonicalAddress,
+    canonicalize,
+    count_canonical,
+    iter_canonical,
+)
 
 RENDER_MAX_DEPTH = 12  # point count grows as 3^n
 
@@ -287,4 +293,4 @@ def render(depth: int, path: str, fmt: str = "svg") -> int:
         raise ValueError(f"unknown render format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(content)
-    return len(render_points(depth))
+    return count_canonical(depth)

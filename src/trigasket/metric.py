@@ -1,20 +1,27 @@
 """Exact quotient metrics on the gluing stages and on the address space.
 
-`dist_level` evaluates the two-path junction formula: within one copy
-distances halve; across copies the shortest route either crosses the shared
-corner directly or detours through the third copy, whose crossing always
-costs exactly 1 inside the outer minimum. `dist_oracle` rebuilds the same
-metric with none of that structure (equivalence classes + Floyd-Warshall on
-min-over-representative edge weights), so exact agreement between the two is
-a real check, not a tautology.
+`two_path` is the one gluing formula: within one copy distances halve;
+across copies the shortest route either crosses the shared corner directly
+or detours through the third copy, whose crossing always costs exactly 1
+inside the outer minimum. It needs only each side's distances to corners,
+and on words these have a closed form (one minus the barycentric weight
+toward the corner), so `dist_level` is linear in the word length, iterative
+and cache-free. `dist_oracle` rebuilds the same metric with none of that
+structure (equivalence classes + Floyd-Warshall on min-over-representative
+edge weights), so exact agreement between the two is a real check, not a
+tautology.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from os.path import commonprefix
+from typing import Callable
 
+from .numerics import MetricValue, value_le
 from .words import (
+    LABELS,
     AddressWord,
     CanonicalAddress,
     PAD,
@@ -43,39 +50,32 @@ JUNCTIONS: dict[tuple[str, str], tuple[str, str, str, str]] = {
     ("c", "b"): ("L", "R", "T", "T"),
 }
 
+# per corner: labels -> binary digits, 1 where the label heads toward it
+_TOWARD = {c: str.maketrans(LABELS, "".join("01"[m == PAD[c]] for m in LABELS)) for c in PAD}
 
-@lru_cache(maxsize=None)
-def _corner_dist(labels: str, d: str, corner: str) -> Fraction:
-    """Distance from the word (labels, d) to its level's `corner` word.
+Corners = Callable[[str], MetricValue]  # corner letter -> distance to that corner
 
-    Corner words are pad(corner)^n.corner, so this recursion is linear in the
-    word length: the same-copy branch strips one label, and the cross-copy
-    branch needs only corner distances of the tail. This is the fast path
-    that keeps dist_level quadratic instead of exponential.
+
+def two_path(mu: str, mv: str, du: Corners, dv: Corners, one: MetricValue) -> MetricValue:
+    """Cheaper crossing from copy mu to copy mv != mu, before the outer halving.
+
+    du(c), dv(c) are the two points' distances to corner c of their own copy,
+    in units of `one`; only the four corners the crossings use are looked up.
     """
-    if not labels:
-        return ZERO if d == corner else ONE
-    m, tail = labels[0], labels[1:]
-    mc = PAD[corner]  # the corner word's repeated label
-    if m == mc:
-        return HALF * _corner_dist(tail, d, corner)
-    p, q, pv, qv = JUNCTIONS[(m, mc)]
-    direct = _corner_dist(tail, d, p) + (ZERO if q == corner else ONE)
-    via = _corner_dist(tail, d, pv) + ONE + (ZERO if qv == corner else ONE)
-    return HALF * min(direct, via)
-
-
-@lru_cache(maxsize=None)
-def _dist(lu: str, du: str, lv: str, dv: str) -> Fraction:
-    if not lu:
-        return ZERO if du == dv else ONE
-    mu, mv = lu[0], lv[0]
-    if mu == mv:
-        return HALF * _dist(lu[1:], du, lv[1:], dv)
     p, q, pv, qv = JUNCTIONS[(mu, mv)]
-    direct = _corner_dist(lu[1:], du, p) + _corner_dist(lv[1:], dv, q)
-    via = _corner_dist(lu[1:], du, pv) + ONE + _corner_dist(lv[1:], dv, qv)
-    return HALF * min(direct, via)
+    direct = du(p) + dv(q)
+    via = du(pv) + one + dv(qv)
+    return direct if value_le(direct, via) else via
+
+
+def _toward(labels: str, d: str) -> Callable[[str], int]:
+    """Corner c -> 2^n times the distance from the level-n word (labels, d) to c.
+
+    That distance is 1 - lambda_c, where 2^n lambda_c reads the labels as binary
+    digits (1 for each label pad(c)) and adds 1 if d == c.
+    """
+    scale = 2 ** len(labels)
+    return lambda c: scale - int(labels.translate(_TOWARD[c]) or "0", 2) - (d == c)
 
 
 def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
@@ -84,9 +84,11 @@ def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
         raise ValueError(
             f"level mismatch: {u} is level {u.level}, {v} is level {v.level}, want {level}"
         )
-    # symmetric memo key
-    a, b = sorted(((u.labels, u.terminal), (v.labels, v.terminal)))
-    return _dist(a[0], a[1], b[0], b[1])
+    i = len(commonprefix((u.labels, v.labels)))
+    if i == level:
+        return Fraction(int(u.terminal != v.terminal), 2**level)
+    du, dv = _toward(u.labels[i + 1 :], u.terminal), _toward(v.labels[i + 1 :], v.terminal)
+    return Fraction(two_path(u.labels[i], v.labels[i], du, dv, 2 ** (level - i - 1)), 2**level)
 
 
 def dist_G(u: CanonicalAddress, v: CanonicalAddress) -> Fraction:
@@ -104,15 +106,10 @@ def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) ->
     """
     if mu == mv:
         return HALF * dist_G(u, v)
-    p, q, pv, qv = JUNCTIONS[(mu, mv)]
-    corners = {
-        "T": CanonicalAddress(AddressWord("", "T")),
-        "L": CanonicalAddress(AddressWord("", "L")),
-        "R": CanonicalAddress(AddressWord("", "R")),
-    }
-    direct = dist_G(u, corners[p]) + dist_G(corners[q], v)
-    via = dist_G(u, corners[pv]) + ONE + dist_G(corners[qv], v)
-    return HALF * min(direct, via)
+    n = max(u.level, v.level)
+    wu, wv = embed(u.word, n), embed(v.word, n)
+    du, dv = _toward(wu.labels, wu.terminal), _toward(wv.labels, wv.terminal)
+    return Fraction(two_path(mu, mv, du, dv, 2**n), 2 ** (n + 1))
 
 
 def diameter_bound_check(prefix: str, x1: AddressWord, x2: AddressWord) -> bool:

@@ -15,16 +15,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Hashable, Optional, Sequence
 
-from .metric import JUNCTIONS
-from .numerics import MetricValue, RadicalSum, value_float, value_le
+from .metric import two_path
+from .numerics import MetricValue, value_float, value_le
+from .words import REWRITE
 
 Point = Hashable
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
-
-# glued pairs, written toward the canonical member (same preference as words)
-_GLUE_NORMAL = {("b", "T"): ("a", "L"), ("c", "T"): ("a", "R"), ("c", "L"): ("b", "R")}
 
 
 class ValidationError(ValueError):
@@ -86,8 +84,8 @@ def validate_space(space: TriPointedSpace) -> None:
 
 
 def glue_normalize(m: str, x: Point, base: TriPointedSpace) -> tuple[str, Point]:
-    """Canonical member of a labeled point's glued pair."""
-    for (m1, d1), (m2, d2) in _GLUE_NORMAL.items():
+    """Canonical member of a labeled point's glued pair (the words' junction rewrite)."""
+    for (m1, d1), (m2, d2) in REWRITE.items():
         if m == m1 and x == getattr(base, d1):
             return m2, getattr(base, d2)
     return m, x
@@ -105,12 +103,10 @@ def _tensor_dist(base: TriPointedSpace) -> Callable[[Point, Point], MetricValue]
         (m1, x), (m2, y) = p, q
         if m1 == m2:
             return HALF * base.dist(x, y)
-        pd, qd, pv, qv = JUNCTIONS[(m1, m2)]
-        corner = {"T": base.T, "L": base.L, "R": base.R}
-        direct = base.dist(x, corner[pd]) + base.dist(corner[qd], y)
-        via = base.dist(x, corner[pv]) + ONE + base.dist(corner[qv], y)
-        best = direct if value_le(direct, via) else via
-        return HALF * best
+        return HALF * two_path(
+            m1, m2, lambda c: base.dist(x, getattr(base, c)),
+            lambda c: base.dist(getattr(base, c), y), ONE,
+        )
 
     return dist
 

@@ -15,6 +15,7 @@ per point; `glue_partner` returns the other same-level name when one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Optional
 
 LABELS = "abc"
@@ -159,14 +160,7 @@ _CANONICAL_TAILS = (("a", "L"), ("a", "R"), ("b", "R"))
 
 def iter_words(level: int) -> Iterator[AddressWord]:
     """All 3^n * 3 words of exactly this level."""
-    def rec(prefix: str, n: int) -> Iterator[str]:
-        if n == 0:
-            yield prefix
-            return
-        for m in LABELS:
-            yield from rec(prefix + m, n - 1)
-
-    for labels in rec("", level):
+    for labels in map("".join, product(LABELS, repeat=level)):
         for d in TERMINALS:
             yield AddressWord(labels, d)
 
@@ -180,14 +174,7 @@ def iter_canonical(max_level: int) -> Iterator[CanonicalAddress]:
     for d in TERMINALS:
         yield CanonicalAddress(AddressWord("", d))
     for n in range(1, max_level + 1):
-        def rec(prefix: str, k: int) -> Iterator[str]:
-            if k == 0:
-                yield prefix
-                return
-            for m in LABELS:
-                yield from rec(prefix + m, k - 1)
-
-        for prefix in rec("", n - 1):
+        for prefix in map("".join, product(LABELS, repeat=n - 1)):
             for m, d in _CANONICAL_TAILS:
                 yield CanonicalAddress(AddressWord(prefix + m, d))
 

@@ -51,6 +51,12 @@ def test_gdist(capsys):
     assert (code, out) == (0, "0/1\n")
 
 
+def test_gdist_deep_word(capsys):
+    # the L corner approaches .T through ever deeper a-copies: d(a^k.L, .T) = 2^-k
+    code, out, err = run(capsys, "gdist", "a" * 600 + ".L", ".T")
+    assert (code, out, err) == (0, f"1/{2**600}\n", "")
+
+
 def test_coords(capsys):
     code, out, _ = run(capsys, "coords", "ba.R")
     assert code == 0

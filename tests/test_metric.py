@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,16 +110,41 @@ labels5 = st.text(alphabet="abc", max_size=5)
 terminals = st.sampled_from("TLR")
 
 
-@settings(deadline=None, max_examples=300)
+def ternary(k, n):
+    """The n-label word spelling k in base 3 (a=0, b=1, c=2), most significant first."""
+    out = []
+    for _ in range(n):
+        k, r = divmod(k, 3)
+        out.append("abc"[r])
+    return "".join(reversed(out))
+
+
+def labels_of(n):
+    """Label strings of exactly n labels; deep ones are drawn as one integer."""
+    if n <= 8:
+        return st.text(alphabet="abc", min_size=n, max_size=n)
+    return st.integers(min_value=0, max_value=3**n - 1).map(lambda k: ternary(k, n))
+
+
+# deep words sit past the depth at which a recursive kernel would overflow the
+# stack, even with the higher recursion limit Hypothesis runs tests under
+DEEP = st.integers(min_value=1500, max_value=2500)
+
+
+# the deep branches take a share of the examples, so the property tests below
+# run more of them; the shallow cases still get as many as without deep words
+@settings(deadline=None, max_examples=900)
 @given(
-    level=st.integers(min_value=0, max_value=4),
+    level=st.one_of(st.integers(min_value=0, max_value=4), DEEP),
     data=st.data(),
 )
 def test_metric_axioms(level, data):
+    # deep words share a drawn prefix, so they can first differ at any depth
+    shared = data.draw(labels_of(level), label="shared") if level > 4 else ""
+
     def word(tag):
-        ls = data.draw(
-            st.text(alphabet="abc", min_size=level, max_size=level), label=tag
-        )
+        keep = data.draw(st.integers(min_value=0, max_value=len(shared)), label=tag + "-keep")
+        ls = shared[:keep] + data.draw(labels_of(level - keep), label=tag)
         return AddressWord(ls, data.draw(terminals, label=tag + "-term"))
 
     u, v, w = word("u"), word("v"), word("w")
@@ -146,16 +172,39 @@ def test_shared_prefix_diameter(prefix, tail_level, data):
     assert diameter_bound_check(prefix, x1, x2)
 
 
-@settings(deadline=None, max_examples=150)
+# two shallow tails, or a deep tail with a shallow or deep one
+tail_pairs = st.one_of(
+    st.tuples(labels5, labels5),
+    st.tuples(DEEP.flatmap(labels_of), st.one_of(labels5, DEEP.flatmap(labels_of))),
+)
+
+
+@settings(deadline=None, max_examples=400)
 @given(
     mu=st.sampled_from("abc"),
     mv=st.sampled_from("abc"),
-    lu=labels5,
-    lv=labels5,
+    tails=tail_pairs,
     tu=terminals,
     tv=terminals,
 )
-def test_prepending_is_isometric(mu, mv, lu, lv, tu, tv):
-    u = canonicalize(AddressWord(lu, tu))
-    v = canonicalize(AddressWord(lv, tv))
+def test_prepending_is_isometric(mu, mv, tails, tu, tv):
+    u = canonicalize(AddressWord(tails[0], tu))
+    v = canonicalize(AddressWord(tails[1], tv))
     assert tensor_dist_G(mu, u, mv, v) == dist_G(prepend(mu, u), prepend(mv, v))
+
+
+def test_level_5000_pair():
+    rng = Random(5000)
+    shared = "".join(rng.choice("abc") for _ in range(3000))
+
+    def word(d):
+        return AddressWord(shared + "".join(rng.choice("abc") for _ in range(2000)), d)
+
+    u, v, w = word("T"), word("L"), word("R")
+    duv = dist_level(u, v, 5000)
+    assert 0 < duv <= Fraction(1, 2**3000)
+    assert duv == dist_level(v, u, 5000)
+    for m in "abc":
+        mu, mv = AddressWord(m + u.labels, u.terminal), AddressWord(m + v.labels, v.terminal)
+        assert dist_level(mu, mv, 5001) == duv / 2
+    assert duv <= dist_level(u, w, 5000) + dist_level(w, v, 5000)
