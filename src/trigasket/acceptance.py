@@ -34,7 +34,7 @@ from trigasket.metric import (
     oracle_table,
     tensor_dist_G,
 )
-from trigasket.coalgebras import finality_check, get_coalgebra, theta
+from trigasket.coalgebras import finality_check, get_coalgebra, theta, thetas
 from trigasket.algebras import mediate_from_initial
 from trigasket.geometry import (
     VERTEX,
@@ -188,7 +188,7 @@ def uniform_cauchy_modulus() -> CriterionResult:
     for name, pts in (("gasket-sigma", gasket_pts), ("delta", delta_pts)):
         co = get_coalgebra(name)
         for x in pts:
-            ths = [theta(co, x, n) for n in range(1, 15)]
+            ths = thetas(co, x, 14)
             for p in range(1, 14):
                 for q in range(p + 1, 15):
                     if dist_G(ths[p - 1], ths[q - 1]) > Fraction(1, 2**p):

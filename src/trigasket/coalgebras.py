@@ -56,12 +56,25 @@ def unfold(co: Coalgebra, x: Point, n: int) -> tuple[str, Point]:
     return "".join(labels), p
 
 
+def _anchored(labels: str) -> CanonicalAddress:
+    """A label trace anchored at the corner its last label fixes."""
+    return canonicalize(AddressWord(labels, ANCHOR[labels[-1]]))
+
+
 def theta(co: Coalgebra, x: Point, n: int) -> CanonicalAddress:
     """The depth-n address approximant of x's limit."""
     if n < 1:
         raise ValueError("theta needs depth >= 1")
     labels, _ = unfold(co, x, n)
-    return canonicalize(AddressWord(labels, ANCHOR[labels[-1]]))
+    return _anchored(labels)
+
+
+def thetas(co: Coalgebra, x: Point, n: int) -> list[CanonicalAddress]:
+    """theta(co, x, k) for k = 1..n from one unfold: anchored prefixes of one trace."""
+    if n < 1:
+        raise ValueError("theta needs depth >= 1")
+    labels, _ = unfold(co, x, n)
+    return [_anchored(labels[:k]) for k in range(1, n + 1)]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,22 @@ from .words import (
 RENDER_MAX_DEPTH = 12  # point count grows as 3^n
 
 
+def _sign(u: Fraction, v: Fraction) -> int:
+    """Exact sign of u + v*sqrt(3), in integers: a rational has its numerator's sign."""
+    (a, b), (c, d) = (u.numerator, u.denominator), (v.numerator, v.denominator)
+    su = (a > 0) - (a < 0)
+    sv = (c > 0) - (c < 0)
+    if sv == 0:
+        return su
+    if su == 0 or su == sv:
+        return sv
+    # opposite signs: |u| vs |v|sqrt(3) via squares, over the common denominator (bd)^2
+    cmp = (a * d) ** 2 - 3 * (c * b) ** 2
+    if cmp == 0:
+        return 0
+    return su if cmp > 0 else sv
+
+
 @dataclass(frozen=True)
 class QSqrt3:
     """u + v*sqrt(3) with exact arithmetic and exact sign."""
@@ -59,17 +75,7 @@ class QSqrt3:
         return QSqrt3(self.u / 2, self.v / 2)
 
     def sign(self) -> int:
-        su = (self.u > 0) - (self.u < 0)
-        sv = (self.v > 0) - (self.v < 0)
-        if sv == 0:
-            return su
-        if su == 0 or su == sv:
-            return sv
-        # opposite signs: |u| vs |v|sqrt(3) via squares
-        cmp = self.u * self.u - 3 * self.v * self.v
-        if cmp == 0:
-            return 0
-        return su if cmp > 0 else sv
+        return _sign(self.u, self.v)
 
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
@@ -123,19 +129,19 @@ VERTEX = {
     "R": Point2(QSqrt3.of(1), _Q0),
 }
 
-_QUARTER_HEIGHT = QSqrt3.of(0, Fraction(1, 4))  # sqrt(3)/4, the mid-line
-_HALF_X = QSqrt3.of(Fraction(1, 2))
+_HALF = Fraction(1, 2)
+_QUARTER = Fraction(1, 4)
 
 
 def sigma(m: str, p: Point2) -> Point2:
     """The half-scale map into copy m."""
-    hx, hy = p.x.half(), p.y.half()
+    (xu, xv), (yu, yv) = (p.x.u / 2, p.x.v / 2), (p.y.u / 2, p.y.v / 2)
     if m == "a":
-        return Point2(hx + QSqrt3.of(Fraction(1, 4)), hy + _QUARTER_HEIGHT)
+        return Point2(QSqrt3(xu + _QUARTER, xv), QSqrt3(yu, yv + _QUARTER))
     if m == "b":
-        return Point2(hx, hy)
+        return Point2(QSqrt3(xu, xv), QSqrt3(yu, yv))
     if m == "c":
-        return Point2(hx + _HALF_X, hy)
+        return Point2(QSqrt3(xu + _HALF, xv), QSqrt3(yu, yv))
     raise ValueError(f"bad label {m!r}")
 
 
@@ -149,15 +155,18 @@ def coords(addr: "AddressWord | CanonicalAddress") -> Point2:
 
 
 def in_triangle(p: Point2) -> bool:
-    """Closed unit triangle: y >= 0, y <= sqrt3*x, y <= sqrt3*(1-x)."""
-    sqrt3 = QSqrt3.of(0, 1)
-    if p.y.sign() < 0:
-        return False
-    if (sqrt3 * p.x - p.y).sign() < 0:
-        return False
-    if (sqrt3 * (QSqrt3.of(1) - p.x) - p.y).sign() < 0:
-        return False
-    return True
+    """Closed unit triangle: y >= 0, y <= sqrt3*x, y <= sqrt3*(1-x).
+
+    With x = xu + xv sqrt3 and y = yu + yv sqrt3 the last two read
+    sqrt3*x - y = (3xv - yu) + (xu - yv) sqrt3 >= 0 and
+    sqrt3*(1-x) - y = (-3xv - yu) + (1 - xu - yv) sqrt3 >= 0.
+    """
+    (xu, xv), (yu, yv) = (p.x.u, p.x.v), (p.y.u, p.y.v)
+    return (
+        _sign(yu, yv) >= 0
+        and _sign(3 * xv - yu, xu - yv) >= 0
+        and _sign(-3 * xv - yu, 1 - xu - yv) >= 0
+    )
 
 
 def sigma_inv(p: Point2) -> tuple[str, Point2]:
@@ -169,12 +178,14 @@ def sigma_inv(p: Point2) -> tuple[str, Point2]:
     """
     if not in_triangle(p):
         raise ValueError(f"point outside the closed triangle: {p}")
-    two = Fraction(2)
-    if (p.y - _QUARTER_HEIGHT).sign() >= 0:
-        return "a", Point2(two * p.x - _HALF_X, two * p.y - QSqrt3.of(0, Fraction(1, 2)))
-    if (p.x - _HALF_X).sign() <= 0:
-        return "b", Point2(two * p.x, two * p.y)
-    return "c", Point2(two * p.x - QSqrt3.of(1), two * p.y)
+    (xu, xv), (yu, yv) = (p.x.u, p.x.v), (p.y.u, p.y.v)
+    # on or above the mid-line y = sqrt3/4
+    if _sign(yu, yv - _QUARTER) >= 0:
+        return "a", Point2(QSqrt3(2 * xu - _HALF, 2 * xv), QSqrt3(2 * yu, 2 * yv - _HALF))
+    # on or left of x = 1/2
+    if _sign(xu - _HALF, xv) <= 0:
+        return "b", Point2(QSqrt3(2 * xu, 2 * xv), QSqrt3(2 * yu, 2 * yv))
+    return "c", Point2(QSqrt3(2 * xu - 1, 2 * xv), QSqrt3(2 * yu, 2 * yv))
 
 
 def _vertex_of(p: Point2) -> str | None:

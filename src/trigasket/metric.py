@@ -9,7 +9,8 @@ toward the corner), so `dist_level` is linear in the word length, iterative
 and cache-free. `dist_oracle` rebuilds the same metric with none of that
 structure (equivalence classes + Floyd-Warshall on min-over-representative
 edge weights), so exact agreement between the two is a real check, not a
-tautology.
+tautology. Every level-n distance lies in 2^-n Z, so the oracle stores and
+relaxes integer numerators over 2^n and makes a Fraction only on lookup.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .words import (
 )
 
 HALF = Fraction(1, 2)
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
-ORACLE_MAX_LEVEL = 5  # 3^(n+1) raw words; Floyd-Warshall beyond this is not desk-scale
+# level n has (3^(n+1) + 3) / 2 classes; measured on CPython 3.11 on one core,
+# levels 0-5 build in 1.6 s together and level 6 (1095 classes) alone in 48 s
+ORACLE_MAX_LEVEL = 5
 
 # Junction crossings, keyed by ordered copy pair (m, m'):
 # (direct corner on m side, direct corner on m' side,
@@ -144,9 +145,12 @@ class _UnionFind:
 
 
 class OracleTable:
-    """Level-n quotient space built from scratch: class ids and a distance matrix."""
+    """Level-n quotient space built from scratch: class ids and a distance matrix.
 
-    def __init__(self, level: int, class_of: dict[AddressWord, int], dist: list[list[Fraction]]):
+    `dist` holds integer numerators over 2^level.
+    """
+
+    def __init__(self, level: int, class_of: dict[AddressWord, int], dist: list[list[int]]):
         self.level = level
         self.class_of = class_of
         self.dist = dist
@@ -156,7 +160,7 @@ class OracleTable:
         return len(self.dist)
 
     def lookup(self, u: AddressWord, v: AddressWord) -> Fraction:
-        return self.dist[self.class_of[u]][self.class_of[v]]
+        return Fraction(self.dist[self.class_of[u]][self.class_of[v]], 2**self.level)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +168,7 @@ def _oracle_table(level: int) -> OracleTable:
     if level == 0:
         words = list(iter_words(0))
         class_of = {w: i for i, w in enumerate(words)}
-        dist = [[ZERO if i == j else ONE for j in range(3)] for i in range(3)]
+        dist = [[int(i != j) for j in range(3)] for i in range(3)]
         return OracleTable(0, class_of, dist)
 
     prev = _oracle_table(level - 1)
@@ -187,33 +191,36 @@ def _oracle_table(level: int) -> OracleTable:
     cid = {root: i for i, root in enumerate(roots)}
     n = len(roots)
 
-    # edge weights: min over representatives of the pre-quotient step metric
-    # (half the inner quotient distance inside one copy, 1 across copies)
-    dist = [[ONE] * n for _ in range(n)]
+    # edge weights over 2^level: min over representatives of the pre-quotient
+    # step metric. Inside one copy it is half the inner distance, and half of
+    # k/2^(level-1) is k/2^level, so the inner numerator carries over as is;
+    # across copies it is 1, numerator `one`.
+    one = 2**level
+    dist = [[one] * n for _ in range(n)]
     for i in range(n):
-        dist[i][i] = ZERO
+        dist[i][i] = 0
     members: list[list[tuple[str, int]]] = [[] for _ in range(n)]
     for pc, i in index.items():
         members[cid[uf.find(i)]].append(pc)
     for i in range(n):
         for j in range(i + 1, n):
-            best = ONE
+            best = one
             for m1, c1 in members[i]:
                 for m2, c2 in members[j]:
                     if m1 == m2:
-                        w = HALF * prev.dist[c1][c2]
+                        w = prev.dist[c1][c2]
                         if w < best:
                             best = w
             dist[i][j] = best
             dist[j][i] = best
 
-    # Floyd-Warshall; all values are <= 1, so any intermediate at distance 1
-    # can never shorten a path and its pass is skipped outright.
+    # Floyd-Warshall; all values are <= one, so any intermediate at distance
+    # one can never shorten a path and its pass is skipped outright.
     for k in range(n):
         dk = dist[k]
         for i in range(n):
             dik = dist[i][k]
-            if dik >= ONE:
+            if dik >= one:
                 continue
             di = dist[i]
             for j in range(n):
@@ -240,11 +247,3 @@ def dist_oracle(u: AddressWord, v: AddressWord, level: int) -> Fraction:
     if u.level != level or v.level != level:
         raise ValueError("oracle arguments must both have the stated level")
     return oracle_table(level).lookup(u, v)
-
-
-def oracle_classes_agree(u: AddressWord, v: AddressWord) -> bool:
-    """Whether the closure construction puts two same-level words in one class."""
-    if u.level != v.level:
-        raise ValueError("words must share a level")
-    t = oracle_table(u.level)
-    return t.class_of[u] == t.class_of[v]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -9,6 +10,7 @@ from trigasket.coalgebras import (
     mediate_to_final,
     modulus_report,
     theta,
+    thetas,
     unfold,
     validate_coalgebra,
 )
@@ -20,7 +22,7 @@ from trigasket.counterexamples import (
 from trigasket.geometry import VERTEX, coords
 from trigasket.metric import dist_G
 from trigasket.spaces import ValidationError, i_space
-from trigasket.words import AddressWord, canonicalize, parse_word
+from trigasket.words import AddressWord, canonicalize, iter_canonical, parse_word
 
 
 def canon(text):
@@ -56,6 +58,31 @@ def test_theta_requires_positive_depth():
     co = get_coalgebra("delta")
     with pytest.raises(ValueError):
         theta(co, APEX, 0)
+
+
+def thetas_sample(name):
+    """Corners, a seam point and a seeded sample of each built-in coalgebra's space."""
+    rng = Random(14)
+    if name == "gasket-sigma":
+        canon6 = list(iter_canonical(6))
+        pts = [VERTEX["T"], VERTEX["L"], VERTEX["R"], coords(parse_word("b.R"))]
+        return pts + [coords(rng.choice(canon6)) for _ in range(20)]
+    pts = [APEX, delta_point(0), delta_point(1), delta_point(Fraction(1, 2))]
+    dens = [rng.randint(1, 4096) for _ in range(20)]
+    return pts + [delta_point(Fraction(rng.randint(0, d), d)) for d in dens]
+
+
+@pytest.mark.parametrize("name", ["gasket-sigma", "delta"])
+def test_thetas_matches_theta(name):
+    co = get_coalgebra(name)
+    for x in thetas_sample(name):
+        assert thetas(co, x, 14) == [theta(co, x, k) for k in range(1, 15)]
+
+
+def test_thetas_requires_positive_depth():
+    co = get_coalgebra("delta")
+    with pytest.raises(ValueError):
+        thetas(co, APEX, 0)
 
 
 def test_theta_on_finitely_addressed_point():

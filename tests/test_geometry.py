@@ -180,6 +180,65 @@ def test_sigma_inv_tie_prefers_canonical_copy():
     assert m == "b" and pre == VERTEX["R"]
 
 
+# The Q(sqrt 3) formulas the component-wise geometry must reproduce on
+# every point of the field, not just on gasket points (x.v = y.u = 0).
+SQRT3 = q(0, 1)
+
+
+def ref_in_triangle(p):
+    return (
+        p.y.sign() >= 0
+        and (SQRT3 * p.x - p.y).sign() >= 0
+        and (SQRT3 * (q(1) - p.x) - p.y).sign() >= 0
+    )
+
+
+def ref_sigma_inv(p):
+    two = Fraction(2)
+    if (p.y - q(0, Fraction(1, 4))).sign() >= 0:
+        return "a", Point2(two * p.x - q(Fraction(1, 2)), two * p.y - q(0, Fraction(1, 2)))
+    if (p.x - q(Fraction(1, 2))).sign() <= 0:
+        return "b", Point2(two * p.x, two * p.y)
+    return "c", Point2(two * p.x - q(1), two * p.y)
+
+
+REF_OFFSET = {
+    "a": (q(Fraction(1, 4)), q(0, Fraction(1, 4))),
+    "b": (q(0), q(0)),
+    "c": (q(Fraction(1, 2)), q(0)),
+}
+
+
+def ref_sigma(m, p):
+    ox, oy = REF_OFFSET[m]
+    return Point2(p.x.half() + ox, p.y.half() + oy)
+
+
+def component(lo, hi):
+    """Fractions in [lo, hi]; sixteenths often land on edges and mid-lines."""
+    return st.one_of(
+        st.sampled_from([Fraction(k, 16) for k in range(16 * lo, 16 * hi + 1)]),
+        st.fractions(min_value=lo, max_value=hi, max_denominator=64),
+    )
+
+
+@given(xu=component(0, 1), xv=component(-1, 1), yu=component(-1, 1), yv=component(0, 1))
+@settings(deadline=None, max_examples=400)
+def test_geometry_matches_field_formulas(xu, xv, yu, yv):
+    # scaled to the triangle's box, with x.v and y.u small, so that about
+    # half the points lie inside even off the gasket's x.v = y.u = 0
+    p = Point2(QSqrt3(xu, xv / 8), QSqrt3(yu / 8, yv / 2))
+    inside = ref_in_triangle(p)
+    assert in_triangle(p) == inside
+    if inside:
+        assert sigma_inv(p) == ref_sigma_inv(p)
+    else:
+        with pytest.raises(ValueError):
+            sigma_inv(p)
+    for m in "abc":
+        assert sigma(m, p) == ref_sigma(m, p)
+
+
 def test_sigma_inv_rejects_outside():
     with pytest.raises(ValueError):
         sigma_inv(pt(2, 0, 0, 0))

@@ -72,8 +72,17 @@ def test_oracle_agrees_exhaustively():
 
 
 def test_oracle_class_counts():
-    for level, want in enumerate([3, 6, 15, 42, 123]):
+    # (3^(n+1) + 3) / 2 classes at level n
+    for level, want in enumerate([3, 6, 15, 42, 123, 366]):
         assert len(set(oracle_table(level).class_of.values())) == want
+
+
+def test_oracle_agrees_at_level_5():
+    rng = Random(55)
+    ws = list(iter_words(5))
+    for _ in range(5000):
+        u, v = rng.choice(ws), rng.choice(ws)
+        assert dist_level(u, v, 5) == dist_oracle(u, v, 5)
 
 
 def test_oracle_level_guard():
