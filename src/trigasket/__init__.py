@@ -9,196 +9,11 @@ The package realizes the gasket three ways and proves them consistent:
   three-copy gluing functor over 1-bounded marked metric spaces
   (:mod:`trigasket.spaces`, :mod:`trigasket.algebras`,
   :mod:`trigasket.coalgebras`);
-* geometrically, as a subset of the plane with coordinates in Q(sqrt 3)
-  (:mod:`trigasket.geometry`).
+* geometrically, as a subset of the plane whose points have a rational x
+  and a y that is a rational multiple of sqrt 3 (:mod:`trigasket.geometry`).
 
 All distances are exact (`Fraction` or `RadicalSum`); floats appear only
-in display paths.
+in display paths. Import names from the submodules.
 """
 
-from trigasket.words import (
-    AddressWord,
-    CanonicalAddress,
-    parse_word,
-    canonicalize,
-    glue_partner,
-    embed,
-    prepend,
-    distinguished,
-    iter_words,
-    iter_canonical,
-    count_canonical,
-    LABELS,
-    TERMINALS,
-)
-from trigasket.metric import (
-    dist_level,
-    dist_G,
-    tensor_dist_G,
-    dist_oracle,
-    oracle_table,
-    diameter_bound_check,
-    ORACLE_MAX_LEVEL,
-)
-from trigasket.numerics import RadicalSum, sqrt_fraction, format_dist, decimal_str
-from trigasket.spaces import (
-    TriPointedSpace,
-    TensorSpace,
-    ValidationError,
-    validate_space,
-    tensor,
-    tensor_map,
-    glue_normalize,
-    MapWitness,
-    CertifyReport,
-    certify,
-    SHORT,
-    ISOMETRIC,
-    CONTINUOUS,
-    lipschitz,
-    initial_map,
-    i_space,
-    discrete_space,
-    load_space,
-    dump_space,
-)
-from trigasket.algebras import (
-    Algebra,
-    validate_algebra,
-    fold_from,
-    iterate_algebra,
-    mediate_from_initial,
-    check_algebra_morphism,
-    MorphismReport,
-    get_algebra,
-)
-from trigasket.coalgebras import (
-    Coalgebra,
-    validate_coalgebra,
-    unfold,
-    theta,
-    LimitPoint,
-    mediate_to_final,
-    FinalityReport,
-    finality_check,
-    ModulusReport,
-    modulus_report,
-    get_coalgebra,
-)
-from trigasket.geometry import (
-    QSqrt3,
-    Point2,
-    VERTEX,
-    sigma,
-    sigma_inv,
-    coords,
-    in_triangle,
-    address_of,
-    exact_address,
-    gasket_space,
-    render,
-    render_points,
-    RENDER_MAX_DEPTH,
-)
-from trigasket.counterexamples import (
-    y_algebra,
-    i_algebra,
-    delta_space,
-    delta_point,
-    delta_step,
-    delta_coalgebra,
-    delta_pair,
-    delta_nonlipschitz_report,
-    NonLipschitzReport,
-    APEX,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AddressWord",
-    "CanonicalAddress",
-    "parse_word",
-    "canonicalize",
-    "glue_partner",
-    "embed",
-    "prepend",
-    "distinguished",
-    "iter_words",
-    "iter_canonical",
-    "count_canonical",
-    "LABELS",
-    "TERMINALS",
-    "dist_level",
-    "dist_G",
-    "tensor_dist_G",
-    "dist_oracle",
-    "oracle_table",
-    "diameter_bound_check",
-    "ORACLE_MAX_LEVEL",
-    "RadicalSum",
-    "sqrt_fraction",
-    "format_dist",
-    "decimal_str",
-    "TriPointedSpace",
-    "TensorSpace",
-    "ValidationError",
-    "validate_space",
-    "tensor",
-    "tensor_map",
-    "glue_normalize",
-    "MapWitness",
-    "CertifyReport",
-    "certify",
-    "SHORT",
-    "ISOMETRIC",
-    "CONTINUOUS",
-    "lipschitz",
-    "initial_map",
-    "i_space",
-    "discrete_space",
-    "load_space",
-    "dump_space",
-    "Algebra",
-    "validate_algebra",
-    "fold_from",
-    "iterate_algebra",
-    "mediate_from_initial",
-    "check_algebra_morphism",
-    "MorphismReport",
-    "get_algebra",
-    "Coalgebra",
-    "validate_coalgebra",
-    "unfold",
-    "theta",
-    "LimitPoint",
-    "mediate_to_final",
-    "FinalityReport",
-    "finality_check",
-    "ModulusReport",
-    "modulus_report",
-    "get_coalgebra",
-    "QSqrt3",
-    "Point2",
-    "VERTEX",
-    "sigma",
-    "sigma_inv",
-    "coords",
-    "in_triangle",
-    "address_of",
-    "exact_address",
-    "gasket_space",
-    "render",
-    "render_points",
-    "RENDER_MAX_DEPTH",
-    "y_algebra",
-    "i_algebra",
-    "delta_space",
-    "delta_point",
-    "delta_step",
-    "delta_coalgebra",
-    "delta_pair",
-    "delta_nonlipschitz_report",
-    "NonLipschitzReport",
-    "APEX",
-]

@@ -39,7 +39,6 @@ from trigasket.algebras import mediate_from_initial
 from trigasket.geometry import (
     VERTEX,
     Point2,
-    QSqrt3,
     coords,
     exact_address,
     sigma,
@@ -263,11 +262,11 @@ def unbounded_expansion() -> CriterionResult:
     if not rep.passed:
         return _result(7, "unbounded-expansion", False, "report gate failed")
     tol = Fraction(1, 2**16)
-    if coords(parse_word(".L")) != Point2(QSqrt3.of(0), QSqrt3.of(0)):
+    if coords(parse_word(".L")) != Point2(Fraction(0), Fraction(0)):
         return _result(7, "unbounded-expansion", False, "L corner is not the origin")
     for row in rep.rows:
         limit_y = coords(parse_word("b" * row.n + ".R"))
-        want_y = Point2(QSqrt3.of(Fraction(1, 2**row.n)), QSqrt3.of(0))
+        want_y = Point2(Fraction(1, 2**row.n), Fraction(0))
         if limit_y != want_y:
             return _result(
                 7, "unbounded-expansion", False,
@@ -296,9 +295,9 @@ def unbounded_expansion() -> CriterionResult:
 def plane_embedding_roundtrip() -> CriterionResult:
     """Similitude fixed points, address round trips, junction coincidence."""
     fixed = [
-        ("a", VERTEX["T"], Point2(QSqrt3.of(Fraction(1, 2)), QSqrt3.of(0, Fraction(1, 2)))),
-        ("b", VERTEX["L"], Point2(QSqrt3.of(0), QSqrt3.of(0))),
-        ("c", VERTEX["R"], Point2(QSqrt3.of(1), QSqrt3.of(0))),
+        ("a", VERTEX["T"], Point2(Fraction(1, 2), Fraction(1, 2))),
+        ("b", VERTEX["L"], Point2(Fraction(0), Fraction(0))),
+        ("c", VERTEX["R"], Point2(Fraction(1), Fraction(0))),
     ]
     for m, v, want in fixed:
         if v != want or sigma(m, v) != v:

@@ -17,11 +17,12 @@ from trigasket.coalgebras import get_coalgebra, theta
 from trigasket.counterexamples import APEX, delta_point
 from trigasket.geometry import (
     Point2,
-    QSqrt3,
     RENDER_MAX_DEPTH,
     address_of,
     coords,
     render,
+    surd_decimal,
+    surd_text,
 )
 from trigasket.metric import dist_G, dist_level
 from trigasket.numerics import format_dist
@@ -57,13 +58,13 @@ def _cmd_gdist(args: argparse.Namespace) -> int:
 
 def _cmd_coords(args: argparse.Namespace) -> int:
     p = coords(parse_word(args.word))
-    print(f"x = {p.x.text} = {p.x.decimal()}")
-    print(f"y = {p.y.text} = {p.y.decimal()}")
+    print(f"x = {surd_text(p.x, 0)} = {surd_decimal(p.x, 0)}")
+    print(f"y = {surd_text(0, p.yc)} = {surd_decimal(0, p.yc)}")
     return 0
 
 
 def _cmd_address(args: argparse.Namespace) -> int:
-    p = Point2(QSqrt3.of(_fraction(args.x)), QSqrt3.of(0, _fraction(args.y_coeff)))
+    p = Point2(_fraction(args.x), _fraction(args.y_coeff))
     print(address_of(p, args.depth).text)
     return 0
 
@@ -79,9 +80,7 @@ def _parse_point(coalgebra: str, spec: str):
             raise ValueError(
                 f"gasket-sigma points are written 'x,ycoeff' (y = ycoeff*sqrt(3)), got {spec!r}"
             )
-        return Point2(
-            QSqrt3.of(_fraction(parts[0])), QSqrt3.of(0, _fraction(parts[1]))
-        )
+        return Point2(_fraction(parts[0]), _fraction(parts[1]))
     raise ValueError(f"no point syntax for coalgebra {coalgebra!r}")
 
 
@@ -92,7 +91,7 @@ def _cmd_mediate(args: argparse.Namespace) -> int:
     anchor = coords(t.word)
     bound = Fraction(1, 2**args.depth)
     print(f"theta_{args.depth} = {t.text}")
-    print(f"coords = {anchor.x.text}, {anchor.y.text}")
+    print(f"coords = {surd_text(anchor.x, 0)}, {surd_text(0, anchor.yc)}")
     print(f"bound = {bound.numerator}/{bound.denominator}")
     return 0
 

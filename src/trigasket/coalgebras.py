@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from .metric import dist_G
 from .numerics import MetricValue, value_float, value_le
 from .spaces import Point, TriPointedSpace, ValidationError
-from .words import AddressWord, CanonicalAddress, canonicalize, embed
+from .words import AddressWord, CanonicalAddress, canonicalize, prepend
 
 ANCHOR = {"a": "T", "b": "L", "c": "R"}
 
@@ -143,8 +143,7 @@ def finality_check(
         m1, x1 = co.e(x)
         for k in range(2, depth + 1):
             lhs = theta_fn(x, k)
-            sub = embed(theta_fn(x1, k - 1).word, k - 1)
-            rhs = canonicalize(AddressWord(m1 + sub.labels, sub.terminal))
+            rhs = prepend(m1, theta_fn(x1, k - 1))
             d = dist_G(lhs, rhs)
             checked += 1
             if d > worst:

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigasket.geometry import coords
 from trigasket.metric import (
     ORACLE_MAX_LEVEL,
     diameter_bound_check,
@@ -19,6 +20,7 @@ from trigasket.words import (
     distinguished,
     embed,
     glue_partner,
+    iter_canonical,
     iter_words,
     parse_word,
     prepend,
@@ -217,3 +219,41 @@ def test_level_5000_pair():
         mu, mv = AddressWord(m + u.labels, u.terminal), AddressWord(m + v.labels, v.terminal)
         assert dist_level(mu, mv, 5001) == duv / 2
     assert duv <= dist_level(u, w, 5000) + dist_level(w, v, 5000)
+
+
+# The address metric against the plane: |p-q|^2 <= d_G^2 <= 4|p-q|^2. The
+# lower bound holds because d_G is the length of a path inside the gasket.
+# The upper bound is observed, not proved: the largest ratio seen, on every
+# pair at levels <= 5 and on sampled pairs up to level 600, is exactly 4.
+
+
+def test_plane_bounds_metric_exhaustive():
+    pts = [(w, coords(w)) for w in iter_canonical(4)]
+    worst = Fraction(0)
+    for i, (u, p) in enumerate(pts):
+        for v, q in pts[:i]:
+            sq, d2 = p.sq_dist(q), dist_G(u, v) ** 2
+            assert sq <= d2 <= 4 * sq
+            worst = max(worst, d2 / sq)
+    assert worst == 4
+    u, v = canon("ab.R"), canon("ba.R")
+    assert dist_G(u, v) ** 2 == 4 * coords(u).sq_dist(coords(v))
+
+
+# each deep example costs about 50 ms in coords
+@settings(deadline=None, max_examples=60)
+@given(
+    level=st.one_of(st.integers(min_value=0, max_value=8), DEEP),
+    data=st.data(),
+)
+def test_plane_bounds_metric_deep(level, data):
+    shared = data.draw(labels_of(level), label="shared")
+
+    def word(tag):
+        keep = data.draw(st.integers(min_value=0, max_value=level), label=tag + "-keep")
+        ls = shared[:keep] + data.draw(labels_of(level - keep), label=tag)
+        return canonicalize(AddressWord(ls, data.draw(terminals, label=tag + "-term")))
+
+    u, v = word("u"), word("v")
+    sq, d2 = coords(u).sq_dist(coords(v)), dist_G(u, v) ** 2
+    assert sq <= d2 <= 4 * sq
