@@ -5,10 +5,14 @@ across copies the shortest route either crosses the shared corner directly
 or detours through the third copy, whose crossing always costs exactly 1
 inside the outer minimum. It needs only each side's distances to corners,
 and on words these have a closed form (one minus the barycentric weight
-toward the corner), so `dist_level` is linear in the word length, iterative
-and cache-free. `dist_oracle` rebuilds the same metric with none of that
-structure (equivalence classes + Floyd-Warshall on min-over-representative
-edge weights), so exact agreement between the two is a real check, not a
+toward the corner), so the kernel `_dist` is linear in the word length,
+iterative and cache-free. It works on two label strings of one length:
+`dist_level` hands it two words of the stated level, while `dist_G` and
+`tensor_dist_G` pad the shallower label string to the deeper level with its
+terminal's pad label, which names the same point, and build no word.
+`dist_oracle` rebuilds the same metric with none of that structure
+(equivalence classes + Floyd-Warshall on min-over-representative edge
+weights), so exact agreement between the two is a real check, not a
 tautology. Every level-n distance lies in 2^-n Z, so the oracle stores and
 relaxes integer numerators over 2^n and makes a Fraction only on lookup.
 """
@@ -27,7 +31,6 @@ from .words import (
     CanonicalAddress,
     PAD,
     distinguished,
-    embed,
     iter_words,
 )
 
@@ -79,23 +82,35 @@ def _toward(labels: str, d: str) -> Callable[[str], int]:
     return lambda c: scale - int(labels.translate(_TOWARD[c]) or "0", 2) - (d == c)
 
 
+def _dist(lu: str, du: str, lv: str, dv: str) -> Fraction:
+    """Quotient metric between the words lu.du and lv.dv; len(lu) == len(lv)."""
+    n = len(lu)
+    i = len(commonprefix((lu, lv)))
+    if i == n:
+        return Fraction(int(du != dv), 2**n)
+    tu, tv = _toward(lu[i + 1 :], du), _toward(lv[i + 1 :], dv)
+    return Fraction(two_path(lu[i], lv[i], tu, tv, 2 ** (n - i - 1)), 2**n)
+
+
+def _padded(w: AddressWord, n: int) -> str:
+    """The labels of w padded to level n >= w.level: the same point, deeper."""
+    return w.labels + PAD[w.terminal] * (n - len(w.labels))
+
+
 def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
     """Quotient metric between two words of the given common level."""
     if u.level != level or v.level != level:
         raise ValueError(
             f"level mismatch: {u} is level {u.level}, {v} is level {v.level}, want {level}"
         )
-    i = len(commonprefix((u.labels, v.labels)))
-    if i == level:
-        return Fraction(int(u.terminal != v.terminal), 2**level)
-    du, dv = _toward(u.labels[i + 1 :], u.terminal), _toward(v.labels[i + 1 :], v.terminal)
-    return Fraction(two_path(u.labels[i], v.labels[i], du, dv, 2 ** (level - i - 1)), 2**level)
+    return _dist(u.labels, u.terminal, v.labels, v.terminal)
 
 
 def dist_G(u: CanonicalAddress, v: CanonicalAddress) -> Fraction:
-    """Metric on the address space: embed to the deeper level, measure there."""
-    n = max(u.level, v.level)
-    return dist_level(embed(u.word, n), embed(v.word, n), n)
+    """Metric on the address space: pad to the deeper level, measure there."""
+    wu, wv = u.word, v.word
+    n = max(len(wu.labels), len(wv.labels))
+    return _dist(_padded(wu, n), wu.terminal, _padded(wv, n), wv.terminal)
 
 
 def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> Fraction:
@@ -107,9 +122,9 @@ def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) ->
     """
     if mu == mv:
         return HALF * dist_G(u, v)
-    n = max(u.level, v.level)
-    wu, wv = embed(u.word, n), embed(v.word, n)
-    du, dv = _toward(wu.labels, wu.terminal), _toward(wv.labels, wv.terminal)
+    wu, wv = u.word, v.word
+    n = max(len(wu.labels), len(wv.labels))
+    du, dv = _toward(_padded(wu, n), wu.terminal), _toward(_padded(wv, n), wv.terminal)
     return Fraction(two_path(mu, mv, du, dv, 2**n), 2 ** (n + 1))
 
 

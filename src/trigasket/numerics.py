@@ -232,12 +232,6 @@ def sqrt_fraction(q: Rational) -> "RadicalSum | Fraction":
 MetricValue = Union[Fraction, RadicalSum]
 
 
-def value_sign(x: MetricValue) -> int:
-    if isinstance(x, RadicalSum):
-        return x.sign()
-    return _sgn(x)
-
-
 def value_le(a: MetricValue, b: MetricValue) -> bool:
     if isinstance(a, RadicalSum) or isinstance(b, RadicalSum):
         diff = (a if isinstance(a, RadicalSum) else RadicalSum.of(a)) - b

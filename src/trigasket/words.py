@@ -14,12 +14,16 @@ per point; `glue_partner` returns the other same-level name when one exists.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
 LABELS = "abc"
 TERMINALS = "TLR"
+
+# fullmatch, not match with "$": "$" would also accept one trailing newline
+_LABEL_STRING = re.compile(f"[{LABELS}]*")
 
 # chain padding: embedding a corner one level down re-enters through this label
 PAD = {"T": "a", "L": "b", "R": "c"}
@@ -41,7 +45,7 @@ class AddressWord:
     terminal: str
 
     def __post_init__(self) -> None:
-        if any(m not in LABELS for m in self.labels):
+        if _LABEL_STRING.fullmatch(self.labels) is None:
             raise ValueError(f"bad label in {self.labels!r}")
         if self.terminal not in TERMINALS:
             raise ValueError(f"bad terminal {self.terminal!r}")
@@ -115,21 +119,23 @@ def glue_partner(w: AddressWord) -> Optional[AddressWord]:
 
 
 def canonicalize(w: AddressWord) -> CanonicalAddress:
-    """Unique representative: strip padding, rewrite the junction tail, strip again."""
-    labels, d = w.labels, w.terminal
-    while labels and labels[-1] == PAD[d]:
-        labels = labels[:-1]
+    """Unique representative: strip the chain padding, then rewrite the junction tail."""
+    d = w.terminal
+    labels = w.labels.rstrip(PAD[d])
     if labels and (labels[-1], d) in REWRITE:
+        # no rewrite target ends in its own terminal's pad label, so this
+        # leaves no padding to strip (CanonicalAddress checks it)
         m2, d = REWRITE[(labels[-1], d)]
         labels = labels[:-1] + m2
-    # rewrite targets never reintroduce padding; kept as an idempotence guard
-    while labels and labels[-1] == PAD[d]:  # pragma: no cover
-        labels = labels[:-1]
     return CanonicalAddress(AddressWord(labels, d))
 
 
 def embed(w: AddressWord, target_level: int) -> AddressWord:
-    """Pad w out to target_level; names the same point at the deeper stage."""
+    """Pad w out to target_level; names the same point at the deeper stage.
+
+    `metric.dist_G` pads raw label strings the same way without building a
+    word; this is the reference the tests hold it to.
+    """
     if target_level < w.level:
         raise ValueError(f"cannot embed level {w.level} word into level {target_level}")
     pad = PAD[w.terminal] * (target_level - w.level)

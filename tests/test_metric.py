@@ -15,6 +15,7 @@ from trigasket.metric import (
     tensor_dist_G,
 )
 from trigasket.words import (
+    PAD,
     AddressWord,
     canonicalize,
     distinguished,
@@ -107,6 +108,18 @@ def test_corner_approach_families():
     # the bottom-left cascade used by the expansion counterexample
     for n in range(1, 13):
         assert dist_G(canon("b" * n + ".R"), canon(".L")) == Fraction(1, 2**n)
+
+
+def test_dist_G_matches_embedded_pairs_exhaustively():
+    # every canonical pair at levels <= 4: the padded kernel against embed
+    # to the deeper level, and against the oracle after embedding to level 4
+    pts = list(iter_canonical(4))
+    for i, u in enumerate(pts):
+        for v in pts[: i + 1]:
+            n = max(u.level, v.level)
+            d = dist_G(u, v)
+            assert d == dist_level(embed(u.word, n), embed(v.word, n), n)
+            assert d == dist_oracle(embed(u.word, 4), embed(v.word, 4), 4)
 
 
 def test_dist_G_embedding_invariance():
@@ -257,3 +270,56 @@ def test_plane_bounds_metric_deep(level, data):
     u, v = word("u"), word("v")
     sq, d2 = coords(u).sq_dist(coords(v)), dist_G(u, v) ** 2
     assert sq <= d2 <= 4 * sq
+
+
+# each of the two levels from 0-8 or 1500-2500, drawn independently
+MIXED = st.one_of(st.integers(min_value=0, max_value=8), DEEP)
+# the six junction spellings (head label, terminal); head + pad(terminal)^k is
+# a point where two copies touch
+JUNCTION_TAILS = [("b", "T"), ("a", "L"), ("c", "T"), ("a", "R"), ("c", "L"), ("b", "R")]
+
+
+def ending(data, labels, tag):
+    """A terminal for labels, or a rewrite of their end into a junction tail."""
+    if not labels or not data.draw(st.booleans(), label=tag + "-junction"):
+        return labels, data.draw(terminals, label=tag + "-term")
+    m, d = data.draw(st.sampled_from(JUNCTION_TAILS), label=tag + "-tail")
+    k = data.draw(st.integers(min_value=0, max_value=min(len(labels) - 1, 6)), label=tag + "-k")
+    return labels[: len(labels) - 1 - k] + m + PAD[d] * k, d
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    levels=st.tuples(MIXED, MIXED),
+    shape=st.sampled_from(["free", "extends", "pad-run"]),
+    mu=st.sampled_from("abc"),
+    mv=st.sampled_from("abc"),
+    data=st.data(),
+)
+def test_dist_G_mixed_levels(levels, shape, mu, mv, data):
+    # the deeper word is free, or the shallower word's labels plus a surplus;
+    # a "pad-run" surplus opens with the shallower word's pad label (often
+    # all of it), so the first difference falls inside or after that run
+    lo, hi = sorted(levels)
+    short, ts = ending(data, data.draw(labels_of(lo), label="short"), "short")
+    if shape == "free":
+        long, tl = ending(data, data.draw(labels_of(hi), label="long"), "long")
+    else:
+        room = hi - lo
+        run = 0
+        if shape == "pad-run":
+            run = data.draw(st.one_of(st.just(room), st.integers(0, room)), label="run")
+        surplus, tl = ending(
+            data, PAD[ts] * run + data.draw(labels_of(room - run), label="surplus"), "surplus"
+        )
+        long = short + surplus
+    words = [canonicalize(AddressWord(short, ts)), canonicalize(AddressWord(long, tl))]
+    if levels[0] > levels[1]:
+        words.reverse()
+    u, v = words
+    n = max(u.level, v.level)
+    d = dist_G(u, v)
+    assert d == dist_level(embed(u.word, n), embed(v.word, n), n)
+    assert d == dist_G(v, u)
+    assert (d == 0) == (u == v)
+    assert tensor_dist_G(mu, u, mv, v) == dist_G(prepend(mu, u), prepend(mv, v))

@@ -9,7 +9,6 @@ from trigasket.numerics import (
     format_dist,
     sqrt_fraction,
     value_le,
-    value_sign,
 )
 
 
@@ -74,7 +73,6 @@ def test_radical_sum_three_terms_rejected():
 
 
 def test_value_helpers():
-    assert value_sign(Fraction(-1, 7)) == -1
     assert value_le(Fraction(1, 2), sqrt_fraction(Fraction(1, 3)))
     assert not value_le(sqrt_fraction(Fraction(3)), Fraction(3, 2))
 

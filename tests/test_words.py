@@ -29,10 +29,32 @@ def test_parse_word():
     assert parse_word("a.R").text == "a.R"
 
 
-@pytest.mark.parametrize("bad", ["abc", "ab.X", "xy.T", "a.b.T", "", ".t"])
+@pytest.mark.parametrize("bad", ["abc", "ab.X", "xy.T", "a.b.T", "", ".t", "ab\n.T", "aé.T"])
 def test_parse_word_rejects(bad):
     with pytest.raises(ValueError):
         parse_word(bad)
+
+
+# any text, with the characters a label check could mishandle drawn often
+label_texts = st.text(
+    alphabet=st.one_of(st.sampled_from("abc"), st.sampled_from("\n.éT"), st.characters())
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(label_texts)
+def test_label_validation(s):
+    if any(m not in "abc" for m in s):
+        with pytest.raises(ValueError) as err:
+            AddressWord(s, "T")
+        assert str(err.value) == f"bad label in {s!r}"
+    else:
+        assert AddressWord(s, "T").labels == s
+
+
+def test_canonicalize_long_pad_run():
+    # the whole a-run is chain padding for T; what is left, b.T, is a junction
+    assert canonicalize(parse_word("b" + "a" * 20000 + ".T")).text == "a.L"
 
 
 def test_canonical_address_rejects_reducible():
