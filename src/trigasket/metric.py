@@ -4,12 +4,16 @@
 across copies the shortest route either crosses the shared corner directly
 or detours through the third copy, whose crossing always costs exactly 1
 inside the outer minimum. It needs only each side's distances to corners,
-and on words these have a closed form (one minus the barycentric weight
-toward the corner), so the kernel `_dist` is linear in the word length,
-iterative and cache-free. It works on two label strings of one length:
+and on words these have a closed form: one minus the barycentric weight
+toward the corner, whose numerator reads the labels as binary digits
+(`AddressWord.toward`, computed once per word and kept on it). `_crossing`
+evaluates the formula on those integers, and the kernel `_dist` finds the
+first differing label and masks the digits below it, so it is iterative and
+keeps no table between calls. It works on two label strings of one length:
 `dist_level` hands it two words of the stated level, while `dist_G` and
-`tensor_dist_G` pad the shallower label string to the deeper level with its
-terminal's pad label, which names the same point, and build no word.
+`tensor_dist_G` pad the shallower word to the deeper level with its
+terminal's pad label, which names the same point and shifts its digits, and
+build no word.
 `dist_oracle` rebuilds the same metric with none of that structure
 (equivalence classes + Floyd-Warshall on min-over-representative edge
 weights), so exact agreement between the two is a real check, not a
@@ -21,12 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from os.path import commonprefix
 from typing import Callable
 
 from .numerics import MetricValue, value_le
 from .words import (
-    LABELS,
     AddressWord,
     CanonicalAddress,
     PAD,
@@ -54,9 +56,6 @@ JUNCTIONS: dict[tuple[str, str], tuple[str, str, str, str]] = {
     ("c", "b"): ("L", "R", "T", "T"),
 }
 
-# per corner: labels -> binary digits, 1 where the label heads toward it
-_TOWARD = {c: str.maketrans(LABELS, "".join("01"[m == PAD[c]] for m in LABELS)) for c in PAD}
-
 Corners = Callable[[str], MetricValue]  # corner letter -> distance to that corner
 
 
@@ -72,45 +71,88 @@ def two_path(mu: str, mv: str, du: Corners, dv: Corners, one: MetricValue) -> Me
     return direct if value_le(direct, via) else via
 
 
-def _toward(labels: str, d: str) -> Callable[[str], int]:
-    """Corner c -> 2^n times the distance from the level-n word (labels, d) to c.
+def _crossing(mu: str, mv: str, tu: dict, du: str, tv: dict, dv: str, m: int) -> int:
+    """`two_path` on integers: 2^m times the cheaper crossing from copy mu to
+    copy mv != mu, for two level-m words given by their corner digits tu, tv
+    (`AddressWord.toward`, of which only the low m bits count) and terminals.
 
-    That distance is 1 - lambda_c, where 2^n lambda_c reads the labels as binary
-    digits (1 for each label pad(c)) and adds 1 if d == c.
+    2^m times a word's distance to corner c is 2^m minus its digits toward c,
+    minus 1 if its terminal is c. This hot path reads the same JUNCTIONS row
+    as `two_path` without its per-corner callables: a closure per side and a
+    call per corner cost more than the rest of a distance.
     """
-    scale = 2 ** len(labels)
-    return lambda c: scale - int(labels.translate(_TOWARD[c]) or "0", 2) - (d == c)
+    p, q, pv, qv = JUNCTIONS[mu, mv]
+    s = 1 << m
+    mask = s - 1
+    direct = 2 * s - (tu[p] & mask) - (du == p) - (tv[q] & mask) - (dv == q)
+    via = 3 * s - (tu[pv] & mask) - (du == pv) - (tv[qv] & mask) - (dv == qv)
+    return min(direct, via)
 
 
-def _dist(lu: str, du: str, lv: str, dv: str) -> Fraction:
-    """Quotient metric between the words lu.du and lv.dv; len(lu) == len(lv)."""
+def _common_prefix_len(lu: str, lv: str) -> int:
+    """Length of the longest common prefix, on C-speed slice compares.
+
+    Windows of doubling width find the first differing window, so a prefix of
+    length i costs O(log i) compares; halving then narrows that window.
+    """
+    n = min(len(lu), len(lv))
+    if not n or lu[0] != lv[0]:
+        return 0
+    lo, hi = 1, min(3, n)
+    while lu[lo:hi] == lv[lo:hi]:
+        if hi == n:
+            return n
+        lo, hi = hi, min(2 * hi + 1, n)
+    # lu[:lo] == lv[:lo] and the first difference is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lu[lo:mid] == lv[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _dist(lu: str, tu: dict, du: str, lv: str, tv: dict, dv: str) -> Fraction:
+    """Quotient metric between the words lu.du and lv.dv of one length, given
+    with their corner digits tu and tv."""
     n = len(lu)
-    i = len(commonprefix((lu, lv)))
+    i = _common_prefix_len(lu, lv)
     if i == n:
-        return Fraction(int(du != dv), 2**n)
-    tu, tv = _toward(lu[i + 1 :], du), _toward(lv[i + 1 :], dv)
-    return Fraction(two_path(lu[i], lv[i], tu, tv, 2 ** (n - i - 1)), 2**n)
+        return Fraction(int(du != dv), 1 << n)
+    return Fraction(_crossing(lu[i], lv[i], tu, du, tv, dv, n - i - 1), 1 << n)
 
 
-def _padded(w: AddressWord, n: int) -> str:
-    """The labels of w padded to level n >= w.level: the same point, deeper."""
-    return w.labels + PAD[w.terminal] * (n - len(w.labels))
+def _padded(w: AddressWord, n: int) -> tuple[str, dict[str, int]]:
+    """Labels and corner digits of w padded to level n >= w.level: the same point.
+
+    The k pad labels are all PAD[terminal], so they shift every readout up by
+    k digits and add k one-digits toward the terminal only.
+    """
+    k = n - len(w.labels)
+    if not k:
+        return w.labels, w.toward
+    t, d = w.toward, w.terminal
+    digits = {"T": t["T"] << k, "L": t["L"] << k, "R": t["R"] << k}
+    digits[d] += (1 << k) - 1
+    return w.labels + PAD[d] * k, digits
 
 
 def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
     """Quotient metric between two words of the given common level."""
-    if u.level != level or v.level != level:
+    if len(u.labels) != level or len(v.labels) != level:
         raise ValueError(
             f"level mismatch: {u} is level {u.level}, {v} is level {v.level}, want {level}"
         )
-    return _dist(u.labels, u.terminal, v.labels, v.terminal)
+    return _dist(u.labels, u.toward, u.terminal, v.labels, v.toward, v.terminal)
 
 
 def dist_G(u: CanonicalAddress, v: CanonicalAddress) -> Fraction:
     """Metric on the address space: pad to the deeper level, measure there."""
     wu, wv = u.word, v.word
     n = max(len(wu.labels), len(wv.labels))
-    return _dist(_padded(wu, n), wu.terminal, _padded(wv, n), wv.terminal)
+    (lu, tu), (lv, tv) = _padded(wu, n), _padded(wv, n)
+    return _dist(lu, tu, wu.terminal, lv, tv, wv.terminal)
 
 
 def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> Fraction:
@@ -124,8 +166,8 @@ def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) ->
         return HALF * dist_G(u, v)
     wu, wv = u.word, v.word
     n = max(len(wu.labels), len(wv.labels))
-    du, dv = _toward(_padded(wu, n), wu.terminal), _toward(_padded(wv, n), wv.terminal)
-    return Fraction(two_path(mu, mv, du, dv, 2**n), 2 ** (n + 1))
+    (_, tu), (_, tv) = _padded(wu, n), _padded(wv, n)
+    return Fraction(_crossing(mu, mv, tu, wu.terminal, tv, wv.terminal, n), 2 ** (n + 1))
 
 
 def diameter_bound_check(prefix: str, x1: AddressWord, x2: AddressWord) -> bool:

@@ -28,6 +28,35 @@ _LABEL_STRING = re.compile(f"[{LABELS}]*")
 # chain padding: embedding a corner one level down re-enters through this label
 PAD = {"T": "a", "L": "b", "R": "c"}
 
+# labels -> binary digits, 1 where the label is PAD["T"] (a), resp. PAD["R"] (c)
+_DIGITS_T = str.maketrans(LABELS, "100")
+_DIGITS_R = str.maketrans(LABELS, "001")
+
+
+class _CornerDigits:
+    """`AddressWord.toward`: corner c -> the labels read as binary digits, 1
+    where the label is PAD[c].
+
+    Over 2^n, plus 2^-n if the terminal is c, this is the point's barycentric
+    weight toward corner c; the digits of the last m labels are its low m
+    bits. Every label is the pad label of exactly one corner, so the three
+    readouts sum to 2^n - 1 and two parses give all three. The first read
+    stores the digits in the word's instance dict, which shadows this
+    (non-data) descriptor, so later reads are plain attribute lookups; the
+    word is immutable, so they never go stale. Every reader gets the same
+    dict: read it, never change it.
+    """
+
+    def __get__(self, w, owner=None):
+        if w is None:
+            return self
+        labels = w.labels
+        t = int(labels.translate(_DIGITS_T) or "0", 2)
+        r = int(labels.translate(_DIGITS_R) or "0", 2)
+        digits = w.__dict__["toward"] = {"T": t, "L": (1 << len(labels)) - 1 - t - r, "R": r}
+        return digits
+
+
 # junction tail rewrites toward the canonical member (lexicographic-least head)
 REWRITE = {("b", "T"): ("a", "L"), ("c", "T"): ("a", "R"), ("c", "L"): ("b", "R")}
 REWRITE_INV = {v: k for k, v in REWRITE.items()}
@@ -53,6 +82,8 @@ class AddressWord:
     @property
     def level(self) -> int:
         return len(self.labels)
+
+    toward = _CornerDigits()
 
     @property
     def text(self) -> str:

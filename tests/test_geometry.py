@@ -1,6 +1,8 @@
 """Exact plane geometry: points (x, yc*sqrt3), the copy maps, and rendering."""
 
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from trigasket.geometry import (
 from trigasket.metric import dist_G
 from trigasket.spaces import validate_space
 from trigasket.words import (
+    AddressWord,
     CanonicalAddress,
     canonicalize,
     count_canonical,
@@ -112,6 +115,49 @@ def test_coords_accepts_both_word_types():
     assert coords(w) == coords(canonicalize(w))
 
 
+def ref_coords(w):
+    """Reference: the copy maps composed one label at a time."""
+    p = VERTEX[w.terminal]
+    for m in reversed(w.labels):
+        p = sigma(m, p)
+    return p
+
+
+def test_coords_fold_matches_composition_exhaustive():
+    for w in iter_canonical(6):
+        assert coords(w) == ref_coords(w.word)
+
+
+def ternary(k, n):
+    """The n-label word spelling k in base 3 (a=0, b=1, c=2), most significant first."""
+    out = []
+    for _ in range(n):
+        k, r = divmod(k, 3)
+        out.append("abc"[r])
+    return "".join(reversed(out))
+
+
+# deep labels drawn as one base-3 integer, so runs of one label come up too
+DEEP_LABELS = st.integers(min_value=1500, max_value=2500).flatmap(
+    lambda n: st.integers(min_value=0, max_value=3**n - 1).map(lambda k: ternary(k, n))
+)
+
+
+@given(labels=DEEP_LABELS, d=st.sampled_from("TLR"))
+@settings(deadline=None, max_examples=40)
+def test_coords_fold_matches_composition_deep(labels, d):
+    w = AddressWord(labels, d)
+    assert coords(w) == ref_coords(w)
+
+
+def test_coords_closed_forms_level_20000():
+    n = 20_000
+    eps = Fraction(1, 2**n)
+    assert coords(AddressWord("b" * n, "R")) == Point2(eps, Fraction(0))
+    assert coords(AddressWord("c" * n, "L")) == Point2(1 - eps, Fraction(0))
+    assert coords(AddressWord("a" * n, "T")) == VERTEX["T"]
+
+
 # ---------------------------------------------------------------------------
 # Membership and inversion
 # ---------------------------------------------------------------------------
@@ -173,6 +219,93 @@ def test_plane_predicates(x, yc):
 def test_sigma_inv_rejects_outside():
     with pytest.raises(ValueError):
         sigma_inv(pt(2, 0))
+
+
+# Fraction reference for the integer peel: the rational formulas, one label at a time
+OFFSET = {"a": (Fraction(1, 4), Fraction(1, 4)), "b": (0, 0), "c": (Fraction(1, 2), 0)}
+
+
+def ref_sigma(m, p):
+    ox, oy = OFFSET[m]
+    return Point2(p.x / 2 + ox, p.yc / 2 + oy)
+
+
+def ref_in_triangle(p):
+    return 0 <= p.yc <= p.x and p.yc <= 1 - p.x
+
+
+def ref_sigma_inv(p):
+    if not ref_in_triangle(p):
+        raise ValueError(f"point outside the closed triangle: {p}")
+    m = "a" if p.yc >= Fraction(1, 4) else "b" if p.x <= Fraction(1, 2) else "c"
+    ox, oy = OFFSET[m]
+    return m, Point2(2 * (p.x - ox), 2 * (p.yc - oy))
+
+
+def ref_address_of(p, depth):
+    start, labels = p, []
+    for _ in range(depth + 1):
+        for d, v in VERTEX.items():
+            if p == v:
+                return AddressWord("".join(labels), d)
+        if len(labels) == depth:
+            break
+        if not ref_in_triangle(p):
+            raise ValueError(
+                f"{start} is not on the gasket: remainder {p} left the "
+                f"triangle at step {len(labels) + 1}"
+            )
+        m, p = ref_sigma_inv(p)
+        labels.append(m)
+    raise ValueError(f"point did not resolve to a corner within depth {depth}")
+
+
+def outcome(fn, *args):
+    """The value, or the error text."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+PLANE_POINTS = st.one_of(
+    st.builds(Point2, component(-1, 2, Fraction(1, 2)), component(-1, 1, Fraction(1, 4))),
+    # gasket points: corners, edges and junctions down to 2^-10
+    st.builds(AddressWord, st.text(alphabet="abc", max_size=10), st.sampled_from("TLR")).map(coords),
+    # points of the closed triangle, mostly off the gasket and with odd denominators
+    st.builds(
+        lambda x, u: Point2(x, u * min(x, 1 - x)),
+        st.fractions(min_value=0, max_value=1, max_denominator=64),
+        st.fractions(min_value=0, max_value=1, max_denominator=64),
+    ),
+)
+
+
+@given(p=PLANE_POINTS, depth=st.integers(min_value=0, max_value=14), m=st.sampled_from("abc"))
+@settings(deadline=None, max_examples=800)
+def test_peel_matches_fraction_reference(p, depth, m):
+    assert in_triangle(p) == ref_in_triangle(p)
+    assert outcome(sigma_inv, p) == outcome(ref_sigma_inv, p)
+    assert outcome(address_of, p, depth) == outcome(ref_address_of, p, depth)
+    assert sigma(m, p) == ref_sigma(m, p)
+
+
+@pytest.mark.parametrize("x,yc", [
+    (Fraction(1, 3), Fraction(1, 3)),  # odd denominator, above the mid-line
+    (Fraction(1, 3), 0),
+    (Fraction(2, 3), Fraction(1, 6)),
+    (Fraction(1, 4), Fraction(1, 4)),  # left edge on the mid-line
+    (Fraction(3, 4), Fraction(1, 4)),  # right edge on the mid-line
+    (Fraction(1, 2), Fraction(1, 4)),  # both tie lines
+    (Fraction(1, 2), Fraction(1, 6)),
+    (Fraction(5, 7), Fraction(1, 7)),
+])
+def test_peel_matches_fraction_reference_cases(x, yc):
+    p = pt(x, yc)
+    assert in_triangle(p) == ref_in_triangle(p)
+    assert sigma_inv(p) == ref_sigma_inv(p)
+    for depth in (0, 1, 5, 40):
+        assert outcome(address_of, p, depth) == outcome(ref_address_of, p, depth)
 
 
 def test_sigma_inv_inverts_sigma_on_canonicals():
@@ -254,3 +387,36 @@ def test_render_writes_file(tmp_path):
     assert render(0, str(out2), "points") == 3
     with pytest.raises(ValueError):
         render(2, str(tmp_path / "g.x"), "png")
+
+
+# sha256 of the depth-6 renderings, as the list-building renderer wrote them
+POINTS6_SHA256 = "8ad6210ebcc13eff40e9c9d4b63fa7b32030ff5ac39f3204fcd023b53d4ba5dc"
+SVG6_SHA256 = "a27801420ddd4a4718631c9028f2018e0977d274592e4e5643d5734a10d68842"
+
+
+def test_render_depth6_bytes_pinned(tmp_path):
+    assert hashlib.sha256(render_point_list(6).encode()).hexdigest() == POINTS6_SHA256
+    assert hashlib.sha256(render_svg(6).encode()).hexdigest() == SVG6_SHA256
+    for fmt, want in (("points", POINTS6_SHA256), ("svg", SVG6_SHA256)):
+        out = tmp_path / f"g6.{fmt}"
+        render(6, str(out), fmt)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("depth,fmt", [(RENDER_MAX_DEPTH + 1, "svg"), (-1, "points"), (2, "png")])
+def test_render_rejects_before_opening(tmp_path, depth, fmt):
+    out = tmp_path / "never"
+    with pytest.raises(ValueError):
+        render(depth, str(out), fmt)
+    assert not out.exists()
+
+
+def test_render_streams(tmp_path):
+    # depth 8 is 9843 points; a renderer that holds them all peaks at megabytes
+    tracemalloc.start()
+    try:
+        render(8, str(tmp_path / "g8.txt"), "points")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

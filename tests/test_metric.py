@@ -1,4 +1,5 @@
 from fractions import Fraction
+from os.path import commonprefix
 from random import Random
 
 import pytest
@@ -13,6 +14,8 @@ from trigasket.metric import (
     dist_oracle,
     oracle_table,
     tensor_dist_G,
+    _common_prefix_len,
+    _padded,
 )
 from trigasket.words import (
     PAD,
@@ -323,3 +326,36 @@ def test_dist_G_mixed_levels(levels, shape, mu, mv, data):
     assert d == dist_G(v, u)
     assert (d == 0) == (u == v)
     assert tensor_dist_G(mu, u, mv, v) == dist_G(prepend(mu, u), prepend(mv, v))
+
+
+# shared prefixes up to 5000 labels, drawn from a seeded generator
+SHARED = st.one_of(
+    st.text(alphabet="abc", max_size=8),
+    st.tuples(st.integers(min_value=0, max_value=5000), st.integers(min_value=0)).map(
+        lambda t: "".join(Random(t[1]).choices("abc", k=t[0]))
+    ),
+)
+
+
+@given(shared=SHARED, tu=st.text(alphabet="abc", max_size=8), tv=st.text(alphabet="abc", max_size=8))
+@settings(max_examples=400)
+def test_common_prefix_len_matches_commonprefix(shared, tu, tv):
+    lu, lv = shared + tu, shared + tv
+    want = len(commonprefix((lu, lv)))
+    assert _common_prefix_len(lu, lv) == want == _common_prefix_len(lv, lu)
+    # the kernel's case: two strings of one length
+    n = min(len(lu), len(lv))
+    assert _common_prefix_len(lu[:n], lv[:n]) == want
+
+
+@given(
+    labels=st.text(alphabet="abc", max_size=12),
+    d=st.sampled_from("TLR"),
+    extra=st.one_of(st.integers(min_value=0, max_value=6), st.integers(min_value=500, max_value=2000)),
+)
+@settings(max_examples=300)
+def test_padded_digits_match_padded_word(labels, d, extra):
+    w = AddressWord(labels, d)
+    n = len(labels) + extra
+    padded = AddressWord(labels + PAD[d] * extra, d)
+    assert _padded(w, n) == (padded.labels, padded.toward)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigasket.words import (
+    PAD,
     AddressWord,
     CanonicalAddress,
     canonicalize,
@@ -158,3 +159,35 @@ def test_iter_canonical_is_canonical_and_unique():
     texts = {c.text for c in seen}
     assert ".T" in texts and "a.L" in texts and "b.R" in texts
     assert "c.L" not in texts
+
+
+deep_labels = st.one_of(
+    st.text(alphabet="abc", max_size=8),
+    st.integers(min_value=0, max_value=3**2500).map(lambda k: "".join("abc"[int(c)] for c in _base3(k))),
+)
+
+
+def _base3(k: int) -> str:
+    digits = []
+    while k:
+        k, r = divmod(k, 3)
+        digits.append(str(r))
+    return "".join(reversed(digits))
+
+
+@settings(deadline=None, max_examples=300)
+@given(deep_labels, st.sampled_from("TLR"))
+def test_toward_digits(labels, d):
+    w = AddressWord(labels, d)
+    assert "toward" not in vars(w)
+    digits = w.toward
+    for c in "TLR":
+        # reference: the labels read as binary digits, 1 where the label is PAD[c]
+        want = sum(1 << (len(labels) - 1 - k) for k, m in enumerate(labels) if m == PAD[c])
+        assert digits[c] == want
+    assert sum(digits.values()) == (1 << len(labels)) - 1
+    # kept on the word; equality, hashing and order still see only the fields
+    assert w.toward is digits
+    fresh = AddressWord(labels, d)
+    assert w == fresh and hash(w) == hash(fresh) and not w < fresh and not fresh < w
+    assert "toward" not in vars(fresh)
