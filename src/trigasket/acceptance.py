@@ -450,9 +450,14 @@ SUITES: dict[str, tuple[int, ...]] = {
 
 
 def run_criterion(number: int) -> CriterionResult:
+    """Run one criterion; an exception inside it is its FAIL verdict, not a crash."""
     for num, fn in CRITERIA:
         if num == number:
-            return fn()
+            try:
+                return fn()
+            except Exception as exc:
+                name = fn.__name__.replace("_", "-")
+                return _result(num, name, False, f"raised {type(exc).__name__}: {exc}")
     raise ValueError(f"no criterion numbered {number}")
 
 

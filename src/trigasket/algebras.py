@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .spaces import Point, TriPointedSpace, ValidationError
-from .words import AddressWord, CanonicalAddress, LABELS, iter_canonical, prepend
+from .words import ANCHOR, GLUE, AddressWord, CanonicalAddress, LABELS, iter_canonical, prepend
 
 
 @dataclass(frozen=True)
@@ -26,19 +26,15 @@ class Algebra:
 def validate_algebra(alg: Algebra) -> None:
     """Gluing-respect and marked-point preservation, checked once at registration."""
     s, e = alg.space, alg.e
-    glued = [
-        (("b", s.T), ("a", s.L)),
-        (("a", s.R), ("c", s.T)),
-        (("c", s.L), ("b", s.R)),
-    ]
-    for (m1, x1), (m2, x2) in glued:
+    for (m1, d1), (m2, d2) in GLUE:
+        x1, x2 = getattr(s, d1), getattr(s, d2)
         if e(m1, x1) != e(m2, x2):
             raise ValidationError(
                 f"{alg.name}: e({m1},{x1!r}) != e({m2},{x2!r}), gluing not respected"
             )
-    marked = [("a", s.T, s.T), ("b", s.L, s.L), ("c", s.R, s.R)]
-    for m, x, want in marked:
-        if e(m, x) != want:
+    for m, d in ANCHOR.items():
+        x = getattr(s, d)
+        if e(m, x) != x:
             raise ValidationError(f"{alg.name}: e({m},{x!r}) must be the marked point")
 
 

@@ -17,9 +17,7 @@ from typing import Callable, Optional, Sequence
 from .metric import dist_G
 from .numerics import MetricValue, value_float, value_le
 from .spaces import Point, TriPointedSpace, ValidationError
-from .words import AddressWord, CanonicalAddress, canonicalize, prepend
-
-ANCHOR = {"a": "T", "b": "L", "c": "R"}
+from .words import ANCHOR, AddressWord, CanonicalAddress, canonicalize, prepend
 
 
 @dataclass(frozen=True)
@@ -36,9 +34,8 @@ def validate_coalgebra(co: Coalgebra) -> None:
     (a,T), (b,L), (c,R) have no glued twin, so equality here is exact, not
     up-to-gluing.
     """
-    s = co.space
-    want = [("T", "a", s.T), ("L", "b", s.L), ("R", "c", s.R)]
-    for nm, m, x in want:
+    for m, nm in ANCHOR.items():
+        x = getattr(co.space, nm)
         got = co.e(x)
         if got != (m, x):
             raise ValidationError(f"{co.name}: e({nm}) = {got!r}, expected ({m!r}, {nm})")
@@ -170,7 +167,8 @@ class ModulusReport:
     depth: int
     rows: list[ModulusRow]
     max_ratio: Optional[float]
-    short_ok: Optional[bool]  # set when the coalgebra claims to be short
+    short_ok: Optional[bool]  # set when the coalgebra claims to be short and a pair was gated
+    gated: int = 0  # pairs the short gate ran on
 
     def __str__(self) -> str:
         head = f"{self.coalgebra_name}: depth {self.depth}, {len(self.rows)} pairs"
@@ -188,25 +186,30 @@ def modulus_report(
 
     Image distances carry a 2*2^-depth uncertainty from the two approximants,
     so the short gate is the exact inequality
-    d(theta x, theta y) <= d(x, y) + 2^(1-depth), no division involved.
+    d(theta x, theta y) <= d(x, y) + 2^(1-depth), no division involved. It
+    runs on every pair at a nonzero exact distance, even one whose float is
+    0.0 (that pair shows no ratio); with no pair gated there is no verdict.
     """
     rows: list[ModulusRow] = []
     max_ratio: Optional[float] = None
     slack = Fraction(2, 2**depth)
-    short_ok: Optional[bool] = True if co.claimed_class == "short" else None
+    short = co.claimed_class == "short"
+    short_ok, gated = True, 0
     for x, y in pairs:
         dxy = co.space.dist(x, y)
-        if value_float(dxy) == 0.0:
+        if dxy == 0:
             rows.append(ModulusRow(x, y, dxy, Fraction(0), None, skipped=True))
             continue
         dimg = dist_G(theta(co, x, depth), theta(co, y, depth))
-        ratio = float(dimg) / value_float(dxy)
-        if max_ratio is None or ratio > max_ratio:
+        fd = value_float(dxy)
+        ratio = float(dimg) / fd if fd > 0 else None
+        if ratio is not None and (max_ratio is None or ratio > max_ratio):
             max_ratio = ratio
-        if short_ok is not None and not value_le(dimg, dxy + slack):
-            short_ok = False
+        if short:
+            gated += 1
+            short_ok = short_ok and value_le(dimg, dxy + slack)
         rows.append(ModulusRow(x, y, dxy, dimg, ratio))
-    return ModulusReport(co.name, depth, rows, max_ratio, short_ok)
+    return ModulusReport(co.name, depth, rows, max_ratio, short_ok if gated else None, gated)
 
 
 def get_coalgebra(name: str) -> Coalgebra:

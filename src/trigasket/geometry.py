@@ -23,6 +23,8 @@ from typing import Iterator
 
 from .numerics import decimal_str
 from .words import (
+    ANCHOR,
+    DIGITS,
     AddressWord,
     CanonicalAddress,
     canonicalize,
@@ -74,42 +76,40 @@ VERTEX = {
 # twice each corner, as integers: (2x, 2yc)
 _VERTEX2 = {d: (int(2 * v.x), int(2 * v.yc)) for d, v in VERTEX.items()}
 
-# labels -> binary digits, 1 where the label is a (for A) or c (for C)
-_A_DIGITS = str.maketrans("abc", "100")
-_C_DIGITS = str.maketrans("abc", "001")
+# twice the corner each copy keeps
+_KEPT2 = {m: _VERTEX2[d] for m, d in ANCHOR.items()}
 
 
 def sigma(m: str, p: Point2) -> Point2:
-    """The half-scale map into copy m: p/2 plus (1/4, 1/4) for a, (1/2, 0) for c."""
+    """The half-scale map into copy m: the midpoint of p and the corner m keeps."""
+    try:
+        vx, vy = _KEPT2[m]
+    except KeyError:
+        raise ValueError(f"bad label {m!r}") from None
     xn, xd = p.x.numerator, p.x.denominator
     yn, yd = p.yc.numerator, p.yc.denominator
-    if m == "a":
-        return Point2(Fraction(2 * xn + xd, 4 * xd), Fraction(2 * yn + yd, 4 * yd))
-    if m == "b":
-        return Point2(Fraction(xn, 2 * xd), Fraction(yn, 2 * yd))
-    if m == "c":
-        return Point2(Fraction(xn + xd, 2 * xd), Fraction(yn, 2 * yd))
-    raise ValueError(f"bad label {m!r}")
+    return Point2(Fraction(2 * xn + vx * xd, 4 * xd), Fraction(2 * yn + vy * yd, 4 * yd))
 
 
 def coords(addr: "AddressWord | CanonicalAddress") -> Point2:
     """Plane coordinates of m1...mn.d: sigma_m1(...sigma_mn(VERTEX[d])), as one fold.
 
-    Each map halves and adds its copy's offset, so scaled by 2^(n+1)
+    Each map halves and adds half its copy's corner, so scaled by 2^(n+1)
     x = A + 2C + 2*VERTEX[d].x and yc = A + 2*VERTEX[d].yc, where A and C read
-    the labels as binary digits, 1 where the label is a (A) or c (C).
+    the labels as binary digits toward T and R (`words.DIGITS`), 1 where the
+    label is a (A) or c (C).
     """
     w = addr.word if isinstance(addr, CanonicalAddress) else addr
-    a = int(w.labels.translate(_A_DIGITS) or "0", 2)
-    c = int(w.labels.translate(_C_DIGITS) or "0", 2)
+    a = int(w.labels.translate(DIGITS["T"]) or "0", 2)
+    c = int(w.labels.translate(DIGITS["R"]) or "0", 2)
     vx, vy = _VERTEX2[w.terminal]
     den = 2 << len(w.labels)
     return Point2(Fraction(a + 2 * c + vx, den), Fraction(a + vy, den))
 
 
 # sigma_inv and address_of peel integer numerators: x = X/den, yc = Y/den with
-# den even, so each preimage 2p - offset (offsets 1/2 and 1 in x, 1/2 in yc)
-# has integer numerators over the same den, and den never changes.
+# den even, so each preimage 2p - corner (corners' x and yc are halves) has
+# integer numerators over the same den, and den never changes.
 
 
 def _scaled(p: Point2) -> tuple[int, int, int]:
@@ -134,13 +134,11 @@ def _peel(X: int, Y: int, den: int) -> tuple[str, int, int] | None:
     """
     if not _inside(X, Y, den):
         return None
-    # on or above the mid-line y = sqrt3/4
-    if 4 * Y >= den:
-        return "a", 2 * X - den // 2, 2 * Y - den // 2
-    # on or left of x = 1/2
-    if 2 * X <= den:
-        return "b", 2 * X, 2 * Y
-    return "c", 2 * X - den, 2 * Y
+    # on or above the mid-line y = sqrt3/4, else on or left of x = 1/2
+    m = "a" if 4 * Y >= den else "b" if 2 * X <= den else "c"
+    vx, vy = _KEPT2[m]
+    h = den // 2
+    return m, 2 * X - vx * h, 2 * Y - vy * h
 
 
 def in_triangle(p: Point2) -> bool:

@@ -1,11 +1,13 @@
 """Exact quotient metrics on the gluing stages and on the address space.
 
-`two_path` is the one gluing formula: within one copy distances halve;
-across copies the shortest route either crosses the shared corner directly
-or detours through the third copy, whose crossing always costs exactly 1
-inside the outer minimum. It needs only each side's distances to corners,
-and on words these have a closed form: one minus the barycentric weight
-toward the corner, whose numerator reads the labels as binary digits
+One gluing formula carries the metric: within one copy distances halve;
+across copies the shortest route either crosses the corner where the two
+copies meet or detours through the third copy, whose crossing always costs
+exactly 1 inside the outer minimum. `JUNCTIONS` names those corners for each
+ordered pair of copies; it is read off `words.GLUE`, the one declaration of
+the gasket. The formula needs only each side's distances to corners, and on
+words these have a closed form: one minus the barycentric weight toward the
+corner, whose numerator reads the labels as binary digits
 (`AddressWord.toward`, computed once per word and kept on it). `_crossing`
 evaluates the formula on those integers, and the kernel `_dist` finds the
 first differing label and masks the digits below it, so it is iterative and
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
-from .numerics import MetricValue, value_le
 from .words import (
+    GLUE,
+    LABELS,
     AddressWord,
     CanonicalAddress,
     PAD,
@@ -42,44 +44,30 @@ HALF = Fraction(1, 2)
 # levels 0-5 build in 1.6 s together and level 6 (1095 classes) alone in 48 s
 ORACLE_MAX_LEVEL = 5
 
+# the corner where copy m meets copy m', for each ordered pair
+_MEETS = {(m, m2): d for pair in GLUE for (m, d), (m2, _) in (pair, pair[::-1])}
+
 # Junction crossings, keyed by ordered copy pair (m, m'):
 # (direct corner on m side, direct corner on m' side,
 #  via corner on m side,    via corner on m' side).
-# The via route's middle leg crosses the third copy corner-to-corner and
+# The via route's middle leg crosses the third copy k corner-to-corner and
 # contributes exactly 1 inside the minimum.
 JUNCTIONS: dict[tuple[str, str], tuple[str, str, str, str]] = {
-    ("a", "b"): ("L", "T", "R", "R"),
-    ("b", "a"): ("T", "L", "R", "R"),
-    ("a", "c"): ("R", "T", "L", "L"),
-    ("c", "a"): ("T", "R", "L", "L"),
-    ("b", "c"): ("R", "L", "T", "T"),
-    ("c", "b"): ("L", "R", "T", "T"),
+    (m, m2): (_MEETS[m, m2], _MEETS[m2, m], _MEETS[m, k], _MEETS[m2, k])
+    for m, m2 in _MEETS
+    for k in LABELS
+    if k not in (m, m2)
 }
-
-Corners = Callable[[str], MetricValue]  # corner letter -> distance to that corner
-
-
-def two_path(mu: str, mv: str, du: Corners, dv: Corners, one: MetricValue) -> MetricValue:
-    """Cheaper crossing from copy mu to copy mv != mu, before the outer halving.
-
-    du(c), dv(c) are the two points' distances to corner c of their own copy,
-    in units of `one`; only the four corners the crossings use are looked up.
-    """
-    p, q, pv, qv = JUNCTIONS[(mu, mv)]
-    direct = du(p) + dv(q)
-    via = du(pv) + one + dv(qv)
-    return direct if value_le(direct, via) else via
 
 
 def _crossing(mu: str, mv: str, tu: dict, du: str, tv: dict, dv: str, m: int) -> int:
-    """`two_path` on integers: 2^m times the cheaper crossing from copy mu to
-    copy mv != mu, for two level-m words given by their corner digits tu, tv
-    (`AddressWord.toward`, of which only the low m bits count) and terminals.
+    """The gluing formula on integers: 2^m times the cheaper crossing from
+    copy mu to copy mv != mu, for two level-m words given by their corner
+    digits tu, tv (`AddressWord.toward`, of which only the low m bits count)
+    and terminals.
 
     2^m times a word's distance to corner c is 2^m minus its digits toward c,
-    minus 1 if its terminal is c. This hot path reads the same JUNCTIONS row
-    as `two_path` without its per-corner callables: a closure per side and a
-    call per corner cost more than the rest of a distance.
+    minus 1 if its terminal is c.
     """
     p, q, pv, qv = JUNCTIONS[mu, mv]
     s = 1 << m
@@ -156,7 +144,7 @@ def dist_G(u: CanonicalAddress, v: CanonicalAddress) -> Fraction:
 
 
 def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> Fraction:
-    """One gluing step over the address metric, by the same two-path formula.
+    """One gluing step over the address metric, by the same gluing formula.
 
     Label-prepending is an isometry, so this must equal
     dist_G(prepend(mu, u), prepend(mv, v)) exactly; the acceptance suite

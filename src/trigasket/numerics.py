@@ -17,8 +17,6 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 def decimal_str(value: Fraction, places: int = 12) -> str:
@@ -171,14 +169,6 @@ class RadicalSum:
         if t == 0:
             return 0
         return _sgn(q) if t > 0 else su
-
-    def is_rational(self) -> bool:
-        return not self.terms
-
-    def as_fraction(self) -> Fraction:
-        if self.terms:
-            raise ValueError("not a rational value")
-        return self.rational
 
     # -- comparisons for min() and metric gates --
 

@@ -2,7 +2,8 @@
 
 A tri-pointed space is a 1-bounded metric space with marked points T, L, R
 pairwise at distance 1. The gluing of a space X takes three labeled copies,
-halves distances inside each copy, and identifies (b,T)=(a,L), (a,R)=(c,T),
+halves distances inside each copy, and identifies the corner pairs of
+`words.GLUE`, the one declaration of the gasket: (b,T)=(a,L), (a,R)=(c,T),
 (c,L)=(b,R); its marked points are (a,T), (b,L), (c,R). Maps are certified
 empirically on finite carriers or supplied samples; continuity is reported
 as a modulus table, never "passed", since finite data cannot certify it.
@@ -15,9 +16,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Hashable, Optional, Sequence
 
-from .metric import two_path
+from .metric import JUNCTIONS
 from .numerics import MetricValue, value_float, value_le
-from .words import REWRITE
+from .words import LABELS, PAD, REWRITE
 
 Point = Hashable
 
@@ -99,14 +100,16 @@ class TensorSpace(TriPointedSpace):
 
 
 def _tensor_dist(base: TriPointedSpace) -> Callable[[Point, Point], MetricValue]:
+    """Half the base distance in one copy; across copies, the cheaper crossing."""
+
     def dist(p: Point, q: Point) -> MetricValue:
         (m1, x), (m2, y) = p, q
         if m1 == m2:
             return HALF * base.dist(x, y)
-        return HALF * two_path(
-            m1, m2, lambda c: base.dist(x, getattr(base, c)),
-            lambda c: base.dist(getattr(base, c), y), ONE,
-        )
+        c1, c2, v1, v2 = (getattr(base, d) for d in JUNCTIONS[m1, m2])
+        direct = base.dist(x, c1) + base.dist(c2, y)
+        via = base.dist(x, v1) + ONE + base.dist(v2, y)
+        return HALF * (direct if value_le(direct, via) else via)
 
     return dist
 
@@ -117,7 +120,7 @@ def tensor(space: TriPointedSpace) -> TensorSpace:
     points: Optional[tuple[Point, ...]] = None
     if space.is_finite():
         seen = []
-        for m in "abc":
+        for m in LABELS:
             for x in space.points:
                 p = glue_normalize(m, x, space)
                 if p not in seen:
@@ -126,9 +129,7 @@ def tensor(space: TriPointedSpace) -> TensorSpace:
     return TensorSpace(
         name=f"glue({space.name})",
         dist=_tensor_dist(space),
-        T=("a", space.T),
-        L=("b", space.L),
-        R=("c", space.R),
+        **{d: (m, getattr(space, d)) for d, m in PAD.items()},
         points=points,
         base=space,
     )

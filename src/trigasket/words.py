@@ -10,6 +10,11 @@ where two copies touch:
 
 applied under any common prefix. `canonicalize` picks one representative
 per point; `glue_partner` returns the other same-level name when one exists.
+
+`GLUE` (those three identifications) and `PAD` (the corner each copy keeps)
+are the one declaration of the gasket: every other table here, the metric's
+`JUNCTIONS`, the plane offsets in `geometry` and the structure-map checks in
+`algebras`, `coalgebras` and `spaces` are derived from them.
 """
 
 from __future__ import annotations
@@ -25,12 +30,18 @@ TERMINALS = "TLR"
 # fullmatch, not match with "$": "$" would also accept one trailing newline
 _LABEL_STRING = re.compile(f"[{LABELS}]*")
 
-# chain padding: embedding a corner one level down re-enters through this label
+# chain padding: embedding a corner one level down re-enters through this
+# label, the copy that keeps the corner
 PAD = {"T": "a", "L": "b", "R": "c"}
 
-# labels -> binary digits, 1 where the label is PAD["T"] (a), resp. PAD["R"] (c)
-_DIGITS_T = str.maketrans(LABELS, "100")
-_DIGITS_R = str.maketrans(LABELS, "001")
+# one gluing step identifies copy m's corner d with copy m2's corner d2
+GLUE = ((("b", "T"), ("a", "L")), (("a", "R"), ("c", "T")), (("c", "L"), ("b", "R")))
+
+# the corner a copy keeps: a->T, b->L, c->R
+ANCHOR = {m: d for d, m in PAD.items()}
+
+# corner d -> labels read as binary digits, 1 where the label is PAD[d]
+DIGITS = {d: str.maketrans(LABELS, "".join("01"[m == PAD[d]] for m in LABELS)) for d in TERMINALS}
 
 
 class _CornerDigits:
@@ -41,24 +52,26 @@ class _CornerDigits:
     weight toward corner c; the digits of the last m labels are its low m
     bits. Every label is the pad label of exactly one corner, so the three
     readouts sum to 2^n - 1 and two parses give all three. The first read
-    stores the digits in the word's instance dict, which shadows this
+    stores the digits as an instance attribute, which shadows this
     (non-data) descriptor, so later reads are plain attribute lookups; the
     word is immutable, so they never go stale. Every reader gets the same
-    dict: read it, never change it.
+    dict: read it, never change it. (Writing `w.__dict__` instead would
+    build a dict per word out of CPython's inline attribute values.)
     """
 
     def __get__(self, w, owner=None):
         if w is None:
             return self
         labels = w.labels
-        t = int(labels.translate(_DIGITS_T) or "0", 2)
-        r = int(labels.translate(_DIGITS_R) or "0", 2)
-        digits = w.__dict__["toward"] = {"T": t, "L": (1 << len(labels)) - 1 - t - r, "R": r}
+        t = int(labels.translate(DIGITS["T"]) or "0", 2)
+        r = int(labels.translate(DIGITS["R"]) or "0", 2)
+        digits = {"T": t, "L": (1 << len(labels)) - 1 - t - r, "R": r}
+        object.__setattr__(w, "toward", digits)
         return digits
 
 
 # junction tail rewrites toward the canonical member (lexicographic-least head)
-REWRITE = {("b", "T"): ("a", "L"), ("c", "T"): ("a", "R"), ("c", "L"): ("b", "R")}
+REWRITE = {max(pair): min(pair) for pair in GLUE}
 REWRITE_INV = {v: k for k, v in REWRITE.items()}
 
 # all six junction tail pairs, both directions
@@ -177,11 +190,7 @@ def distinguished(level: int) -> tuple[AddressWord, AddressWord, AddressWord]:
     """The three corner words at a level: (a^n.T, b^n.L, c^n.R)."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    return (
-        AddressWord("a" * level, "T"),
-        AddressWord("b" * level, "L"),
-        AddressWord("c" * level, "R"),
-    )
+    return tuple(AddressWord(PAD[d] * level, d) for d in TERMINALS)
 
 
 def prepend(m: str, x: CanonicalAddress) -> CanonicalAddress:
@@ -191,8 +200,11 @@ def prepend(m: str, x: CanonicalAddress) -> CanonicalAddress:
     return canonicalize(AddressWord(m + x.word.labels, x.word.terminal))
 
 
-# exact level-n tails that satisfy the canonical-form invariants
-_CANONICAL_TAILS = (("a", "L"), ("a", "R"), ("b", "R"))
+# exact level-n tails that satisfy the canonical-form invariants: neither
+# padding nor a rewrite source
+_CANONICAL_TAILS = tuple(
+    (m, d) for m, d in product(LABELS, TERMINALS) if m != PAD[d] and (m, d) not in REWRITE
+)
 
 
 def iter_words(level: int) -> Iterator[AddressWord]:

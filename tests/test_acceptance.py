@@ -9,7 +9,9 @@ file for the full gate:
 
 import pytest
 
+from trigasket import acceptance
 from trigasket.acceptance import CRITERIA, SUITES, run_criterion, run_suite
+from trigasket.cli import main
 
 _IDS = [f"{num:02d}-{fn.__name__}" for num, fn in CRITERIA]
 
@@ -36,3 +38,20 @@ def test_run_criterion_rejects_unknown():
         run_criterion(11)
     with pytest.raises(ValueError):
         run_suite("everything")
+
+
+def test_crashing_criterion_is_a_fail_verdict(monkeypatch, capsys):
+    def boom(*args):
+        raise AttributeError("no attribute 'x'")
+
+    # only criterion 8 calls sigma_inv through the acceptance module
+    monkeypatch.setattr(acceptance, "sigma_inv", boom)
+    r = run_criterion(8)
+    assert (r.number, r.name, r.passed) == (8, "plane-embedding-roundtrip", False)
+    assert r.detail == "raised AttributeError: no attribute 'x'"
+    assert main(["verify", "--suite", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln[:9] for ln in lines] == [
+        f"[{'FAIL' if n == 8 else 'PASS'}] {n:>2}" for n in range(1, 11)
+    ]
+    assert lines[7] == r.line()

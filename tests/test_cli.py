@@ -82,6 +82,15 @@ def test_address_off_gasket(capsys):
     assert "is not on the gasket" in err
 
 
+def test_address_negative_coordinate(capsys):
+    # a negative value must be attached with "=": argparse reads "-1/100" as an option
+    code, out, err = run(
+        capsys, "address", "--x", "1/2", "--y-coeff=-1/100", "--depth", "10"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "is not on the gasket" in err
+
+
 def test_mediate_delta(capsys):
     code, out, _ = run(
         capsys, "mediate", "--coalgebra", "delta", "--point", "1/2", "--depth", "6"

@@ -168,12 +168,19 @@ def test_modulus_report_short_gate():
     co = get_coalgebra("gasket-sigma")
     pts = [coords(parse_word(t)) for t in (".T", ".L", ".R", "a.L", "ba.R", "ca.R")]
     pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
+    # a pair at exact distance 2^-1100, whose float is 0.0, is gated all the same
+    tiny = (VERTEX["L"], coords(AddressWord("b" * 1100, "R")))
+    assert co.space.dist(*tiny) == Fraction(1, 2**1100)
+    pairs.append(tiny)
     rep = modulus_report(co, pairs, depth=8)
     assert rep.short_ok is True
+    assert rep.gated == len(pairs)
     assert all(not r.skipped for r in rep.rows)
+    assert rep.rows[-1].ratio is None and rep.rows[-1].dist_image == 0
     # duplicate spellings of one point are reported, not divided by zero
     dup = modulus_report(co, [(coords(parse_word("b.R")), coords(parse_word("c.L")))], 6)
     assert dup.rows[0].skipped
+    assert (dup.gated, dup.short_ok) == (0, None)
 
 
 def test_modulus_report_no_verdict_without_claim():

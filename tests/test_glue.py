@@ -1,0 +1,48 @@
+"""Every gasket table is derived from `words.GLUE` and `words.PAD`; each must
+equal its literal, written out here by hand."""
+
+from trigasket import words
+from trigasket.metric import JUNCTIONS
+from trigasket.words import ANCHOR, DIGITS, REWRITE, REWRITE_INV, distinguished
+
+
+def test_declaration():
+    assert words.PAD == {"T": "a", "L": "b", "R": "c"}
+    assert words.GLUE == (
+        (("b", "T"), ("a", "L")),
+        (("a", "R"), ("c", "T")),
+        (("c", "L"), ("b", "R")),
+    )
+
+
+def test_word_tables():
+    assert REWRITE == {("b", "T"): ("a", "L"), ("c", "T"): ("a", "R"), ("c", "L"): ("b", "R")}
+    assert REWRITE_INV == {("a", "L"): ("b", "T"), ("a", "R"): ("c", "T"), ("b", "R"): ("c", "L")}
+    assert ANCHOR == {"a": "T", "b": "L", "c": "R"}
+    # order matters: it fixes iter_canonical's order, hence render's rows
+    assert words._CANONICAL_TAILS == (("a", "L"), ("a", "R"), ("b", "R"))
+
+
+def test_distinguished():
+    for n in range(4):
+        assert distinguished(n) == (
+            words.AddressWord("a" * n, "T"),
+            words.AddressWord("b" * n, "L"),
+            words.AddressWord("c" * n, "R"),
+        )
+
+
+def test_digit_tables():
+    assert DIGITS["T"] == str.maketrans("abc", "100")
+    assert DIGITS["R"] == str.maketrans("abc", "001")
+
+
+def test_junctions():
+    assert JUNCTIONS == {
+        ("a", "b"): ("L", "T", "R", "R"),
+        ("b", "a"): ("T", "L", "R", "R"),
+        ("a", "c"): ("R", "T", "L", "L"),
+        ("c", "a"): ("T", "R", "L", "L"),
+        ("b", "c"): ("R", "L", "T", "T"),
+        ("c", "b"): ("L", "R", "T", "T"),
+    }
