@@ -1,10 +1,12 @@
 """Runnable acceptance criteria.
 
 Ten numbered checks covering the metric kernel, the gluing functor, the
-plane embedding, and the counterexample gallery. Each returns a
-CriterionResult; `run_suite` groups them the way the `verify` subcommand
-exposes them. Every gate is exact (Fraction comparisons); randomness is
-seeded per criterion so output is reproducible byte for byte.
+plane embedding, and the counterexample gallery. Each returns its PASS
+detail or raises `Fail` with its FAIL detail; `run_criterion` turns that
+into a CriterionResult, taking the number from `CRITERIA` and the name
+from the function, and `run_suite` groups them the way the `verify`
+subcommand exposes them. Every gate is exact (Fraction comparisons);
+randomness is seeded per criterion so output is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from trigasket.geometry import (
 )
 from trigasket.counterexamples import (
     APEX,
+    LIMIT_TOL,
+    RATIO_SLACK,
     delta_nonlipschitz_report,
     delta_point,
     i_algebra,
@@ -65,14 +69,11 @@ class CriterionResult:
         return f"[{tag}] {self.number:>2} {self.name}: {self.detail}"
 
 
-def _result(number: int, name: str, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(number, name, passed, detail)
+class Fail(Exception):
+    """A criterion's FAIL verdict; the message is its detail."""
 
 
-# ---------------------------------------------------------------- criterion 1
-
-
-def metric_matches_oracle() -> CriterionResult:
+def metric_matches_oracle() -> str:
     """Closed-form two-path kernel (dist_level) vs brute-force quotient-graph metric."""
     checked = 0
     for level in range(4):
@@ -80,10 +81,7 @@ def metric_matches_oracle() -> CriterionResult:
         for i in range(len(ws)):
             for j in range(i + 1, len(ws)):
                 if dist_level(ws[i], ws[j], level) != dist_oracle(ws[i], ws[j], level):
-                    return _result(
-                        1, "metric-matches-oracle", False,
-                        f"mismatch at level {level}: {ws[i].text} / {ws[j].text}",
-                    )
+                    raise Fail(f"mismatch at level {level}: {ws[i].text} / {ws[j].text}")
                 checked += 1
     rng = Random(1001)
     ws4 = list(iter_words(4))
@@ -91,21 +89,12 @@ def metric_matches_oracle() -> CriterionResult:
         u = rng.choice(ws4)
         v = rng.choice(ws4)
         if dist_level(u, v, 4) != dist_oracle(u, v, 4):
-            return _result(
-                1, "metric-matches-oracle", False,
-                f"mismatch at level 4: {u.text} / {v.text}",
-            )
+            raise Fail(f"mismatch at level 4: {u.text} / {v.text}")
         checked += 1
-    return _result(
-        1, "metric-matches-oracle", True,
-        f"exact equality on {checked} pairs (levels 0-3 exhaustive, 10000 random at level 4)",
-    )
+    return f"exact equality on {checked} pairs (levels 0-3 exhaustive, 10000 random at level 4)"
 
 
-# ---------------------------------------------------------------- criterion 2
-
-
-def prefix_diameter_bound() -> CriterionResult:
+def prefix_diameter_bound() -> str:
     """A shared n-label prefix confines any two tails to diameter 2^-n."""
     rng = Random(1002)
     tails = {t: list(iter_words(t)) for t in range(3)}
@@ -119,10 +108,7 @@ def prefix_diameter_bound() -> CriterionResult:
         t = rng.randint(0, 2)
         x1, x2 = rng.choice(tails[t]), rng.choice(tails[t])
         if not diameter_bound_check(prefix, x1, x2):
-            return _result(
-                2, "prefix-diameter-bound", False,
-                f"d > 2^-{n} for prefix {prefix!r}, tails {x1.text}/{x2.text}",
-            )
+            raise Fail(f"d > 2^-{n} for prefix {prefix!r}, tails {x1.text}/{x2.text}")
     for _ in range(10_000):
         n = rng.randint(0, 10)
         prefix = "".join(rng.choice(LABELS) for _ in range(n))
@@ -132,20 +118,11 @@ def prefix_diameter_bound() -> CriterionResult:
         d1 = dist_level(prefixed(prefix, x1), prefixed(prefix, x2), level)
         d2 = dist_level(prefixed(prefix, y1), prefixed(prefix, y2), level)
         if abs(d1 - d2) > Fraction(2, 2**n):
-            return _result(
-                2, "prefix-diameter-bound", False,
-                f"|d1-d2| > 2^(1-{n}) for prefix {prefix!r}",
-            )
-    return _result(
-        2, "prefix-diameter-bound", True,
-        "10000 pair samples within 2^-n and 10000 quadruples within 2^(1-n), levels 0-10",
-    )
+            raise Fail(f"|d1-d2| > 2^(1-{n}) for prefix {prefix!r}")
+    return "10000 pair samples within 2^-n and 10000 quadruples within 2^(1-n), levels 0-10"
 
 
-# ---------------------------------------------------------------- criterion 3
-
-
-def gluing_step_isometry() -> CriterionResult:
+def gluing_step_isometry() -> str:
     """Prepending a label is an isometry from the glued tensor onto its image."""
     rng = Random(1003)
     canon = list(iter_canonical(8))
@@ -157,21 +134,12 @@ def gluing_step_isometry() -> CriterionResult:
             lhs = tensor_dist_G(mu, u, mv, v)
             rhs = dist_G(prepend(mu, u), prepend(mv, v))
             if lhs != rhs:
-                return _result(
-                    3, "gluing-step-isometry", False,
-                    f"{mu}*{u.text} / {mv}*{v.text}: tensor {lhs} vs image {rhs}",
-                )
+                raise Fail(f"{mu}*{u.text} / {mv}*{v.text}: tensor {lhs} vs image {rhs}")
             checked += 1
-    return _result(
-        3, "gluing-step-isometry", True,
-        f"exact equality on {checked} label-pair combinations (1000 address pairs, levels <= 8)",
-    )
+    return f"exact equality on {checked} label-pair combinations (1000 address pairs, levels <= 8)"
 
 
-# ---------------------------------------------------------------- criterion 4
-
-
-def uniform_cauchy_modulus() -> CriterionResult:
+def uniform_cauchy_modulus() -> str:
     """d_G(theta_p, theta_q) <= 2^-p for p < q, same modulus for every point."""
     rng = Random(1004)
     canon6 = list(iter_canonical(6))
@@ -191,108 +159,65 @@ def uniform_cauchy_modulus() -> CriterionResult:
             for p in range(1, 14):
                 for q in range(p + 1, 15):
                     if dist_G(ths[p - 1], ths[q - 1]) > Fraction(1, 2**p):
-                        return _result(
-                            4, "uniform-cauchy-modulus", False,
-                            f"{name}: d(theta_{p}, theta_{q}) > 2^-{p} at {x!r}",
-                        )
+                        raise Fail(f"{name}: d(theta_{p}, theta_{q}) > 2^-{p} at {x!r}")
                     checked += 1
-    return _result(
-        4, "uniform-cauchy-modulus", True,
-        f"{checked} (p,q) comparisons, 200 points per coalgebra, depths to 14, zero violations",
-    )
+    return f"{checked} (p,q) comparisons, 200 points per coalgebra, depths to 14, zero violations"
 
 
-# ---------------------------------------------------------------- criterion 5
-
-
-def three_point_collapse() -> CriterionResult:
+def three_point_collapse() -> str:
     """Mediating map onto the 3-point algebra tears apart converging addresses."""
     alg = y_algebra()
     top = mediate_from_initial(alg, canonicalize(parse_word(".T")))
     if top != "t":
-        return _result(5, "three-point-collapse", False, f"f(.T) = {top!r}, want 't'")
+        raise Fail(f"f(.T) = {top!r}, want 't'")
     image = alg.space.dist("l", "t")
     for n in range(1, 11):
         xn = canonicalize(parse_word("a" * n + ".L"))
         fx = mediate_from_initial(alg, xn)
         dom = dist_G(xn, canonicalize(parse_word(".T")))
         if fx != "l" or dom != Fraction(1, 2**n) or image != 1:
-            return _result(
-                5, "three-point-collapse", False,
-                f"n={n}: f={fx!r}, domain {dom}, image {image}",
-            )
-    return _result(
-        5, "three-point-collapse", True,
-        "f(a^n.L)='l' at domain distance 2^-n from f(.T)='t', image distance 1, n=1..10",
-    )
+            raise Fail(f"n={n}: f={fx!r}, domain {dom}, image {image}")
+    return "f(a^n.L)='l' at domain distance 2^-n from f(.T)='t', image distance 1, n=1..10"
 
 
-# ---------------------------------------------------------------- criterion 6
-
-
-def edge_drain_collapse() -> CriterionResult:
+def edge_drain_collapse() -> str:
     """Same tear on the marked-triple algebra that drains the bottom edge to R."""
     alg = i_algebra()
     space = alg.space
     left = mediate_from_initial(alg, canonicalize(parse_word(".L")))
     if left != space.L:
-        return _result(6, "edge-drain-collapse", False, f"h(.L) = {left!r}")
+        raise Fail(f"h(.L) = {left!r}")
     for n in range(1, 11):
         wn = canonicalize(parse_word("b" * n + ".R"))
         hn = mediate_from_initial(alg, wn)
         dom = dist_G(wn, canonicalize(parse_word(".L")))
         img = space.dist(hn, left)
         if hn != space.R or dom > Fraction(1, 2**n) or img != 1:
-            return _result(
-                6, "edge-drain-collapse", False,
-                f"n={n}: h={hn!r}, domain {dom}, image {img}",
-            )
-    return _result(
-        6, "edge-drain-collapse", True,
-        "h(b^n.R)=R within 2^-n of h(.L)=L, image distance 1, n=1..10",
-    )
+            raise Fail(f"n={n}: h={hn!r}, domain {dom}, image {img}")
+    return "h(b^n.R)=R within 2^-n of h(.L)=L, image distance 1, n=1..10"
 
 
-# ---------------------------------------------------------------- criterion 7
-
-
-def unbounded_expansion() -> CriterionResult:
+def unbounded_expansion() -> str:
     """Witness pairs certify expansion ratio >= 2*2^n for the fold coalgebra."""
     rep = delta_nonlipschitz_report(10)
     if not rep.passed:
-        return _result(7, "unbounded-expansion", False, "report gate failed")
-    tol = Fraction(1, 2**16)
+        raise Fail("report gate failed")
     if coords(parse_word(".L")) != Point2(Fraction(0), Fraction(0)):
-        return _result(7, "unbounded-expansion", False, "L corner is not the origin")
+        raise Fail("L corner is not the origin")
     for row in rep.rows:
         limit_y = coords(parse_word("b" * row.n + ".R"))
         want_y = Point2(Fraction(1, 2**row.n), Fraction(0))
         if limit_y != want_y:
-            return _result(
-                7, "unbounded-expansion", False,
-                f"n={row.n}: y-limit point is not (1/2^{row.n}, 0)",
-            )
-        if row.x_limit_defect > tol or row.y_limit_defect > tol:
-            return _result(
-                7, "unbounded-expansion", False,
-                f"n={row.n}: limit defect exceeds 2^-16",
-            )
-        if row.ratio < 2 * 2**row.n - Fraction(1, 2**10):
-            return _result(
-                7, "unbounded-expansion", False,
-                f"n={row.n}: ratio {row.ratio} below 2*2^{row.n} - 2^-10",
-            )
+            raise Fail(f"n={row.n}: y-limit point is not (1/2^{row.n}, 0)")
+        if row.x_limit_defect > LIMIT_TOL or row.y_limit_defect > LIMIT_TOL:
+            raise Fail(f"n={row.n}: limit defect exceeds 2^-16")
+        if row.ratio < 2 * 2**row.n - RATIO_SLACK:
+            raise Fail(f"n={row.n}: ratio {row.ratio} below 2*2^{row.n} - 2^-10")
     final = rep.rows[-1].ratio
-    return _result(
-        7, "unbounded-expansion", True,
-        f"limits pinned to within 2^-16, ratios exactly 2*2^n (n=1..10, final {final})",
-    )
+    return f"limits pinned to within 2^-16, ratios exactly 2*2^n (n=1..10, final {final})"
 
 
-# ---------------------------------------------------------------- criterion 8
-
-
-def plane_embedding_roundtrip() -> CriterionResult:
+def plane_embedding_roundtrip() -> str:
     """Similitude fixed points, address round trips, junction coincidence."""
     fixed = [
         ("a", VERTEX["T"], Point2(Fraction(1, 2), Fraction(1, 2))),
@@ -301,31 +226,20 @@ def plane_embedding_roundtrip() -> CriterionResult:
     ]
     for m, v, want in fixed:
         if v != want or sigma(m, v) != v:
-            return _result(
-                8, "plane-embedding-roundtrip", False, f"sigma_{m} fixed point is off",
-            )
+            raise Fail(f"sigma_{m} fixed point is off")
 
     trips = 0
     for w in iter_canonical(6):
         if exact_address(coords(w)) != w:
-            return _result(
-                8, "plane-embedding-roundtrip", False,
-                f"exact_address(coords({w.text})) != {w.text}",
-            )
+            raise Fail(f"exact_address(coords({w.text})) != {w.text}")
         p = coords(w)
         for m in LABELS:
             q = sigma(m, p)
             m2, p2 = sigma_inv(q)
             if sigma(m2, p2) != q:
-                return _result(
-                    8, "plane-embedding-roundtrip", False,
-                    f"sigma_inv(sigma({m}, coords({w.text}))) moved the point",
-                )
+                raise Fail(f"sigma_inv(sigma({m}, coords({w.text}))) moved the point")
             if prepend(m, w).word.labels[:1] == m and (m2, p2) != (m, p):
-                return _result(
-                    8, "plane-embedding-roundtrip", False,
-                    f"canonical peel of {m}*{w.text} is not ({m}, coords({w.text}))",
-                )
+                raise Fail(f"canonical peel of {m}*{w.text} is not ({m}, coords({w.text}))")
             trips += 1
 
     junctions = 0
@@ -335,22 +249,15 @@ def plane_embedding_roundtrip() -> CriterionResult:
             if v is None:
                 continue
             if coords(u) != coords(v):
-                return _result(
-                    8, "plane-embedding-roundtrip", False,
-                    f"{u.text} ~ {v.text} but coords differ",
-                )
+                raise Fail(f"{u.text} ~ {v.text} but coords differ")
             junctions += 1
-    return _result(
-        8, "plane-embedding-roundtrip", True,
+    return (
         f"3 fixed points exact, {trips} sigma round trips (levels <= 6), "
-        f"{junctions} junction words with coinciding coordinates",
+        f"{junctions} junction words with coinciding coordinates"
     )
 
 
-# ---------------------------------------------------------------- criterion 9
-
-
-def finality_square() -> CriterionResult:
+def finality_square() -> str:
     """Unfold-then-anchor commutes with one coalgebra step; corruption must not."""
     rng = Random(1009)
     canon5 = list(iter_canonical(5))
@@ -368,7 +275,7 @@ def finality_square() -> CriterionResult:
     rg = finality_check(gask, sample_g, depth=12)
     rd = finality_check(delt, sample_d, depth=12)
     if not (rg.passed and rd.passed):
-        return _result(9, "finality-square", False, f"{rg}; {rd}")
+        raise Fail(f"{rg}; {rd}")
 
     flip = {"a": "b", "b": "c", "c": "a"}
 
@@ -381,18 +288,15 @@ def finality_square() -> CriterionResult:
 
     bad = finality_check(delt, sample_d, depth=12, theta_fn=corrupted)
     if bad.passed:
-        return _result(9, "finality-square", False, "corrupted candidate passed")
-    return _result(
-        9, "finality-square", True,
-        f"both coalgebras commute to depth 12 with defect {max(rg.max_violation, rd.max_violation)} "
-        f"(bound 2^(1-k)); corrupted candidate breaches the bound",
+        raise Fail("corrupted candidate passed")
+    return (
+        f"both coalgebras commute to depth 12 with defect "
+        f"{max(rg.max_violation, rd.max_violation)} "
+        f"(bound 2^(1-k)); corrupted candidate breaches the bound"
     )
 
 
-# --------------------------------------------------------------- criterion 10
-
-
-def canonicalization_complete() -> CriterionResult:
+def canonicalization_complete() -> str:
     """Canonical forms separate points exactly as the brute-force closure does."""
     expected = {0: 3, 1: 6, 2: 15, 3: 42, 4: 123}
     total = 0
@@ -403,32 +307,22 @@ def canonicalization_complete() -> CriterionResult:
             by_class.setdefault(table.class_of[w], set()).add(canonicalize(w))
             total += 1
         if len(by_class) != expected[level]:
-            return _result(
-                10, "canonicalization-complete", False,
-                f"level {level}: {len(by_class)} classes, want {expected[level]}",
-            )
+            raise Fail(f"level {level}: {len(by_class)} classes, want {expected[level]}")
         if any(len(forms) != 1 for forms in by_class.values()):
-            return _result(
-                10, "canonicalization-complete", False,
-                f"level {level}: some closure class has two canonical forms",
-            )
+            raise Fail(f"level {level}: some closure class has two canonical forms")
         forms = {next(iter(f)) for f in by_class.values()}
         if len(forms) != len(by_class):
-            return _result(
-                10, "canonicalization-complete", False,
-                f"level {level}: distinct classes share a canonical form",
-            )
-    return _result(
-        10, "canonicalization-complete", True,
+            raise Fail(f"level {level}: distinct classes share a canonical form")
+    return (
         f"partitions identical on all {total} words of levels 0-4 "
-        f"(class counts 3, 6, 15, 42, 123)",
+        f"(class counts 3, 6, 15, 42, 123)"
     )
 
 
 # -------------------------------------------------------------------- suites
 
 
-CRITERIA: tuple[tuple[int, Callable[[], CriterionResult]], ...] = (
+CRITERIA: tuple[tuple[int, Callable[[], str]], ...] = (
     (1, metric_matches_oracle),
     (2, prefix_diameter_bound),
     (3, gluing_step_isometry),
@@ -450,15 +344,20 @@ SUITES: dict[str, tuple[int, ...]] = {
 
 
 def run_criterion(number: int) -> CriterionResult:
-    """Run one criterion; an exception inside it is its FAIL verdict, not a crash."""
-    for num, fn in CRITERIA:
-        if num == number:
-            try:
-                return fn()
-            except Exception as exc:
-                name = fn.__name__.replace("_", "-")
-                return _result(num, name, False, f"raised {type(exc).__name__}: {exc}")
-    raise ValueError(f"no criterion numbered {number}")
+    """Run one criterion and give its verdict: a return is PASS with that
+    detail, `Fail` is FAIL with its message, and any other exception is a
+    FAIL that names it, not a crash."""
+    fn = dict(CRITERIA).get(number)
+    if fn is None:
+        raise ValueError(f"no criterion numbered {number}")
+    name = fn.__name__.replace("_", "-")
+    try:
+        return CriterionResult(number, name, True, fn())
+    except Fail as exc:
+        detail = str(exc)
+    except Exception as exc:
+        detail = f"raised {type(exc).__name__}: {exc}"
+    return CriterionResult(number, name, False, detail)
 
 
 def run_suite(suite: str = "all") -> list[CriterionResult]:

@@ -46,16 +46,9 @@ def fold_from(alg: Algebra, labels: str, start: Point) -> Point:
     return p
 
 
-def iterate_algebra(
-    alg: Algebra,
-    word: AddressWord,
-    anchors: Optional[dict[str, Point]] = None,
-) -> Point:
-    """Fold a word: start at the anchor of its terminal, consume labels right to left."""
-    if anchors is None:
-        s = alg.space
-        anchors = {"T": s.T, "L": s.L, "R": s.R}
-    return fold_from(alg, word.labels, anchors[word.terminal])
+def iterate_algebra(alg: Algebra, word: AddressWord) -> Point:
+    """Fold a word: start at the marked point of its terminal, consume labels right to left."""
+    return fold_from(alg, word.labels, getattr(alg.space, word.terminal))
 
 
 def mediate_from_initial(alg: Algebra, x: CanonicalAddress) -> Point:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .metric import dist_G
-from .numerics import MetricValue, value_float, value_le
+from .numerics import MetricValue
 from .spaces import Point, TriPointedSpace, ValidationError
 from .words import ANCHOR, AddressWord, CanonicalAddress, canonicalize, prepend
 
@@ -201,13 +201,13 @@ def modulus_report(
             rows.append(ModulusRow(x, y, dxy, Fraction(0), None, skipped=True))
             continue
         dimg = dist_G(theta(co, x, depth), theta(co, y, depth))
-        fd = value_float(dxy)
+        fd = float(dxy)
         ratio = float(dimg) / fd if fd > 0 else None
         if ratio is not None and (max_ratio is None or ratio > max_ratio):
             max_ratio = ratio
         if short:
             gated += 1
-            short_ok = short_ok and value_le(dimg, dxy + slack)
+            short_ok = short_ok and dimg <= dxy + slack
         rows.append(ModulusRow(x, y, dxy, dimg, ratio))
     return ModulusReport(co.name, depth, rows, max_ratio, short_ok if gated else None, gated)
 

@@ -152,8 +152,8 @@ def delta_coalgebra_alt() -> Coalgebra:
 # ---------------------------------------------------------------------------
 
 REPORT_MAX_N = 12
-_LIMIT_TOL = Fraction(1, 2**16)
-_RATIO_SLACK = Fraction(1, 2**10)
+LIMIT_TOL = Fraction(1, 2**16)
+RATIO_SLACK = Fraction(1, 2**10)
 
 
 @dataclass
@@ -230,10 +230,10 @@ def delta_nonlipschitz_report(n_max: int) -> NonLipschitzReport:
         d_dom = y - x
         d_img = dist_G(tx, ty)
         ratio = d_img / d_dom
-        bound = 2 * Fraction(2**n) - _RATIO_SLACK
+        bound = 2 * Fraction(2**n) - RATIO_SLACK
         ok = (
-            dx_defect <= _LIMIT_TOL
-            and dy_defect <= _LIMIT_TOL
+            dx_defect <= LIMIT_TOL
+            and dy_defect <= LIMIT_TOL
             and ratio >= bound
         )
         passed = passed and ok

@@ -9,13 +9,14 @@ the gasket. The formula needs only each side's distances to corners, and on
 words these have a closed form: one minus the barycentric weight toward the
 corner, whose numerator reads the labels as binary digits
 (`AddressWord.toward`, computed once per word and kept on it). `_crossing`
-evaluates the formula on those integers, and the kernel `_dist` finds the
-first differing label and masks the digits below it, so it is iterative and
-keeps no table between calls. It works on two label strings of one length:
-`dist_level` hands it two words of the stated level, while `dist_G` and
-`tensor_dist_G` pad the shallower word to the deeper level with its
-terminal's pad label, which names the same point and shifts its digits, and
-build no word.
+evaluates the formula on those integers. The kernel `_dist` never reads a
+label string: a label is fixed by its T and R digits, so the first differing
+label is the highest bit where those readouts differ, and both labels are
+read off that bit. It works on the digits of two words of one level and
+keeps no table between calls. `dist_level` hands it two words of the stated
+level, while `dist_G` and `tensor_dist_G` pad the shallower word to the
+deeper level with its terminal's pad label, which names the same point and
+shifts its digits, and build no word.
 `dist_oracle` rebuilds the same metric with none of that structure
 (equivalence classes + Floyd-Warshall on min-over-representative edge
 weights), so exact agreement between the two is a real check, not a
@@ -77,53 +78,40 @@ def _crossing(mu: str, mv: str, tu: dict, du: str, tv: dict, dv: str, m: int) ->
     return min(direct, via)
 
 
-def _common_prefix_len(lu: str, lv: str) -> int:
-    """Length of the longest common prefix, on C-speed slice compares.
+# (T digit, R digit) -> label: a label's digit is 1 toward the one corner it
+# pads, so PAD["L"] reads 0 on both
+_LABEL_AT = {(1, 0): PAD["T"], (0, 0): PAD["L"], (0, 1): PAD["R"]}
 
-    Windows of doubling width find the first differing window, so a prefix of
-    length i costs O(log i) compares; halving then narrows that window.
+
+def _dist(tu: dict, du: str, tv: dict, dv: str, n: int) -> Fraction:
+    """Quotient metric between two level-n words given by their corner digits
+    tu, tv and terminals du, dv.
+
+    Each label is fixed by its T and R digits, so the first differing label
+    is the highest set bit of the two readouts' differences.
     """
-    n = min(len(lu), len(lv))
-    if not n or lu[0] != lv[0]:
-        return 0
-    lo, hi = 1, min(3, n)
-    while lu[lo:hi] == lv[lo:hi]:
-        if hi == n:
-            return n
-        lo, hi = hi, min(2 * hi + 1, n)
-    # lu[:lo] == lv[:lo] and the first difference is in [lo, hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if lu[lo:mid] == lv[lo:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _dist(lu: str, tu: dict, du: str, lv: str, tv: dict, dv: str) -> Fraction:
-    """Quotient metric between the words lu.du and lv.dv of one length, given
-    with their corner digits tu and tv."""
-    n = len(lu)
-    i = _common_prefix_len(lu, lv)
-    if i == n:
+    diff = (tu["T"] ^ tv["T"]) | (tu["R"] ^ tv["R"])
+    if not diff:
         return Fraction(int(du != dv), 1 << n)
-    return Fraction(_crossing(lu[i], lv[i], tu, du, tv, dv, n - i - 1), 1 << n)
+    m = diff.bit_length() - 1
+    mu = _LABEL_AT[tu["T"] >> m & 1, tu["R"] >> m & 1]
+    mv = _LABEL_AT[tv["T"] >> m & 1, tv["R"] >> m & 1]
+    return Fraction(_crossing(mu, mv, tu, du, tv, dv, m), 1 << n)
 
 
-def _padded(w: AddressWord, n: int) -> tuple[str, dict[str, int]]:
-    """Labels and corner digits of w padded to level n >= w.level: the same point.
+def _padded(w: AddressWord, n: int) -> dict[str, int]:
+    """Corner digits of w padded to level n >= w.level: the same point.
 
     The k pad labels are all PAD[terminal], so they shift every readout up by
     k digits and add k one-digits toward the terminal only.
     """
     k = n - len(w.labels)
     if not k:
-        return w.labels, w.toward
+        return w.toward
     t, d = w.toward, w.terminal
     digits = {"T": t["T"] << k, "L": t["L"] << k, "R": t["R"] << k}
     digits[d] += (1 << k) - 1
-    return w.labels + PAD[d] * k, digits
+    return digits
 
 
 def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
@@ -132,15 +120,14 @@ def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
         raise ValueError(
             f"level mismatch: {u} is level {u.level}, {v} is level {v.level}, want {level}"
         )
-    return _dist(u.labels, u.toward, u.terminal, v.labels, v.toward, v.terminal)
+    return _dist(u.toward, u.terminal, v.toward, v.terminal, level)
 
 
 def dist_G(u: CanonicalAddress, v: CanonicalAddress) -> Fraction:
     """Metric on the address space: pad to the deeper level, measure there."""
     wu, wv = u.word, v.word
     n = max(len(wu.labels), len(wv.labels))
-    (lu, tu), (lv, tv) = _padded(wu, n), _padded(wv, n)
-    return _dist(lu, tu, wu.terminal, lv, tv, wv.terminal)
+    return _dist(_padded(wu, n), wu.terminal, _padded(wv, n), wv.terminal, n)
 
 
 def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> Fraction:
@@ -154,7 +141,7 @@ def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) ->
         return HALF * dist_G(u, v)
     wu, wv = u.word, v.word
     n = max(len(wu.labels), len(wv.labels))
-    (_, tu), (_, tv) = _padded(wu, n), _padded(wv, n)
+    tu, tv = _padded(wu, n), _padded(wv, n)
     return Fraction(_crossing(mu, mv, tu, wu.terminal, tv, wv.terminal, n), 2 ** (n + 1))
 
 

@@ -220,14 +220,3 @@ def sqrt_fraction(q: Rational) -> "RadicalSum | Fraction":
 
 
 MetricValue = Union[Fraction, RadicalSum]
-
-
-def value_le(a: MetricValue, b: MetricValue) -> bool:
-    if isinstance(a, RadicalSum) or isinstance(b, RadicalSum):
-        diff = (a if isinstance(a, RadicalSum) else RadicalSum.of(a)) - b
-        return diff.sign() <= 0
-    return a <= b
-
-
-def value_float(x: MetricValue) -> float:
-    return float(x)

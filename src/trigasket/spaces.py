@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Callable, Hashable, Optional, Sequence
 
 from .metric import JUNCTIONS
-from .numerics import MetricValue, value_float, value_le
+from .numerics import MetricValue
 from .words import LABELS, PAD, REWRITE
 
 Point = Hashable
@@ -74,13 +74,13 @@ def validate_space(space: TriPointedSpace) -> None:
         d1, d2 = space.dist(p, q), space.dist(q, p)
         if d1 != d2:
             raise ValidationError(f"{space.name}: asymmetric at {p!r},{q!r}")
-        if not value_le(d1, ONE):
+        if d1 > ONE:
             raise ValidationError(f"{space.name}: d({p!r},{q!r}) > 1")
-        if value_le(d1, 0):
+        if d1 <= 0:
             raise ValidationError(f"{space.name}: distinct points at distance 0")
     for p, q, r in combinations(pts, 3):
         for x, y, z in ((p, q, r), (q, r, p), (r, p, q)):
-            if not value_le(space.dist(x, y), space.dist(x, z) + space.dist(z, y)):
+            if space.dist(x, y) > space.dist(x, z) + space.dist(z, y):
                 raise ValidationError(f"{space.name}: triangle fails at {x!r},{y!r},{z!r}")
 
 
@@ -109,7 +109,7 @@ def _tensor_dist(base: TriPointedSpace) -> Callable[[Point, Point], MetricValue]
         c1, c2, v1, v2 = (getattr(base, d) for d in JUNCTIONS[m1, m2])
         direct = base.dist(x, c1) + base.dist(c2, y)
         via = base.dist(x, v1) + ONE + base.dist(v2, y)
-        return HALF * (direct if value_le(direct, via) else via)
+        return HALF * min(direct, via)
 
     return dist
 
@@ -229,7 +229,7 @@ def certify(
         dxy = w.domain.dist(x, y)
         dfxy = w.codomain.dist(w.f(x), w.f(y))
         checked += 1
-        fx, fy = value_float(dfxy), value_float(dxy)
+        fx, fy = float(dfxy), float(dxy)
         if fy > 0:
             ratio = fx / fy
             if ratio > best_c:
@@ -242,14 +242,14 @@ def certify(
                     moduli[eps] = min(moduli.get(eps, float("inf")), fy)
             continue
         if claimed == SHORT:
-            good = value_le(dfxy, dxy)
+            good = dfxy <= dxy
         elif claimed == ISOMETRIC:
-            good = value_le(dfxy, dxy) and value_le(dxy, dfxy)
+            good = dfxy == dxy
         else:
             kind, k = claimed
             if kind != "lipschitz":
                 raise ValidationError(f"unknown map class {claimed!r}")
-            good = value_le(dfxy, k * dxy)
+            good = dfxy <= k * dxy
         if not good and ok:
             ok = False
             worst = (x, y)

@@ -7,6 +7,8 @@ file for the full gate:
     pytest tests/test_acceptance.py -v -s
 """
 
+from fractions import Fraction
+
 import pytest
 
 from trigasket import acceptance
@@ -18,7 +20,7 @@ _IDS = [f"{num:02d}-{fn.__name__}" for num, fn in CRITERIA]
 
 @pytest.mark.parametrize(("number", "fn"), CRITERIA, ids=_IDS)
 def test_criterion(number, fn):
-    result = fn()
+    result = run_criterion(number)
     print(result.line())
     assert result.passed, result.line()
 
@@ -55,3 +57,27 @@ def test_crashing_criterion_is_a_fail_verdict(monkeypatch, capsys):
         f"[{'FAIL' if n == 8 else 'PASS'}] {n:>2}" for n in range(1, 11)
     ]
     assert lines[7] == r.line()
+
+
+def test_fail_verdict_carries_its_detail(monkeypatch):
+    # every oracle distance 2 disagrees with the kernel on the first pair
+    monkeypatch.setattr(acceptance, "dist_oracle", lambda *args: Fraction(2))
+    r = run_criterion(1)
+    assert r.line() == "[FAIL]  1 metric-matches-oracle: mismatch at level 0: .T / .L"
+
+
+def test_verify_prints_each_line_as_its_criterion_finishes(monkeypatch, capsys):
+    seen = []
+
+    def prefix_diameter_bound():
+        seen.append(capsys.readouterr().out)
+        return "stub"
+
+    criteria = tuple((n, prefix_diameter_bound if n == 2 else fn) for n, fn in CRITERIA)
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    monkeypatch.setitem(SUITES, "metric", (1, 2))
+    assert main(["verify", "--suite", "metric"]) == 0
+    assert len(seen) == 1
+    assert seen[0].startswith("[PASS]  1 metric-matches-oracle: ")
+    assert seen[0].count("\n") == 1
+    assert capsys.readouterr().out == "[PASS]  2 prefix-diameter-bound: stub\n"

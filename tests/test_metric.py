@@ -1,5 +1,4 @@
 from fractions import Fraction
-from os.path import commonprefix
 from random import Random
 
 import pytest
@@ -14,7 +13,6 @@ from trigasket.metric import (
     dist_oracle,
     oracle_table,
     tensor_dist_G,
-    _common_prefix_len,
     _padded,
 )
 from trigasket.words import (
@@ -337,15 +335,27 @@ SHARED = st.one_of(
 )
 
 
-@given(shared=SHARED, tu=st.text(alphabet="abc", max_size=8), tv=st.text(alphabet="abc", max_size=8))
-@settings(max_examples=400)
-def test_common_prefix_len_matches_commonprefix(shared, tu, tv):
-    lu, lv = shared + tu, shared + tv
-    want = len(commonprefix((lu, lv)))
-    assert _common_prefix_len(lu, lv) == want == _common_prefix_len(lv, lu)
-    # the kernel's case: two strings of one length
-    n = min(len(lu), len(lv))
-    assert _common_prefix_len(lu[:n], lv[:n]) == want
+def _words(k):
+    labels = st.text(alphabet="abc", min_size=k, max_size=k)
+    return st.builds(AddressWord, labels, st.sampled_from("TLR"))
+
+
+# two tails of one level <= 4, the oracle's reach
+TAIL_PAIRS = st.integers(min_value=0, max_value=4).flatmap(
+    lambda k: st.tuples(_words(k), _words(k))
+)
+
+
+@given(shared=SHARED, tails=TAIL_PAIRS)
+@settings(deadline=None, max_examples=400)
+def test_shared_prefix_scales_the_tail_distance(shared, tails):
+    x, y = tails
+    u = AddressWord(shared + x.labels, x.terminal)
+    v = AddressWord(shared + y.labels, y.terminal)
+    n = u.level
+    want = dist_oracle(x, y, x.level)
+    assert dist_level(u, v, n) * 2 ** len(shared) == want
+    assert dist_level(v, u, n) * 2 ** len(shared) == want
 
 
 @given(
@@ -358,4 +368,4 @@ def test_padded_digits_match_padded_word(labels, d, extra):
     w = AddressWord(labels, d)
     n = len(labels) + extra
     padded = AddressWord(labels + PAD[d] * extra, d)
-    assert _padded(w, n) == (padded.labels, padded.toward)
+    assert _padded(w, n) == padded.toward

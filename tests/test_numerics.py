@@ -8,7 +8,6 @@ from trigasket.numerics import (
     decimal_str,
     format_dist,
     sqrt_fraction,
-    value_le,
 )
 
 
@@ -73,8 +72,9 @@ def test_radical_sum_three_terms_rejected():
 
 
 def test_value_helpers():
-    assert value_le(Fraction(1, 2), sqrt_fraction(Fraction(1, 3)))
-    assert not value_le(sqrt_fraction(Fraction(3)), Fraction(3, 2))
+    # a Fraction on the left defers to RadicalSum's reflected comparison
+    assert Fraction(1, 2) <= sqrt_fraction(Fraction(1, 3))
+    assert not sqrt_fraction(Fraction(3)) <= Fraction(3, 2)
 
 
 @settings(deadline=None, max_examples=200)

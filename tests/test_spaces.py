@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +155,16 @@ def test_load_space_round_trip():
     for p in sp.points:
         for q in sp.points:
             assert sp.dist(p, q) == again.dist(p, q)
+
+
+def test_readme_space_table_loads():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Space tables", 1)[1]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
+    sp = load_space(block, name="readme")
+    assert sp.points == ("t", "l", "r")
+    assert (sp.T, sp.L, sp.R) == ("t", "l", "r")
+    assert sp.dist("t", "r") == 1
 
 
 def test_load_space_rejects_bad_tables():
