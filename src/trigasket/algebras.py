@@ -10,7 +10,7 @@ of the chosen representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .spaces import Point, TriPointedSpace, ValidationError
 from .words import ANCHOR, GLUE, AddressWord, CanonicalAddress, LABELS, iter_canonical, prepend
@@ -60,42 +60,29 @@ def mediate_from_initial(alg: Algebra, x: CanonicalAddress) -> Point:
     return iterate_algebra(alg, x.word)
 
 
-@dataclass
-class MorphismReport:
-    algebra_name: str
-    depth: int
-    checked: int
-    passed: bool
-    witness: Optional[tuple[str, str]] = None  # (label+address, explanation)
-
-    def __str__(self) -> str:
-        if self.passed:
-            return f"{self.algebra_name}: square commutes at depth {self.depth} ({self.checked} cases)"
-        return f"{self.algebra_name}: FAIL at {self.witness[0]}: {self.witness[1]}"
-
-
 def check_algebra_morphism(
     alg: Algebra,
     f: Callable[[CanonicalAddress], Point],
     sample_depth: int,
-) -> MorphismReport:
-    """Verify f(prepend(m, u)) == e(m, f(u)) over all addresses up to a depth."""
+) -> int:
+    """Verify f(prepend(m, u)) == e(m, f(u)) over all addresses up to a depth.
+
+    Returns the number of cases checked; raises ValidationError at the first
+    case where the square does not commute.
+    """
     checked = 0
     for u in iter_canonical(sample_depth):
         fu = f(u)
         for m in LABELS:
             left = f(prepend(m, u))
             right = alg.e(m, fu)
-            checked += 1
             if left != right:
-                return MorphismReport(
-                    alg.name,
-                    sample_depth,
-                    checked,
-                    False,
-                    (f"{m}*{u.text}", f"f(g(...))={left!r} but e(m,f(...))={right!r}"),
+                raise ValidationError(
+                    f"{alg.name}: square fails at {m}*{u.text}: "
+                    f"f(g(...))={left!r} but e(m,f(...))={right!r}"
                 )
-    return MorphismReport(alg.name, sample_depth, checked, True)
+            checked += 1
+    return checked
 
 
 def get_algebra(name: str) -> Algebra:

@@ -4,8 +4,9 @@ A coalgebra on X maps a point to (label, next point). Iterating it yields a
 label trace; anchoring the trace after n steps at the corner matched to the
 last label (a->T, b->L, c->R) gives a canonical address theta_n whose tail
 is pinned down to within 2^-n. The limit of that sequence is the mediating
-map into the completed address space; LimitPoint packages the sequence with
-its certified modulus.
+map into the completed address space. The gates `finality_check` and a short
+coalgebra's `modulus_report` return what they measured and raise
+ValidationError at their first breach.
 """
 
 from __future__ import annotations
@@ -74,81 +75,38 @@ def thetas(co: Coalgebra, x: Point, n: int) -> list[CanonicalAddress]:
     return [_anchored(labels[:k]) for k in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class LimitPoint:
-    """A point of the completion: the approximant sequence plus its modulus."""
-
-    co: Coalgebra
-    x: Point
-
-    def theta(self, n: int) -> CanonicalAddress:
-        return theta(self.co, self.x, n)
-
-    def modulus(self, n: int) -> Fraction:
-        """Certified bound on the distance from theta(n) to the limit."""
-        return Fraction(1, 2**n)
-
-
-def mediate_to_final(co: Coalgebra, x: Point) -> LimitPoint:
-    return LimitPoint(co, x)
-
-
-# ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FinalityReport:
-    coalgebra_name: str
-    depth: int
-    checked: int
-    passed: bool
-    max_violation: Fraction
-    witness: Optional[str] = None
-
-    def __str__(self) -> str:
-        if self.passed:
-            return (
-                f"{self.coalgebra_name}: square holds to depth {self.depth} "
-                f"({self.checked} cases, max defect {self.max_violation})"
-            )
-        return f"{self.coalgebra_name}: FAIL {self.witness} (defect {self.max_violation})"
-
-
 def finality_check(
     co: Coalgebra,
     sample: Sequence[Point],
     depth: int,
-    theta_fn: Optional[Callable[[Point, int], CanonicalAddress]] = None,
-) -> FinalityReport:
+    thetas_fn: Optional[Callable[[Point, int], list[CanonicalAddress]]] = None,
+) -> Fraction:
     """One-step compatibility of the candidate limit map with the coalgebra.
 
     For e(x) = (m1, x1) the address theta(x, k) must agree with m1 glued onto
-    theta(x1, k-1) to within 2^(1-k). For the built-in theta the two sides
+    theta(x1, k-1) to within 2^(1-k); `thetas_fn(p, n)` gives a point's
+    approximants for depths 1..n. For the built-in `thetas` the two sides
     are the same trace shifted by one step, so the defect is exactly 0; the
     bound is the one the limit argument guarantees for any correct candidate,
     and a corrupted candidate (wrong label on a branch) must breach it.
+    Returns the worst defect; raises ValidationError at the first breach.
     """
-    if theta_fn is None:
-        theta_fn = lambda p, k: theta(co, p, k)
+    if thetas_fn is None:
+        thetas_fn = lambda p, n: thetas(co, p, n)
     worst = Fraction(0)
-    witness = None
-    checked = 0
-    ok = True
     for x in sample:
         m1, x1 = co.e(x)
+        ths, ths1 = thetas_fn(x, depth), thetas_fn(x1, depth - 1)
         for k in range(2, depth + 1):
-            lhs = theta_fn(x, k)
-            rhs = prepend(m1, theta_fn(x1, k - 1))
+            lhs, rhs = ths[k - 1], prepend(m1, ths1[k - 2])
             d = dist_G(lhs, rhs)
-            checked += 1
-            if d > worst:
-                worst = d
-                witness = f"x={x!r} k={k}: {lhs.text} vs {rhs.text}"
             if d > Fraction(1, 2 ** (k - 1)):
-                ok = False
-    return FinalityReport(co.name, depth, checked, ok, worst, None if ok else witness)
+                raise ValidationError(
+                    f"{co.name}: finality square breached at x={x!r} k={k}: "
+                    f"{lhs.text} vs {rhs.text} (defect {d} > 2^{1 - k})"
+                )
+            worst = max(worst, d)
+    return worst
 
 
 @dataclass
@@ -167,16 +125,11 @@ class ModulusReport:
     depth: int
     rows: list[ModulusRow]
     max_ratio: Optional[float]
-    short_ok: Optional[bool]  # set when the coalgebra claims to be short and a pair was gated
     gated: int = 0  # pairs the short gate ran on
 
     def __str__(self) -> str:
         head = f"{self.coalgebra_name}: depth {self.depth}, {len(self.rows)} pairs"
-        tail = "" if self.max_ratio is None else f", max ratio {self.max_ratio:.6g}"
-        verdict = ""
-        if self.short_ok is not None:
-            verdict = ", short: " + ("pass" if self.short_ok else "FAIL")
-        return head + tail + verdict
+        return head + ("" if self.max_ratio is None else f", max ratio {self.max_ratio:.6g}")
 
 
 def modulus_report(
@@ -188,13 +141,14 @@ def modulus_report(
     so the short gate is the exact inequality
     d(theta x, theta y) <= d(x, y) + 2^(1-depth), no division involved. It
     runs on every pair at a nonzero exact distance, even one whose float is
-    0.0 (that pair shows no ratio); with no pair gated there is no verdict.
+    0.0 (that pair shows no ratio). A coalgebra claimed short raises
+    ValidationError at the first pair that breaches it.
     """
     rows: list[ModulusRow] = []
     max_ratio: Optional[float] = None
     slack = Fraction(2, 2**depth)
     short = co.claimed_class == "short"
-    short_ok, gated = True, 0
+    gated = 0
     for x, y in pairs:
         dxy = co.space.dist(x, y)
         if dxy == 0:
@@ -207,9 +161,13 @@ def modulus_report(
             max_ratio = ratio
         if short:
             gated += 1
-            short_ok = short_ok and dimg <= dxy + slack
+            if dimg > dxy + slack:
+                raise ValidationError(
+                    f"{co.name}: not short at x={x!r} y={y!r}: "
+                    f"image {dimg} > {dxy} + 2^{1 - depth}"
+                )
         rows.append(ModulusRow(x, y, dxy, dimg, ratio))
-    return ModulusReport(co.name, depth, rows, max_ratio, short_ok if gated else None, gated)
+    return ModulusReport(co.name, depth, rows, max_ratio, gated)
 
 
 def get_coalgebra(name: str) -> Coalgebra:

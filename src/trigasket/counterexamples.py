@@ -19,7 +19,7 @@ from .algebras import Algebra
 from .coalgebras import Coalgebra, theta
 from .metric import dist_G
 from .numerics import sqrt_fraction
-from .spaces import TriPointedSpace, discrete_space
+from .spaces import TriPointedSpace, ValidationError, discrete_space
 from .words import AddressWord, canonicalize
 
 
@@ -172,7 +172,6 @@ class NonLipschitzRow:
 @dataclass
 class NonLipschitzReport:
     rows: list[NonLipschitzRow]
-    passed: bool
 
     def __str__(self) -> str:
         lines = [
@@ -184,9 +183,6 @@ class NonLipschitzReport:
                 f"{r.n:>3} {str(r.x):>16} {str(r.y):>16} {str(r.dist_domain):>12} "
                 f"{str(r.dist_image):>10} {str(r.ratio):>8} {str(r.bound):>16}"
             )
-        lines.append(
-            "expansion is unbounded: pass" if self.passed else "REPORT FAILED"
-        )
         return "\n".join(lines)
 
     def to_csv(self) -> str:
@@ -211,14 +207,14 @@ def delta_nonlipschitz_report(n_max: int) -> NonLipschitzReport:
 
     The x_n limit is the L corner and the y_n limit is the point b^n.R, both
     identified to within 2^-16; the ratio is exactly 2*2^n and must beat
-    2*2^n minus a 2^-10 slack.
+    2*2^n minus a 2^-10 slack. Raises ValidationError at the first row that
+    misses either gate.
     """
     if not 1 <= n_max <= REPORT_MAX_N:
         raise ValueError(f"n_max must be 1..{REPORT_MAX_N}")
     co = delta_coalgebra()
     corner_l = canonicalize(AddressWord("", "L"))
     rows = []
-    passed = True
     for n in range(1, n_max + 1):
         x, y = delta_pair(n)
         q = n + 16
@@ -231,13 +227,12 @@ def delta_nonlipschitz_report(n_max: int) -> NonLipschitzReport:
         d_img = dist_G(tx, ty)
         ratio = d_img / d_dom
         bound = 2 * Fraction(2**n) - RATIO_SLACK
-        ok = (
-            dx_defect <= LIMIT_TOL
-            and dy_defect <= LIMIT_TOL
-            and ratio >= bound
-        )
-        passed = passed and ok
+        if not (dx_defect <= LIMIT_TOL and dy_defect <= LIMIT_TOL and ratio >= bound):
+            raise ValidationError(
+                f"n={n}: x={x} y={y}: limit defects {dx_defect}, {dy_defect} "
+                f"(tolerance 2^-16), ratio {ratio} (bound {bound})"
+            )
         rows.append(
             NonLipschitzRow(n, x, y, d_dom, d_img, ratio, bound, dx_defect, dy_defect)
         )
-    return NonLipschitzReport(rows, passed)
+    return NonLipschitzReport(rows)

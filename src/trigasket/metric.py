@@ -145,16 +145,6 @@ def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) ->
     return Fraction(_crossing(mu, mv, tu, wu.terminal, tv, wv.terminal, n), 2 ** (n + 1))
 
 
-def diameter_bound_check(prefix: str, x1: AddressWord, x2: AddressWord) -> bool:
-    """Points sharing an n-label prefix sit within 2^-n of each other."""
-    if x1.level != x2.level:
-        raise ValueError("tails must share a level")
-    n = len(prefix)
-    u = AddressWord(prefix + x1.labels, x1.terminal)
-    v = AddressWord(prefix + x2.labels, x2.terminal)
-    return dist_level(u, v, u.level) <= Fraction(1, 2**n)
-
-
 # ---------------------------------------------------------------------------
 # Independent oracle: explicit quotient construction + all-pairs shortest path
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ pairwise at distance 1. The gluing of a space X takes three labeled copies,
 halves distances inside each copy, and identifies the corner pairs of
 `words.GLUE`, the one declaration of the gasket: (b,T)=(a,L), (a,R)=(c,T),
 (c,L)=(b,R); its marked points are (a,T), (b,L), (c,R). Maps are certified
-empirically on finite carriers or supplied samples; continuity is reported
-as a modulus table, never "passed", since finite data cannot certify it.
+empirically on finite carriers or supplied samples: a breached claim, like
+any other violated invariant, raises ValidationError naming its witness.
+Continuity is reported as a modulus table with no gate, since finite data
+cannot certify it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Hashable, Optional, Sequence
@@ -179,21 +181,16 @@ def tensor_map(w: MapWitness) -> MapWitness:
 class CertifyReport:
     witness_name: str
     claimed_class: "str | tuple[str, Fraction]"
-    passed: Optional[bool]  # None for continuity (report-only)
     checked_pairs: int
-    worst_pair: Optional[tuple[Point, Point]] = None
-    best_constant: Optional[float] = None  # max observed d(fx,fy)/d(x,y)
-    modulus_table: list[tuple[float, float]] = field(default_factory=list)
+    best_constant: float  # max observed d(fx,fy)/d(x,y)
+    modulus_table: list[tuple[float, float]]  # (eps, observed delta), continuity only
 
     def __str__(self) -> str:
-        cls = self.claimed_class
-        head = f"{self.witness_name}: class={cls} pairs={self.checked_pairs}"
-        if self.passed is None:
+        head = f"{self.witness_name}: class={self.claimed_class} pairs={self.checked_pairs}"
+        if self.claimed_class == CONTINUOUS:
             rows = ", ".join(f"eps={e:g} -> delta={d:g}" for e, d in self.modulus_table)
             return f"{head} modulus[{rows}]"
-        verdict = "pass" if self.passed else f"FAIL at {self.worst_pair}"
-        const = "" if self.best_constant is None else f" max-ratio={self.best_constant:.6g}"
-        return f"{head} {verdict}{const}"
+        return f"{head} max-ratio={self.best_constant:.6g}"
 
 
 def _pair_iter(
@@ -215,14 +212,13 @@ def certify(
     """Check the claimed class pair by pair, exactly.
 
     short: d(fx,fy) <= d(x,y); lipschitz k: <= k*d(x,y); isometric: equality.
-    continuous: no verdict, just the observed modulus (worst shrink of image
-    distance per domain-distance bucket) since samples cannot certify it.
+    A breach raises ValidationError naming the pair. continuous: no gate,
+    just the observed modulus (worst shrink of image distance per
+    domain-distance bucket) since samples cannot certify it.
     """
     claimed = w.claimed_class
     checked = 0
-    worst: Optional[tuple[Point, Point]] = None
     best_c = 0.0
-    ok = True
     moduli: dict[float, float] = {}
 
     for x, y in _pair_iter(w, sample_pairs):
@@ -250,14 +246,13 @@ def certify(
             if kind != "lipschitz":
                 raise ValidationError(f"unknown map class {claimed!r}")
             good = dfxy <= k * dxy
-        if not good and ok:
-            ok = False
-            worst = (x, y)
+        if not good:
+            raise ValidationError(
+                f"{w.name}: {claimed!r} breached at ({x!r}, {y!r}): "
+                f"d(fx,fy) = {dfxy}, d(x,y) = {dxy}"
+            )
 
-    if claimed == CONTINUOUS:
-        table = sorted(moduli.items(), reverse=True)
-        return CertifyReport(w.name, claimed, None, checked, None, best_c, table)
-    return CertifyReport(w.name, claimed, ok, checked, worst, best_c)
+    return CertifyReport(w.name, claimed, checked, best_c, sorted(moduli.items(), reverse=True))
 
 
 def initial_map(space: TriPointedSpace) -> MapWitness:

@@ -7,7 +7,9 @@ file for the full gate:
     pytest tests/test_acceptance.py -v -s
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from trigasket.acceptance import CRITERIA, SUITES, run_criterion, run_suite
 from trigasket.cli import main
 
 _IDS = [f"{num:02d}-{fn.__name__}" for num, fn in CRITERIA]
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 @pytest.mark.parametrize(("number", "fn"), CRITERIA, ids=_IDS)
@@ -23,6 +26,8 @@ def test_criterion(number, fn):
     result = run_criterion(number)
     print(result.line())
     assert result.passed, result.line()
+    # the verdict line is byte-identical to the benchmark's golden verify output
+    assert result.line() == json.loads(GOLDEN.read_text())["verify"]["lines"][number - 1]
 
 
 def test_criteria_numbering_is_complete():

@@ -1,9 +1,15 @@
 """Command line surface: frozen output lines, exit codes, determinism."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from trigasket.cli import main
 from trigasket.words import count_canonical
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def run(capsys, *argv):
@@ -193,3 +199,23 @@ def test_output_is_deterministic(capsys, tmp_path):
     _, out1, _ = run(capsys, "verify", "--suite", "counterexamples")
     _, out2, _ = run(capsys, "verify", "--suite", "counterexamples")
     assert out1 == out2
+
+
+def test_golden_invocations_are_byte_identical(capsys, tmp_path, monkeypatch):
+    """Every light invocation and both renders of the benchmark's golden record."""
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    golden = json.loads(GOLDEN.read_text())["cli"]
+    # renders write to the recorded relative path, here under tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "perfbench" / "out").mkdir(parents=True)
+    for entry in golden["light"] + golden["render"]:
+        argv = entry["argv"]
+        assert main(argv) == 0, argv
+        assert sha(capsys.readouterr().out.encode()) == entry["stdout_sha256"], argv
+        if "file_sha256" in entry:
+            out = tmp_path / argv[argv.index("--out") + 1]
+            assert sha(out.read_bytes()) == entry["file_sha256"], argv
+    assert (len(golden["light"]), len(golden["render"])) == (168, 2)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -7,7 +8,6 @@ from trigasket.coalgebras import (
     Coalgebra,
     finality_check,
     get_coalgebra,
-    mediate_to_final,
     modulus_report,
     theta,
     thetas,
@@ -17,6 +17,7 @@ from trigasket.coalgebras import (
 from trigasket.counterexamples import (
     APEX,
     delta_coalgebra_alt,
+    delta_pair,
     delta_point,
 )
 from trigasket.geometry import VERTEX, coords
@@ -121,47 +122,66 @@ def test_theta_representative_independence_past_seam():
 
 
 def test_limit_point_modulus():
+    """theta_n lies within 2^-n of every later approximant of the same point."""
     co = get_coalgebra("delta")
-    lp = mediate_to_final(co, delta_point(Fraction(2, 7)))
+    ths = thetas(co, delta_point(Fraction(2, 7)), 10)
     for n in range(1, 10):
-        assert lp.modulus(n) == Fraction(1, 2**n)
         for m in range(n, 11):
-            assert dist_G(lp.theta(n), lp.theta(m)) <= lp.modulus(n)
+            assert dist_G(ths[n - 1], ths[m - 1]) <= Fraction(1, 2**n)
 
 
 def test_finality_defect_is_zero():
     co = get_coalgebra("delta")
     sample = [APEX, delta_point(Fraction(1, 3)), delta_point(Fraction(2, 7))]
-    rep = finality_check(co, sample, depth=10)
-    assert rep.passed
-    assert rep.max_violation == 0
+    assert finality_check(co, sample, depth=10) == 0
 
 
 def test_finality_rejects_corrupted_candidate():
     co = get_coalgebra("delta")
     flip = {"a": "b", "b": "c", "c": "a"}
 
-    def bad(p, k):
-        t = theta(co, p, k)
-        w = t.word
-        if w.level == 0:
-            return t
-        return canonicalize(AddressWord(flip[w.labels[0]] + w.labels[1:], w.terminal))
+    def bad(p, n):
+        out = []
+        for t in thetas(co, p, n):
+            w = t.word
+            if w.level:
+                t = canonicalize(AddressWord(flip[w.labels[0]] + w.labels[1:], w.terminal))
+            out.append(t)
+        return out
 
     # 1/3 is immune: its trace is all b's, so theta is the level-0 address
     # ".L" at every depth and the flip never fires
-    immune = finality_check(co, [delta_point(Fraction(1, 3))], depth=8, theta_fn=bad)
-    assert immune.passed
+    assert finality_check(co, [delta_point(Fraction(1, 3))], depth=8, thetas_fn=bad) == 0
     # 2/5 <-> 3/5 cycles through both expanding branches, so its thetas have
     # positive level and the flip produces a genuinely different address
-    rep = finality_check(
-        co,
-        [delta_point(Fraction(1, 2)), delta_point(Fraction(2, 5))],
-        depth=8,
-        theta_fn=bad,
-    )
-    assert not rep.passed
-    assert rep.witness is not None
+    with pytest.raises(ValidationError, match=r"delta: finality square breached at x="):
+        finality_check(
+            co,
+            [delta_point(Fraction(1, 2)), delta_point(Fraction(2, 5))],
+            depth=8,
+            thetas_fn=bad,
+        )
+
+
+def test_finality_bound_is_two_to_one_minus_k():
+    """A defect of exactly 2^(1-k) at every depth k passes; 2^(2-k) breaches."""
+    co = get_coalgebra("delta")
+    x = delta_point(Fraction(1, 4))  # e(x) = (b, 0), and every theta of 0 is .L
+
+    def off_by(shift):
+        # theta_k(x) moved to b^(k-shift).R, at distance 2^(shift-k) from .L
+        def fn(p, n):
+            if p != x:
+                return thetas(co, p, n)
+            return [
+                canonicalize(AddressWord("b" * max(k - shift, 0), "R")) for k in range(1, n + 1)
+            ]
+
+        return fn
+
+    assert finality_check(co, [x], depth=8, thetas_fn=off_by(1)) == Fraction(1, 2)
+    with pytest.raises(ValidationError, match=r"k=2: \.R vs \.L \(defect 1 > 2\^-1\)"):
+        finality_check(co, [x], depth=8, thetas_fn=off_by(2))
 
 
 def test_modulus_report_short_gate():
@@ -173,18 +193,28 @@ def test_modulus_report_short_gate():
     assert co.space.dist(*tiny) == Fraction(1, 2**1100)
     pairs.append(tiny)
     rep = modulus_report(co, pairs, depth=8)
-    assert rep.short_ok is True
     assert rep.gated == len(pairs)
     assert all(not r.skipped for r in rep.rows)
     assert rep.rows[-1].ratio is None and rep.rows[-1].dist_image == 0
     # duplicate spellings of one point are reported, not divided by zero
     dup = modulus_report(co, [(coords(parse_word("b.R")), coords(parse_word("c.L")))], 6)
     assert dup.rows[0].skipped
-    assert (dup.gated, dup.short_ok) == (0, None)
+    assert dup.gated == 0
+
+
+def test_modulus_report_short_gate_breach():
+    """delta expands its witness pairs by 2*2^n, so a claim that it is short must breach."""
+    co = replace(get_coalgebra("delta"), claimed_class="short")
+    x, y = (delta_point(s) for s in delta_pair(3))
+    breach = r"delta: not short at x=.* y=.*: image 1/8 > 1/128 \+ 2\^-11"
+    with pytest.raises(ValidationError, match=breach):
+        modulus_report(co, [(delta_point(0), delta_point(1)), (x, y)], depth=12)
 
 
 def test_modulus_report_no_verdict_without_claim():
     co = delta_coalgebra_alt()
     assert co.claimed_class != "short"
-    rep = modulus_report(co, [(delta_point(0), delta_point(1))], depth=6)
-    assert rep.short_ok is None
+    x, y = (delta_point(s) for s in delta_pair(3))
+    rep = modulus_report(co, [(delta_point(0), delta_point(1)), (x, y)], depth=12)
+    assert rep.gated == 0
+    assert rep.rows[1].ratio == 16

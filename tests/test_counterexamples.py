@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from trigasket import counterexamples
 from trigasket.algebras import validate_algebra
 from trigasket.coalgebras import validate_coalgebra
 from trigasket.counterexamples import (
@@ -20,7 +21,7 @@ from trigasket.counterexamples import (
     y_algebra,
 )
 from trigasket.numerics import sqrt_fraction
-from trigasket.spaces import validate_space
+from trigasket.spaces import ValidationError, validate_space
 
 
 def test_y_algebra_table():
@@ -109,7 +110,6 @@ def test_delta_pair_values():
 
 def test_report_rows_exact():
     rep = delta_nonlipschitz_report(6)
-    assert rep.passed
     assert len(rep.rows) == 6
     for r in rep.rows:
         assert r.dist_domain == Fraction(1, 2 ** (2 * r.n + 1))
@@ -127,8 +127,17 @@ def test_report_formatting():
     assert csv_lines[0] == "n,x,y,dist_domain,dist_image,ratio,bound"
     assert csv_lines[1].startswith("1,5/16,7/16,1/8,1/2,4,")
     assert len(csv_lines) == 3
-    text = str(rep)
-    assert text.splitlines()[-1] == "expansion is unbounded: pass"
+    text_lines = str(rep).splitlines()
+    assert len(text_lines) == 3
+    assert text_lines[0].split() == ["n", "x", "y", "d(x,y)", "d(fx,fy)", "ratio", "bound"]
+    assert text_lines[-1].split()[:6] == ["2", "21/64", "23/64", "1/32", "1/4", "8"]
+
+
+def test_report_gate_breach(monkeypatch):
+    # a pair that both collapse to the L corner: y misses its limit b^n.R by 2^-n
+    monkeypatch.setattr(counterexamples, "delta_pair", lambda n: (Fraction(0), Fraction(1, 8)))
+    with pytest.raises(ValidationError, match=r"^n=1: x=0 y=1/8: limit defects 0, 1/2 "):
+        delta_nonlipschitz_report(3)
 
 
 def test_report_range_guard():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from trigasket.geometry import coords
 from trigasket.metric import (
     ORACLE_MAX_LEVEL,
-    diameter_bound_check,
     dist_G,
     dist_level,
     dist_oracle,
@@ -194,7 +193,9 @@ def test_shared_prefix_diameter(prefix, tail_level, data):
     )
     x1 = data.draw(tails)
     x2 = data.draw(tails)
-    assert diameter_bound_check(prefix, x1, x2)
+    u = AddressWord(prefix + x1.labels, x1.terminal)
+    v = AddressWord(prefix + x2.labels, x2.terminal)
+    assert dist_level(u, v, u.level) <= Fraction(1, 2 ** len(prefix))
 
 
 # two shallow tails, or a deep tail with a shallow or deep one

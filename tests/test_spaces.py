@@ -91,7 +91,7 @@ def test_map_witness_requires_mark_preservation():
 def test_certify_identity_isometric():
     src = i_space()
     rep = certify(MapWitness(lambda p: p, src, src, ISOMETRIC, name="id"))
-    assert rep.passed and rep.checked_pairs == 3
+    assert (rep.checked_pairs, rep.best_constant) == (3, 1.0)
 
 
 def test_certify_unglue_is_lipschitz_two_not_short():
@@ -101,17 +101,18 @@ def test_certify_unglue_is_lipschitz_two_not_short():
     def unglue(p):
         return p[1]
 
-    short = certify(MapWitness(unglue, dom, cod, SHORT, name="unglue"))
-    assert short.passed is False
+    breach = r"^unglue: 'short' breached at \(\('a', 'T'\), \('a', 'L'\)\): "
+    with pytest.raises(ValidationError, match=breach):
+        certify(MapWitness(unglue, dom, cod, SHORT, name="unglue"))
     lip2 = certify(MapWitness(unglue, dom, cod, lipschitz(2), name="unglue"))
-    assert lip2.passed is True
+    assert (lip2.checked_pairs, lip2.best_constant) == (15, 2.0)
 
 
 def test_certify_continuous_reports_modulus_only():
     dom = tensor(i_space())
+    # unglue is not short (above), yet a continuity claim has no gate to breach
     rep = certify(MapWitness(lambda p: p[1], dom, i_space(), CONTINUOUS, name="c"))
-    assert rep.passed is None
-    assert rep.modulus_table  # observed eps -> delta rows
+    assert rep.modulus_table == [(0.5, 0.5), (0.25, 0.5), (0.125, 0.5), (0.0625, 0.5)]
 
 
 def test_certify_infinite_domain_needs_sample():
@@ -122,19 +123,19 @@ def test_certify_infinite_domain_needs_sample():
     with pytest.raises(ValidationError):
         certify(w)
     rep = certify(w, sample_pairs=[("T", "L"), ("L", "R")])
-    assert rep.passed and rep.checked_pairs == 2
+    assert rep.checked_pairs == 2
 
 
 def test_tensor_map_tracks_structure():
     w = MapWitness(lambda p: p, i_space(), i_space(), ISOMETRIC, name="id")
     g = tensor_map(w)
     assert g.domain.points == g.codomain.points
-    assert certify(g).passed
+    assert certify(g).checked_pairs == 15
 
 
 def test_initial_map_is_isometric_embedding():
     rep = certify(initial_map(tensor(i_space())))
-    assert rep.passed and rep.checked_pairs == 3
+    assert rep.checked_pairs == 3
 
 
 SPACE_TEXT = """\
