@@ -5,8 +5,10 @@ plane embedding, and the counterexample gallery. Each returns its PASS
 detail or raises `Fail` with its FAIL detail; `run_criterion` turns that
 into a CriterionResult, taking the number from `CRITERIA` and the name
 from the function, and `run_suite` groups them the way the `verify`
-subcommand exposes them. Every gate is exact (Fraction comparisons);
-randomness is seeded per criterion so output is reproducible byte for byte.
+subcommand exposes them. Every gate is exact: criteria 1-4 compare the
+metric's integer numerators over powers of two and build a Fraction only to
+print one, the rest compare Fractions. Randomness is seeded per criterion so
+output is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from trigasket.words import (
     prepend,
 )
 from trigasket.metric import (
+    _dist_G_num,
+    _dist_level_num,
+    _oracle_num,
+    _tensor_num,
     dist_G,
-    dist_level,
-    dist_oracle,
     oracle_table,
-    tensor_dist_G,
 )
 from trigasket.coalgebras import finality_check, get_coalgebra, thetas
 from trigasket.algebras import check_algebra_morphism, get_algebra, mediate_from_initial
@@ -72,7 +75,7 @@ def metric_matches_oracle() -> str:
         ws = list(iter_words(level))
         for i in range(len(ws)):
             for j in range(i + 1, len(ws)):
-                if dist_level(ws[i], ws[j], level) != dist_oracle(ws[i], ws[j], level):
+                if _dist_level_num(ws[i], ws[j], level) != _oracle_num(ws[i], ws[j], level):
                     raise Fail(f"mismatch at level {level}: {ws[i].text} / {ws[j].text}")
                 checked += 1
     rng = Random(1001)
@@ -80,14 +83,18 @@ def metric_matches_oracle() -> str:
     for _ in range(10_000):
         u = rng.choice(ws4)
         v = rng.choice(ws4)
-        if dist_level(u, v, 4) != dist_oracle(u, v, 4):
+        if _dist_level_num(u, v, 4) != _oracle_num(u, v, 4):
             raise Fail(f"mismatch at level 4: {u.text} / {v.text}")
         checked += 1
     return f"exact equality on {checked} pairs (levels 0-3 exhaustive, 10000 random at level 4)"
 
 
 def prefix_diameter_bound() -> str:
-    """A shared n-label prefix confines any two tails to diameter 2^-n."""
+    """A shared n-label prefix confines any two tails to diameter 2^-n.
+
+    The words have level n + t, so the bounds on numerators over 2^(n+t)
+    are 2^t and 2^(t+1).
+    """
     rng = Random(1002)
     tails = {t: list(iter_words(t)) for t in range(3)}
 
@@ -99,7 +106,7 @@ def prefix_diameter_bound() -> str:
         prefix = "".join(rng.choice(LABELS) for _ in range(n))
         t = rng.randint(0, 2)
         x1, x2 = rng.choice(tails[t]), rng.choice(tails[t])
-        if dist_level(prefixed(prefix, x1), prefixed(prefix, x2), n + t) > Fraction(1, 2**n):
+        if _dist_level_num(prefixed(prefix, x1), prefixed(prefix, x2), n + t) > 1 << t:
             raise Fail(f"d > 2^-{n} for prefix {prefix!r}, tails {x1.text}/{x2.text}")
     for _ in range(10_000):
         n = rng.randint(0, 10)
@@ -107,9 +114,9 @@ def prefix_diameter_bound() -> str:
         t = rng.randint(0, 2)
         x1, x2, y1, y2 = (rng.choice(tails[t]) for _ in range(4))
         level = n + t
-        d1 = dist_level(prefixed(prefix, x1), prefixed(prefix, x2), level)
-        d2 = dist_level(prefixed(prefix, y1), prefixed(prefix, y2), level)
-        if abs(d1 - d2) > Fraction(2, 2**n):
+        d1 = _dist_level_num(prefixed(prefix, x1), prefixed(prefix, x2), level)
+        d2 = _dist_level_num(prefixed(prefix, y1), prefixed(prefix, y2), level)
+        if abs(d1 - d2) > 2 << t:
             raise Fail(f"|d1-d2| > 2^(1-{n}) for prefix {prefix!r}")
     return "10000 pair samples within 2^-n and 10000 quadruples within 2^(1-n), levels 0-10"
 
@@ -123,10 +130,13 @@ def gluing_step_isometry() -> str:
         u = rng.choice(canon)
         v = rng.choice(canon)
         for mu, mv in product(LABELS, repeat=2):
-            lhs = tensor_dist_G(mu, u, mv, v)
-            rhs = dist_G(prepend(mu, u), prepend(mv, v))
-            if lhs != rhs:
-                raise Fail(f"{mu}*{u.text} / {mv}*{v.text}: tensor {lhs} vs image {rhs}")
+            a, la = _tensor_num(mu, u, mv, v)
+            b, lb = _dist_G_num(prepend(mu, u), prepend(mv, v))
+            if a << lb != b << la:
+                raise Fail(
+                    f"{mu}*{u.text} / {mv}*{v.text}: "
+                    f"tensor {Fraction(a, 1 << la)} vs image {Fraction(b, 1 << lb)}"
+                )
             checked += 1
     return f"exact equality on {checked} label-pair combinations (1000 address pairs, levels <= 8)"
 
@@ -150,7 +160,8 @@ def uniform_cauchy_modulus() -> str:
             ths = thetas(co, x, 14)
             for p in range(1, 14):
                 for q in range(p + 1, 15):
-                    if dist_G(ths[p - 1], ths[q - 1]) > Fraction(1, 2**p):
+                    num, n = _dist_G_num(ths[p - 1], ths[q - 1])
+                    if num << p > 1 << n:
                         raise Fail(f"{name}: d(theta_{p}, theta_{q}) > 2^-{p} at {x!r}")
                     checked += 1
     return f"{checked} (p,q) comparisons, 200 points per coalgebra, depths to 14, zero violations"

@@ -25,7 +25,7 @@ from trigasket.geometry import (
     surd_text,
 )
 from trigasket.metric import dist_G, dist_level
-from trigasket.numerics import format_dist
+from trigasket.numerics import _ratio_text, format_dist
 from trigasket.words import canonicalize, parse_word
 
 
@@ -51,8 +51,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 def _cmd_gdist(args: argparse.Namespace) -> int:
     u = canonicalize(parse_word(args.words[0]))
     v = canonicalize(parse_word(args.words[1]))
-    d = dist_G(u, v)
-    print(f"{d.numerator}/{d.denominator}")
+    print(_ratio_text(dist_G(u, v)))
     return 0
 
 

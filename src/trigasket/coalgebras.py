@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .metric import dist_G
+from .metric import _dist_G_num, dist_G
 from .numerics import MetricValue
 from .spaces import Point, TriPointedSpace, ValidationError
 from .words import ANCHOR, AddressWord, CanonicalAddress, canonicalize, prepend
@@ -93,20 +93,21 @@ def finality_check(
     """
     if thetas_fn is None:
         thetas_fn = lambda p, n: thetas(co, p, n)
-    worst = Fraction(0)
+    worst, wn = 0, 0  # the worst defect so far, as a numerator over 2^wn
     for x in sample:
         m1, x1 = co.e(x)
         ths, ths1 = thetas_fn(x, depth), thetas_fn(x1, depth - 1)
         for k in range(2, depth + 1):
             lhs, rhs = ths[k - 1], prepend(m1, ths1[k - 2])
-            d = dist_G(lhs, rhs)
-            if d > Fraction(1, 2 ** (k - 1)):
+            num, n = _dist_G_num(lhs, rhs)
+            if num << (k - 1) > 1 << n:
                 raise ValidationError(
                     f"{co.name}: finality square breached at x={x!r} k={k}: "
-                    f"{lhs.text} vs {rhs.text} (defect {d} > 2^{1 - k})"
+                    f"{lhs.text} vs {rhs.text} (defect {Fraction(num, 1 << n)} > 2^{1 - k})"
                 )
-            worst = max(worst, d)
-    return worst
+            if num << wn > worst << n:
+                worst, wn = num, n
+    return Fraction(worst, 1 << wn)
 
 
 @dataclass

@@ -12,16 +12,20 @@ corner, whose numerator reads the labels as binary digits
 evaluates the formula on those integers. The kernel `_dist` never reads a
 label string: a label is fixed by its T and R digits, so the first differing
 label is the highest bit where those readouts differ, and both labels are
-read off that bit. It works on the digits of two words of one level and
-keeps no table between calls. `dist_level` hands it two words of the stated
-level, while `dist_G` and `tensor_dist_G` pad the shallower word to the
-deeper level with its terminal's pad label, which names the same point and
-shifts its digits, and build no word.
+read off that bit. It works on the digits of two words of one level n,
+keeps no table between calls, and returns the distance's integer numerator
+over 2^n: every level-n distance lies in 2^-n Z. `dist_level` hands it two
+words of the stated level, while `dist_G` and `tensor_dist_G` pad the
+shallower word to the deeper level with its terminal's pad label, which
+names the same point and shifts its digits, and build no word. Each public
+function makes one kernel call and builds one Fraction from its numerator;
+the acceptance criteria and `coalgebras.finality_check` compare the
+numerators themselves, through `_dist_level_num`, `_dist_G_num`,
+`_tensor_num` and `_oracle_num`.
 `dist_oracle` rebuilds the same metric with none of that structure
 (equivalence classes + Floyd-Warshall on min-over-representative edge
 weights), so exact agreement between the two is a real check, not a
-tautology. Every level-n distance lies in 2^-n Z, so the oracle stores and
-relaxes integer numerators over 2^n and makes a Fraction only on lookup.
+tautology. The oracle too stores and relaxes integer numerators over 2^n.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ from .words import (
     distinguished,
     iter_words,
 )
-
-HALF = Fraction(1, 2)
 
 # level n has (3^(n+1) + 3) / 2 classes; measured on CPython 3.11 on one core,
 # levels 0-5 build in 1.6 s together and level 6 (1095 classes) alone in 48 s
@@ -83,20 +85,20 @@ def _crossing(mu: str, mv: str, tu: dict, du: str, tv: dict, dv: str, m: int) ->
 _LABEL_AT = {(1, 0): PAD["T"], (0, 0): PAD["L"], (0, 1): PAD["R"]}
 
 
-def _dist(tu: dict, du: str, tv: dict, dv: str, n: int) -> Fraction:
-    """Quotient metric between two level-n words given by their corner digits
-    tu, tv and terminals du, dv.
+def _dist(tu: dict, du: str, tv: dict, dv: str, n: int) -> int:
+    """2^n times the quotient metric between two level-n words given by their
+    corner digits tu, tv and terminals du, dv.
 
     Each label is fixed by its T and R digits, so the first differing label
     is the highest set bit of the two readouts' differences.
     """
     diff = (tu["T"] ^ tv["T"]) | (tu["R"] ^ tv["R"])
     if not diff:
-        return Fraction(int(du != dv), 1 << n)
+        return int(du != dv)
     m = diff.bit_length() - 1
     mu = _LABEL_AT[tu["T"] >> m & 1, tu["R"] >> m & 1]
     mv = _LABEL_AT[tv["T"] >> m & 1, tv["R"] >> m & 1]
-    return Fraction(_crossing(mu, mv, tu, du, tv, dv, m), 1 << n)
+    return _crossing(mu, mv, tu, du, tv, dv, m)
 
 
 def _padded(w: AddressWord, n: int) -> dict[str, int]:
@@ -114,12 +116,23 @@ def _padded(w: AddressWord, n: int) -> dict[str, int]:
     return digits
 
 
+def _level_mismatch(u: AddressWord, v: AddressWord, level: int) -> ValueError:
+    return ValueError(
+        f"level mismatch: {u} is level {u.level}, {v} is level {v.level}, want {level}"
+    )
+
+
 def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
     """Quotient metric between two words of the given common level."""
     if len(u.labels) != level or len(v.labels) != level:
-        raise ValueError(
-            f"level mismatch: {u} is level {u.level}, {v} is level {v.level}, want {level}"
-        )
+        raise _level_mismatch(u, v, level)
+    return Fraction(_dist(u.toward, u.terminal, v.toward, v.terminal, level), 1 << level)
+
+
+def _dist_level_num(u: AddressWord, v: AddressWord, level: int) -> int:
+    """2^level times dist_level(u, v, level), under the same level check."""
+    if len(u.labels) != level or len(v.labels) != level:
+        raise _level_mismatch(u, v, level)
     return _dist(u.toward, u.terminal, v.toward, v.terminal, level)
 
 
@@ -127,7 +140,14 @@ def dist_G(u: CanonicalAddress, v: CanonicalAddress) -> Fraction:
     """Metric on the address space: pad to the deeper level, measure there."""
     wu, wv = u.word, v.word
     n = max(len(wu.labels), len(wv.labels))
-    return _dist(_padded(wu, n), wu.terminal, _padded(wv, n), wv.terminal, n)
+    return Fraction(_dist(_padded(wu, n), wu.terminal, _padded(wv, n), wv.terminal, n), 1 << n)
+
+
+def _dist_G_num(u: CanonicalAddress, v: CanonicalAddress) -> tuple[int, int]:
+    """dist_G(u, v) as (numerator, n) over 2^n, n the deeper word's level."""
+    wu, wv = u.word, v.word
+    n = max(len(wu.labels), len(wv.labels))
+    return _dist(_padded(wu, n), wu.terminal, _padded(wv, n), wv.terminal, n), n
 
 
 def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> Fraction:
@@ -137,12 +157,19 @@ def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) ->
     dist_G(prepend(mu, u), prepend(mv, v)) exactly; the acceptance suite
     checks that equality.
     """
-    if mu == mv:
-        return HALF * dist_G(u, v)
+    num, n = _tensor_num(mu, u, mv, v)
+    return Fraction(num, 1 << n)
+
+
+def _tensor_num(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> tuple[int, int]:
+    """tensor_dist_G(mu, u, mv, v) as (numerator, n) over 2^n, n one more
+    than the deeper word's level: the step halves distances in a copy."""
     wu, wv = u.word, v.word
     n = max(len(wu.labels), len(wv.labels))
     tu, tv = _padded(wu, n), _padded(wv, n)
-    return Fraction(_crossing(mu, mv, tu, wu.terminal, tv, wv.terminal, n), 2 ** (n + 1))
+    if mu == mv:
+        return _dist(tu, wu.terminal, tv, wv.terminal, n), n + 1
+    return _crossing(mu, mv, tu, wu.terminal, tv, wv.terminal, n), n + 1
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +207,6 @@ class OracleTable:
     @property
     def class_count(self) -> int:
         return len(self.dist)
-
-    def lookup(self, u: AddressWord, v: AddressWord) -> Fraction:
-        return Fraction(self.dist[self.class_of[u]][self.class_of[v]], 2**self.level)
 
 
 @lru_cache(maxsize=None)
@@ -266,6 +290,12 @@ def oracle_table(level: int) -> OracleTable:
 
 def dist_oracle(u: AddressWord, v: AddressWord, level: int) -> Fraction:
     """Brute-force quotient-graph distance; independent of dist_level."""
+    return Fraction(_oracle_num(u, v, level), 1 << level)
+
+
+def _oracle_num(u: AddressWord, v: AddressWord, level: int) -> int:
+    """2^level times dist_oracle(u, v, level): the table's own integer."""
     if u.level != level or v.level != level:
         raise ValueError("oracle arguments must both have the stated level")
-    return oracle_table(level).lookup(u, v)
+    table = oracle_table(level)
+    return table.dist[table.class_of[u]][table.class_of[v]]

@@ -31,9 +31,30 @@ def decimal_str(value: Fraction, places: int = 12) -> str:
     return f"{whole}.{frac:0{places}d}"
 
 
+# CPython refuses str() of an int longer than sys.get_int_max_str_digits()
+# digits (4300 by default, never below 640), so longer ints go out in chunks
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_text(i: int) -> str:
+    """Decimal digits of a nonnegative int of any length."""
+    parts = []
+    while i >= _CHUNK:
+        i, r = divmod(i, _CHUNK)
+        parts.append(f"{r:0{_CHUNK_DIGITS}d}")
+    parts.append(str(i))
+    return "".join(reversed(parts))
+
+
+def _ratio_text(value: Fraction) -> str:
+    """Exact p/q of a rational, whatever the length of p and q."""
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+
+
 def format_dist(value: Fraction, places: int = 12) -> str:
     """CLI-facing distance format: exact p/q fraction plus fixed decimal."""
-    return f"{value.numerator}/{value.denominator} = {decimal_str(value, places)}"
+    return f"{_ratio_text(value)} = {decimal_str(value, places)}"
 
 
 def _sqrt_exact(q: Fraction) -> Fraction | None:

@@ -8,7 +8,6 @@ file for the full gate:
 """
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -65,8 +64,9 @@ def test_crashing_criterion_is_a_fail_verdict(monkeypatch, capsys):
 
 
 def test_fail_verdict_carries_its_detail(monkeypatch):
-    # every oracle distance 2 disagrees with the kernel on the first pair
-    monkeypatch.setattr(acceptance, "dist_oracle", lambda *args: Fraction(2))
+    # an oracle numerator of 2 at level 0 (distance 2) disagrees with the
+    # kernel on the first pair
+    monkeypatch.setattr(acceptance, "_oracle_num", lambda *args: 2)
     r = run_criterion(1)
     assert r.line() == "[FAIL]  1 metric-matches-oracle: mismatch at level 0: .T / .L"
 

@@ -3,11 +3,14 @@
 import hashlib
 import json
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from trigasket.cli import main
-from trigasket.words import count_canonical
+from trigasket.metric import dist_G
+from trigasket.numerics import decimal_str
+from trigasket.words import canonicalize, count_canonical, parse_word
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -61,6 +64,35 @@ def test_gdist_deep_word(capsys):
     # the L corner approaches .T through ever deeper a-copies: d(a^k.L, .T) = 2^-k
     code, out, err = run(capsys, "gdist", "a" * 600 + ".L", ".T")
     assert (code, out, err) == (0, f"1/{2**600}\n", "")
+
+
+def _decimal_int(text):
+    """int(text) for a decimal of any length, read in pieces short enough for
+    CPython's string conversion limit."""
+    n = 0
+    for i in range(0, len(text), 1000):
+        piece = text[i : i + 1000]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
+
+
+def test_dist_and_gdist_print_level_16000_values_exactly(capsys):
+    # 2^16000 has 4,817 decimal digits, past CPython's default limit of 4,300
+    # for printing an int; the first labels differ, so p is long too
+    rng = Random(16000)
+    u = "a" + "".join(rng.choice("abc") for _ in range(15999)) + ".T"
+    v = "c" + "".join(rng.choice("abc") for _ in range(15999)) + ".L"
+    d = dist_G(canonicalize(parse_word(u)), canonicalize(parse_word(v)))
+    assert d.denominator == 2**16000 and d.numerator > 2**15000
+    code, out, err = run(capsys, "gdist", u, v)
+    assert (code, err) == (0, "")
+    p, q = out.removesuffix("\n").split("/")
+    assert (_decimal_int(p), _decimal_int(q)) == (d.numerator, d.denominator)
+    code, out, err = run(capsys, "dist", "--level", "16000", u, v)
+    assert (code, err) == (0, "")
+    ratio, dec = out.removesuffix("\n").split(" = ")
+    assert ratio == "/".join((p, q))
+    assert dec == decimal_str(d)
 
 
 def test_coords(capsys):

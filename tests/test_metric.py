@@ -12,7 +12,11 @@ from trigasket.metric import (
     dist_oracle,
     oracle_table,
     tensor_dist_G,
+    _dist_G_num,
+    _dist_level_num,
+    _oracle_num,
     _padded,
+    _tensor_num,
 )
 from trigasket.words import (
     PAD,
@@ -72,6 +76,16 @@ def test_oracle_agrees_exhaustively():
                 assert dist_level(ws[i], ws[j], level) == dist_oracle(
                     ws[i], ws[j], level
                 )
+
+
+def test_oracle_numerators_match_dist_oracle():
+    for level in range(4):
+        ws = list(iter_words(level))
+        for u in ws:
+            for v in ws:
+                num = _oracle_num(u, v, level)
+                assert type(num) is int
+                assert num == dist_oracle(u, v, level) * 2**level
 
 
 def test_oracle_class_counts():
@@ -370,3 +384,41 @@ def test_padded_digits_match_padded_word(labels, d, extra):
     n = len(labels) + extra
     padded = AddressWord(labels + PAD[d] * extra, d)
     assert _padded(w, n) == padded.toward
+
+
+# levels 0-2000, shallow ones often; the words share a drawn prefix, so they
+# can first differ at any depth, long prefixes included
+KERNEL_LEVELS = st.one_of(
+    st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=2000)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    levels=st.tuples(KERNEL_LEVELS, KERNEL_LEVELS),
+    mu=st.sampled_from("abc"),
+    mv=st.sampled_from("abc"),
+    data=st.data(),
+)
+def test_integer_kernel_matches_public_functions(levels, mu, mv, data):
+    lo, hi = sorted(levels)
+    shared = data.draw(labels_of(hi), label="shared")
+
+    def word(n, tag):
+        keep = data.draw(st.integers(min_value=0, max_value=n), label=tag + "-keep")
+        ls = shared[:keep] + data.draw(labels_of(n - keep), label=tag)
+        return AddressWord(ls, data.draw(terminals, label=tag + "-term"))
+
+    u, v = word(hi, "u"), word(hi, "v")
+    num = _dist_level_num(u, v, hi)
+    assert type(num) is int
+    assert num == dist_level(u, v, hi) * 2**hi
+
+    x, y = canonicalize(word(lo, "x")), canonicalize(word(hi, "y"))
+    num, n = _dist_G_num(x, y)
+    assert n == max(x.level, y.level)
+    assert Fraction(num, 2**n) == dist_G(x, y)
+    assert num == _dist_level_num(embed(x.word, n), embed(y.word, n), n)
+    num, n = _tensor_num(mu, x, mv, y)
+    assert n == max(x.level, y.level) + 1
+    assert Fraction(num, 2**n) == tensor_dist_G(mu, x, mv, y)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from trigasket.numerics import (
     RadicalSum,
+    _int_text,
     decimal_str,
     format_dist,
     sqrt_fraction,
@@ -24,6 +25,14 @@ def test_decimal_str_half_up():
 def test_format_dist():
     assert format_dist(Fraction(1, 2)) == "1/2 = 0.500000000000"
     assert format_dist(Fraction(0)) == "0/1 = 0.000000000000"
+
+
+def test_int_text_past_the_str_digit_limit():
+    # inner pieces keep their leading zeros; 10^5000 is past str()'s default limit
+    assert _int_text(10**5000) == "1" + "0" * 5000
+    assert _int_text(10**1200 + 7) == "1" + "0" * 1199 + "7"
+    assert _int_text(10**600 - 1) == "9" * 600
+    assert _int_text(0) == "0"
 
 
 def test_sqrt_fraction_perfect_square():
