@@ -204,15 +204,15 @@ def edge_drain_collapse() -> str:
 
 def unbounded_expansion() -> str:
     """Witness pairs certify expansion ratio >= 2*2^n for the fold coalgebra."""
-    rep = delta_nonlipschitz_report(10)
+    rows = delta_nonlipschitz_report(10)
     if coords(parse_word(".L")) != Point2(Fraction(0), Fraction(0)):
         raise Fail("L corner is not the origin")
-    for row in rep.rows:
+    for row in rows:
         limit_y = coords(parse_word("b" * row.n + ".R"))
         want_y = Point2(Fraction(1, 2**row.n), Fraction(0))
         if limit_y != want_y:
             raise Fail(f"n={row.n}: y-limit point is not (1/2^{row.n}, 0)")
-    final = rep.rows[-1].ratio
+    final = rows[-1].ratio
     return f"limits pinned to within 2^-16, ratios exactly 2*2^n (n=1..10, final {final})"
 
 

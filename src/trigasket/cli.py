@@ -88,10 +88,9 @@ def _cmd_mediate(args: argparse.Namespace) -> int:
     x = _parse_point(args.coalgebra, args.point)
     t = theta(co, x, args.depth)
     anchor = coords(t.word)
-    bound = Fraction(1, 2**args.depth)
     print(f"theta_{args.depth} = {t.text}")
     print(f"coords = {surd_text(anchor.x, 0)}, {surd_text(0, anchor.yc)}")
-    print(f"bound = {bound.numerator}/{bound.denominator}")
+    print(f"bound = {_ratio_text(Fraction(1, 1 << args.depth))}")
     return 0
 
 

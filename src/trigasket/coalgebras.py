@@ -4,9 +4,8 @@ A coalgebra on X maps a point to (label, next point). Iterating it yields a
 label trace; anchoring the trace after n steps at the corner matched to the
 last label (a->T, b->L, c->R) gives a canonical address theta_n whose tail
 is pinned down to within 2^-n. The limit of that sequence is the mediating
-map into the completed address space. The gates `finality_check` and a short
-coalgebra's `modulus_report` return what they measured and raise
-ValidationError at their first breach.
+map into the completed address space. The gate `finality_check` returns
+what it measured and raises ValidationError at its first breach.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .metric import _dist_G_num, dist_G
-from .numerics import MetricValue
+from .metric import _dist_G_num
 from .spaces import Point, TriPointedSpace, ValidationError
 from .words import ANCHOR, AddressWord, CanonicalAddress, canonicalize, prepend
 
@@ -26,7 +24,6 @@ class Coalgebra:
     space: TriPointedSpace
     e: Callable[[Point], tuple[str, Point]]
     name: str = "coalgebra"
-    claimed_class: "str | tuple[str, Fraction] | None" = None
 
 
 def validate_coalgebra(co: Coalgebra) -> None:
@@ -110,76 +107,12 @@ def finality_check(
     return Fraction(worst, 1 << wn)
 
 
-@dataclass
-class ModulusRow:
-    x: Point
-    y: Point
-    dist_domain: MetricValue
-    dist_image: Fraction
-    ratio: Optional[float]  # display only; gates are exact
-    skipped: bool = False
-
-
-@dataclass
-class ModulusReport:
-    coalgebra_name: str
-    depth: int
-    rows: list[ModulusRow]
-    max_ratio: Optional[float]
-    gated: int = 0  # pairs the short gate ran on
-
-    def __str__(self) -> str:
-        head = f"{self.coalgebra_name}: depth {self.depth}, {len(self.rows)} pairs"
-        return head + ("" if self.max_ratio is None else f", max ratio {self.max_ratio:.6g}")
-
-
-def modulus_report(
-    co: Coalgebra, pairs: Sequence[tuple[Point, Point]], depth: int
-) -> ModulusReport:
-    """Expansion ratios of the limit map at finite depth.
-
-    Image distances carry a 2*2^-depth uncertainty from the two approximants,
-    so the short gate is the exact inequality
-    d(theta x, theta y) <= d(x, y) + 2^(1-depth), no division involved. It
-    runs on every pair at a nonzero exact distance, even one whose float is
-    0.0 (that pair shows no ratio). A coalgebra claimed short raises
-    ValidationError at the first pair that breaches it.
-    """
-    rows: list[ModulusRow] = []
-    max_ratio: Optional[float] = None
-    slack = Fraction(2, 2**depth)
-    short = co.claimed_class == "short"
-    gated = 0
-    for x, y in pairs:
-        dxy = co.space.dist(x, y)
-        if dxy == 0:
-            rows.append(ModulusRow(x, y, dxy, Fraction(0), None, skipped=True))
-            continue
-        dimg = dist_G(theta(co, x, depth), theta(co, y, depth))
-        fd = float(dxy)
-        ratio = float(dimg) / fd if fd > 0 else None
-        if ratio is not None and (max_ratio is None or ratio > max_ratio):
-            max_ratio = ratio
-        if short:
-            gated += 1
-            if dimg > dxy + slack:
-                raise ValidationError(
-                    f"{co.name}: not short at x={x!r} y={y!r}: "
-                    f"image {dimg} > {dxy} + 2^{1 - depth}"
-                )
-        rows.append(ModulusRow(x, y, dxy, dimg, ratio))
-    return ModulusReport(co.name, depth, rows, max_ratio, gated)
-
-
 def get_coalgebra(name: str) -> Coalgebra:
     """Built-in coalgebras by name: gasket-sigma, delta."""
     if name == "gasket-sigma":
         from .geometry import gasket_space, sigma_inv
 
-        co = Coalgebra(
-            gasket_space(), lambda p: sigma_inv(p), name="gasket-sigma",
-            claimed_class="short",
-        )
+        co = Coalgebra(gasket_space(), lambda p: sigma_inv(p), name="gasket-sigma")
     elif name == "delta":
         from .counterexamples import delta_coalgebra
 

@@ -9,8 +9,6 @@ Lipschitz constant works.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -19,7 +17,7 @@ from .algebras import Algebra
 from .coalgebras import Coalgebra, theta
 from .metric import dist_G
 from .numerics import sqrt_fraction
-from .spaces import TriPointedSpace, ValidationError, discrete_space
+from .spaces import TriPointedSpace, ValidationError, discrete_space, i_space
 from .words import AddressWord, canonicalize
 
 
@@ -36,7 +34,7 @@ def y_algebra() -> Algebra:
 
 def i_algebra() -> Algebra:
     """An algebra on the corner space itself; everything right of L drains to R."""
-    space = discrete_space("I", "T", "L", "R")
+    space = i_space()
     table = {
         ("a", "T"): "T",
         ("a", "L"): "L",
@@ -125,26 +123,7 @@ def delta_step(p: DeltaPoint) -> tuple[str, DeltaPoint]:
 
 
 def delta_coalgebra() -> Coalgebra:
-    return Coalgebra(
-        delta_space(), delta_step, name="delta", claimed_class=("lipschitz", Fraction(2))
-    )
-
-
-def delta_coalgebra_alt() -> Coalgebra:
-    """Same dynamics but resolving s = 1/2 through the other representative (c, 0).
-
-    Exists so tests can confirm the limit addresses are representative
-    independent.
-    """
-
-    def e(p: DeltaPoint) -> tuple[str, DeltaPoint]:
-        if not p.is_apex and p.s == Fraction(1, 2):
-            return "c", delta_point(0)
-        return delta_step(p)
-
-    return Coalgebra(
-        delta_space(), e, name="delta-alt", claimed_class=("lipschitz", Fraction(2))
-    )
+    return Coalgebra(delta_space(), delta_step, name="delta")
 
 
 # ---------------------------------------------------------------------------
@@ -169,40 +148,13 @@ class NonLipschitzRow:
     y_limit_defect: Fraction  # distance of theta_q(y) from the b^n.R point
 
 
-@dataclass
-class NonLipschitzReport:
-    rows: list[NonLipschitzRow]
-
-    def __str__(self) -> str:
-        lines = [
-            f"{'n':>3} {'x':>16} {'y':>16} {'d(x,y)':>12} {'d(fx,fy)':>10} "
-            f"{'ratio':>8} {'bound':>16}"
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r.n:>3} {str(r.x):>16} {str(r.y):>16} {str(r.dist_domain):>12} "
-                f"{str(r.dist_image):>10} {str(r.ratio):>8} {str(r.bound):>16}"
-            )
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "x", "y", "dist_domain", "dist_image", "ratio", "bound"])
-        for r in self.rows:
-            writer.writerow(
-                [r.n, r.x, r.y, r.dist_domain, r.dist_image, r.ratio, r.bound]
-            )
-        return buf.getvalue()
-
-
 def delta_pair(n: int) -> tuple[Fraction, Fraction]:
     """The witness pair at index n: both sit deep inside the n-th fold."""
     base = sum(Fraction(1, 4**j) for j in range(1, n + 1))
     return base + Fraction(1, 4 ** (n + 1)), base + Fraction(3, 4 ** (n + 1))
 
 
-def delta_nonlipschitz_report(n_max: int) -> NonLipschitzReport:
+def delta_nonlipschitz_report(n_max: int) -> list[NonLipschitzRow]:
     """Exact expansion ratios d_G(theta x, theta y) / |x - y| for the witness pairs.
 
     The x_n limit is the L corner and the y_n limit is the point b^n.R, both
@@ -235,4 +187,4 @@ def delta_nonlipschitz_report(n_max: int) -> NonLipschitzReport:
         rows.append(
             NonLipschitzRow(n, x, y, d_dom, d_img, ratio, bound, dx_defect, dy_defect)
         )
-    return NonLipschitzReport(rows)
+    return rows

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .numerics import decimal_str
+from .numerics import _ratio_text, decimal_str
 from .words import (
     ANCHOR,
     DIGITS,
@@ -40,8 +40,9 @@ RENDER_MAX_DEPTH = 12
 
 def surd_text(u: "Fraction | int", v: "Fraction | int") -> str:
     """Pinned CLI format of u + v*sqrt3: "p/q+r/s√3", both components always shown."""
+    head = ("-" if u < 0 else "") + _ratio_text(abs(u))
     sign = "-" if v < 0 else "+"
-    return f"{u.numerator}/{u.denominator}{sign}{abs(v.numerator)}/{v.denominator}√3"
+    return f"{head}{sign}{_ratio_text(abs(v))}√3"
 
 
 def surd_decimal(u: "Fraction | int", v: "Fraction | int", places: int = 12) -> str:
@@ -261,16 +262,6 @@ def _rows(depth: int, fmt: str) -> Iterator[str]:
         raise ValueError(f"unknown render format {fmt!r}")
     _check_depth(depth)
     return _ROWS[fmt](depth)
-
-
-def render_svg(depth: int) -> str:
-    """SVG point cloud of every canonical address up to the depth."""
-    return "".join(_rows(depth, "svg"))
-
-
-def render_point_list(depth: int) -> str:
-    """Plain text, one point per line: x and y as u + v*sqrt3, "xu xv yu yv" in fractions."""
-    return "".join(_rows(depth, "points"))
 
 
 def render(depth: int, path: str, fmt: str = "svg") -> int:

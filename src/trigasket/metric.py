@@ -51,12 +51,12 @@ ORACLE_MAX_LEVEL = 5
 _MEETS = {(m, m2): d for pair in GLUE for (m, d), (m2, _) in (pair, pair[::-1])}
 
 # Junction crossings, keyed by ordered copy pair (m, m'):
-# (direct corner on m side, direct corner on m' side,
-#  via corner on m side,    via corner on m' side).
+# (direct corner on m side, direct corner on m' side, via corner).
 # The via route's middle leg crosses the third copy k corner-to-corner and
-# contributes exactly 1 inside the minimum.
-JUNCTIONS: dict[tuple[str, str], tuple[str, str, str, str]] = {
-    (m, m2): (_MEETS[m, m2], _MEETS[m2, m], _MEETS[m, k], _MEETS[m2, k])
+# contributes exactly 1 inside the minimum. Copies m and m' both meet k at
+# k's anchor, so the via corner is the same on both sides.
+JUNCTIONS: dict[tuple[str, str], tuple[str, str, str]] = {
+    (m, m2): (_MEETS[m, m2], _MEETS[m2, m], _MEETS[m, k])
     for m, m2 in _MEETS
     for k in LABELS
     if k not in (m, m2)
@@ -72,11 +72,11 @@ def _crossing(mu: str, mv: str, tu: dict, du: str, tv: dict, dv: str, m: int) ->
     2^m times a word's distance to corner c is 2^m minus its digits toward c,
     minus 1 if its terminal is c.
     """
-    p, q, pv, qv = JUNCTIONS[mu, mv]
+    p, q, r = JUNCTIONS[mu, mv]
     s = 1 << m
     mask = s - 1
     direct = 2 * s - (tu[p] & mask) - (du == p) - (tv[q] & mask) - (dv == q)
-    via = 3 * s - (tu[pv] & mask) - (du == pv) - (tv[qv] & mask) - (dv == qv)
+    via = 3 * s - (tu[r] & mask) - (du == r) - (tv[r] & mask) - (dv == r)
     return min(direct, via)
 
 
@@ -116,31 +116,24 @@ def _padded(w: AddressWord, n: int) -> dict[str, int]:
     return digits
 
 
-def _level_mismatch(u: AddressWord, v: AddressWord, level: int) -> ValueError:
-    return ValueError(
-        f"level mismatch: {u} is level {u.level}, {v} is level {v.level}, want {level}"
-    )
-
-
 def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
     """Quotient metric between two words of the given common level."""
-    if len(u.labels) != level or len(v.labels) != level:
-        raise _level_mismatch(u, v, level)
-    return Fraction(_dist(u.toward, u.terminal, v.toward, v.terminal, level), 1 << level)
+    return Fraction(_dist_level_num(u, v, level), 1 << level)
 
 
 def _dist_level_num(u: AddressWord, v: AddressWord, level: int) -> int:
-    """2^level times dist_level(u, v, level), under the same level check."""
+    """2^level times dist_level(u, v, level); words of another level are rejected."""
     if len(u.labels) != level or len(v.labels) != level:
-        raise _level_mismatch(u, v, level)
+        raise ValueError(
+            f"level mismatch: {u} is level {u.level}, {v} is level {v.level}, want {level}"
+        )
     return _dist(u.toward, u.terminal, v.toward, v.terminal, level)
 
 
 def dist_G(u: CanonicalAddress, v: CanonicalAddress) -> Fraction:
     """Metric on the address space: pad to the deeper level, measure there."""
-    wu, wv = u.word, v.word
-    n = max(len(wu.labels), len(wv.labels))
-    return Fraction(_dist(_padded(wu, n), wu.terminal, _padded(wv, n), wv.terminal, n), 1 << n)
+    num, n = _dist_G_num(u, v)
+    return Fraction(num, 1 << n)
 
 
 def _dist_G_num(u: CanonicalAddress, v: CanonicalAddress) -> tuple[int, int]:

@@ -108,9 +108,9 @@ def _tensor_dist(base: TriPointedSpace) -> Callable[[Point, Point], MetricValue]
         (m1, x), (m2, y) = p, q
         if m1 == m2:
             return HALF * base.dist(x, y)
-        c1, c2, v1, v2 = (getattr(base, d) for d in JUNCTIONS[m1, m2])
+        c1, c2, v = (getattr(base, d) for d in JUNCTIONS[m1, m2])
         direct = base.dist(x, c1) + base.dist(c2, y)
-        via = base.dist(x, v1) + ONE + base.dist(v2, y)
+        via = base.dist(x, v) + ONE + base.dist(v, y)
         return HALF * min(direct, via)
 
     return dist
@@ -164,17 +164,6 @@ class MapWitness:
         for d in ("T", "L", "R"):
             if self.f(getattr(self.domain, d)) != getattr(self.codomain, d):
                 raise ValidationError(f"{self.name}: does not preserve mark {d}")
-
-
-def tensor_map(w: MapWitness) -> MapWitness:
-    """Apply the gluing to a map: (m, x) goes to (m, f(x)), same claimed class."""
-    dom, cod = tensor(w.domain), tensor(w.codomain)
-
-    def g(p: Point) -> Point:
-        m, x = p
-        return glue_normalize(m, w.f(x), w.codomain)
-
-    return MapWitness(g, dom, cod, w.claimed_class, name=f"glue({w.name})")
 
 
 @dataclass
@@ -255,16 +244,6 @@ def certify(
     return CertifyReport(w.name, claimed, checked, best_c, sorted(moduli.items(), reverse=True))
 
 
-def initial_map(space: TriPointedSpace) -> MapWitness:
-    """The unique marked-point map out of the three-point space; an isometric embedding."""
-    corner = i_space()
-
-    def f(p: Point) -> Point:
-        return {"T": space.T, "L": space.L, "R": space.R}[p]
-
-    return MapWitness(f, corner, space, ISOMETRIC, name=f"eta({space.name})")
-
-
 # ---------------------------------------------------------------------------
 # Concrete finite spaces
 # ---------------------------------------------------------------------------
@@ -329,17 +308,3 @@ def load_space(text: str, name: str = "loaded") -> TriPointedSpace:
     validate_space(space)
     return space
 
-
-def dump_space(space: TriPointedSpace) -> str:
-    """Inverse of load_space for finite spaces."""
-    if not space.is_finite():
-        raise ValidationError("only finite spaces can be dumped")
-    pts = space.points
-    lines = [
-        "points: " + " ".join(str(p) for p in pts),
-        f"marked: T={space.T} L={space.L} R={space.R}",
-    ]
-    for p in pts:
-        row = " ".join(str(Fraction(space.dist(p, q))) for q in pts)
-        lines.append(f"{p}: {row}")
-    return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from trigasket.cli import main
+from trigasket.geometry import coords, surd_decimal
 from trigasket.metric import dist_G
 from trigasket.numerics import decimal_str
 from trigasket.words import canonicalize, count_canonical, parse_word
@@ -95,6 +96,24 @@ def test_dist_and_gdist_print_level_16000_values_exactly(capsys):
     assert dec == decimal_str(d)
 
 
+def test_coords_prints_level_16000_coordinates_exactly(capsys):
+    # x and yc are over 2^16001, past CPython's default limit for printing an int
+    rng = Random(16001)
+    word = "".join(rng.choice("abc") for _ in range(16000)) + ".R"
+    p = coords(parse_word(word))
+    code, out, err = run(capsys, "coords", word)
+    assert (code, err) == (0, "")
+    x_line, y_line = out.splitlines()
+    x_text, x_dec = x_line.removeprefix("x = ").split(" = ")
+    y_text, y_dec = y_line.removeprefix("y = ").split(" = ")
+    assert x_text.endswith("+0/1√3") and y_text.startswith("0/1+")
+    xp, xq = x_text.removesuffix("+0/1√3").split("/")
+    yp, yq = y_text.removeprefix("0/1+").removesuffix("√3").split("/")
+    assert (_decimal_int(xp), _decimal_int(xq)) == (p.x.numerator, p.x.denominator)
+    assert (_decimal_int(yp), _decimal_int(yq)) == (p.yc.numerator, p.yc.denominator)
+    assert (x_dec, y_dec) == (surd_decimal(p.x, 0), surd_decimal(0, p.yc))
+
+
 def test_coords(capsys):
     code, out, _ = run(capsys, "coords", "ba.R")
     assert code == 0
@@ -139,6 +158,20 @@ def test_mediate_delta(capsys):
         "coords = 1/2+0/1√3, 0/1+0/1√3\n"
         "bound = 1/64\n"
     )
+
+
+def test_mediate_prints_a_level_16000_bound_exactly(capsys):
+    # 1/3 stays on the b branch, so theta is .L at every depth; the bound 2^-16000
+    # has a 4,817-digit denominator
+    code, out, err = run(
+        capsys, "mediate", "--coalgebra", "delta", "--point", "1/3", "--depth", "16000"
+    )
+    assert (code, err) == (0, "")
+    theta_line, coords_line, bound_line = out.splitlines()
+    assert theta_line == "theta_16000 = .L"
+    assert coords_line == "coords = 0/1+0/1√3, 0/1+0/1√3"
+    p, q = bound_line.removeprefix("bound = ").split("/")
+    assert (p, _decimal_int(q)) == ("1", 2**16000)
 
 
 def test_mediate_gasket_sigma(capsys):

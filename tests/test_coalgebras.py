@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -8,18 +7,12 @@ from trigasket.coalgebras import (
     Coalgebra,
     finality_check,
     get_coalgebra,
-    modulus_report,
     theta,
     thetas,
     unfold,
     validate_coalgebra,
 )
-from trigasket.counterexamples import (
-    APEX,
-    delta_coalgebra_alt,
-    delta_pair,
-    delta_point,
-)
+from trigasket.counterexamples import APEX, delta_point
 from trigasket.geometry import VERTEX, coords
 from trigasket.metric import dist_G
 from trigasket.spaces import ValidationError, i_space
@@ -97,6 +90,20 @@ def test_theta_on_finitely_addressed_point():
         assert theta(co, p, n) == canon("ba.R")
 
 
+def test_gasket_sigma_theta_recovers_the_address():
+    """Past its level, a finitely addressed point's approximant is its address.
+
+    The limit map of gasket-sigma is exact_address, an isometry for the
+    gasket's address metric. At n = level the last label's anchor stands in
+    for the terminal, so the claim is for n above the level only.
+    """
+    co = get_coalgebra("gasket-sigma")
+    for w in iter_canonical(5):
+        p = coords(w)
+        for n in range(w.level + 1, w.level + 4):
+            assert theta(co, p, n) == w
+
+
 def test_theta_corner_points_are_constant():
     co = get_coalgebra("gasket-sigma")
     for corner, text in ((VERTEX["T"], ".T"), (VERTEX["L"], ".L"), (VERTEX["R"], ".R")):
@@ -104,10 +111,10 @@ def test_theta_corner_points_are_constant():
             assert theta(co, corner, n) == canon(text)
 
 
-def test_theta_representative_independence_past_seam():
+def test_theta_representative_independence_past_seam(delta_alt):
     """Two spellings of the seam point disagree only at the seam step itself."""
     primary = get_coalgebra("delta")
-    alt = delta_coalgebra_alt()
+    alt = delta_alt
     half = delta_point(Fraction(1, 2))
     assert theta(primary, half, 1).text == ".L"
     assert theta(alt, half, 1).text == ".R"
@@ -182,39 +189,3 @@ def test_finality_bound_is_two_to_one_minus_k():
     assert finality_check(co, [x], depth=8, thetas_fn=off_by(1)) == Fraction(1, 2)
     with pytest.raises(ValidationError, match=r"k=2: \.R vs \.L \(defect 1 > 2\^-1\)"):
         finality_check(co, [x], depth=8, thetas_fn=off_by(2))
-
-
-def test_modulus_report_short_gate():
-    co = get_coalgebra("gasket-sigma")
-    pts = [coords(parse_word(t)) for t in (".T", ".L", ".R", "a.L", "ba.R", "ca.R")]
-    pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
-    # a pair at exact distance 2^-1100, whose float is 0.0, is gated all the same
-    tiny = (VERTEX["L"], coords(AddressWord("b" * 1100, "R")))
-    assert co.space.dist(*tiny) == Fraction(1, 2**1100)
-    pairs.append(tiny)
-    rep = modulus_report(co, pairs, depth=8)
-    assert rep.gated == len(pairs)
-    assert all(not r.skipped for r in rep.rows)
-    assert rep.rows[-1].ratio is None and rep.rows[-1].dist_image == 0
-    # duplicate spellings of one point are reported, not divided by zero
-    dup = modulus_report(co, [(coords(parse_word("b.R")), coords(parse_word("c.L")))], 6)
-    assert dup.rows[0].skipped
-    assert dup.gated == 0
-
-
-def test_modulus_report_short_gate_breach():
-    """delta expands its witness pairs by 2*2^n, so a claim that it is short must breach."""
-    co = replace(get_coalgebra("delta"), claimed_class="short")
-    x, y = (delta_point(s) for s in delta_pair(3))
-    breach = r"delta: not short at x=.* y=.*: image 1/8 > 1/128 \+ 2\^-11"
-    with pytest.raises(ValidationError, match=breach):
-        modulus_report(co, [(delta_point(0), delta_point(1)), (x, y)], depth=12)
-
-
-def test_modulus_report_no_verdict_without_claim():
-    co = delta_coalgebra_alt()
-    assert co.claimed_class != "short"
-    x, y = (delta_point(s) for s in delta_pair(3))
-    rep = modulus_report(co, [(delta_point(0), delta_point(1)), (x, y)], depth=12)
-    assert rep.gated == 0
-    assert rep.rows[1].ratio == 16

@@ -11,7 +11,6 @@ from trigasket.counterexamples import (
     APEX,
     REPORT_MAX_N,
     delta_coalgebra,
-    delta_coalgebra_alt,
     delta_nonlipschitz_report,
     delta_pair,
     delta_point,
@@ -84,19 +83,19 @@ def test_delta_step_branches():
     assert delta_step(delta_point(1)) == ("c", delta_point(1))
 
 
-def test_delta_coalgebras_validate():
+def test_delta_coalgebras_validate(delta_alt):
     validate_coalgebra(delta_coalgebra())
-    validate_coalgebra(delta_coalgebra_alt())
+    validate_coalgebra(delta_alt)
 
 
-def test_alt_resolves_seam_through_other_copy():
+def test_alt_resolves_seam_through_other_copy(delta_alt):
     half = delta_point(Fraction(1, 2))
     assert delta_coalgebra().e(half) == ("b", delta_point(1))
-    assert delta_coalgebra_alt().e(half) == ("c", delta_point(0))
+    assert delta_alt.e(half) == ("c", delta_point(0))
     # away from the seam the two agree
     for s in (0, Fraction(1, 3), Fraction(2, 3), 1):
         p = delta_point(s)
-        assert delta_coalgebra_alt().e(p) == delta_coalgebra().e(p)
+        assert delta_alt.e(p) == delta_coalgebra().e(p)
 
 
 def test_delta_pair_values():
@@ -109,9 +108,9 @@ def test_delta_pair_values():
 
 
 def test_report_rows_exact():
-    rep = delta_nonlipschitz_report(6)
-    assert len(rep.rows) == 6
-    for r in rep.rows:
+    rows = delta_nonlipschitz_report(6)
+    assert len(rows) == 6
+    for r in rows:
         assert r.dist_domain == Fraction(1, 2 ** (2 * r.n + 1))
         assert r.dist_image == Fraction(1, 2**r.n)
         assert r.ratio == 2 * 2**r.n
@@ -119,18 +118,6 @@ def test_report_rows_exact():
         # the limits are hit exactly, not merely within tolerance
         assert r.x_limit_defect == 0
         assert r.y_limit_defect == 0
-
-
-def test_report_formatting():
-    rep = delta_nonlipschitz_report(2)
-    csv_lines = rep.to_csv().splitlines()
-    assert csv_lines[0] == "n,x,y,dist_domain,dist_image,ratio,bound"
-    assert csv_lines[1].startswith("1,5/16,7/16,1/8,1/2,4,")
-    assert len(csv_lines) == 3
-    text_lines = str(rep).splitlines()
-    assert len(text_lines) == 3
-    assert text_lines[0].split() == ["n", "x", "y", "d(x,y)", "d(fx,fy)", "ratio", "bound"]
-    assert text_lines[-1].split()[:6] == ["2", "21/64", "23/64", "1/32", "1/4", "8"]
 
 
 def test_report_gate_breach(monkeypatch):

@@ -19,9 +19,7 @@ from trigasket.geometry import (
     gasket_space,
     in_triangle,
     render,
-    render_point_list,
     render_points,
-    render_svg,
     sigma,
     sigma_inv,
     surd_decimal,
@@ -362,8 +360,10 @@ def test_render_depth_guard():
         render_points(-1)
 
 
-def test_render_point_list_frozen_head():
-    lines = render_point_list(1).splitlines()
+def test_render_point_list_frozen_head(tmp_path):
+    out = tmp_path / "g1.txt"
+    render(1, str(out), "points")
+    lines = out.read_text().splitlines()
     assert lines[0] == "1/2 0/1 0/1 1/2"
     assert lines[1] == "0/1 0/1 0/1 0/1"
     assert lines[2] == "1/1 0/1 0/1 0/1"
@@ -371,8 +371,10 @@ def test_render_point_list_frozen_head():
     assert len(lines) == count_canonical(1)
 
 
-def test_render_svg_structure():
-    svg = render_svg(2)
+def test_render_svg_structure(tmp_path):
+    out = tmp_path / "g2.svg"
+    render(2, str(out), "svg")
+    svg = out.read_text()
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<circle ") == count_canonical(2)
@@ -395,8 +397,6 @@ SVG6_SHA256 = "a27801420ddd4a4718631c9028f2018e0977d274592e4e5643d5734a10d68842"
 
 
 def test_render_depth6_bytes_pinned(tmp_path):
-    assert hashlib.sha256(render_point_list(6).encode()).hexdigest() == POINTS6_SHA256
-    assert hashlib.sha256(render_svg(6).encode()).hexdigest() == SVG6_SHA256
     for fmt, want in (("points", POINTS6_SHA256), ("svg", SVG6_SHA256)):
         out = tmp_path / f"g6.{fmt}"
         render(6, str(out), fmt)

@@ -39,10 +39,10 @@ def test_digit_tables():
 
 def test_junctions():
     assert JUNCTIONS == {
-        ("a", "b"): ("L", "T", "R", "R"),
-        ("b", "a"): ("T", "L", "R", "R"),
-        ("a", "c"): ("R", "T", "L", "L"),
-        ("c", "a"): ("T", "R", "L", "L"),
-        ("b", "c"): ("R", "L", "T", "T"),
-        ("c", "b"): ("L", "R", "T", "T"),
+        ("a", "b"): ("L", "T", "R"),
+        ("b", "a"): ("T", "L", "R"),
+        ("a", "c"): ("R", "T", "L"),
+        ("c", "a"): ("T", "R", "L"),
+        ("b", "c"): ("R", "L", "T"),
+        ("c", "b"): ("L", "R", "T"),
     }

@@ -1,10 +1,28 @@
-"""The traced benchmark run wraps library functions by name; each must exist."""
+"""Guards on the library's surface: the traced benchmark run wraps library
+functions by name, so each must exist; and every module-level function or
+class in the package has a caller in the package, or a stated reason."""
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "trigasket"
+
+# definitions that no other package code names, each with its reason
+NO_CALLER_IN_PACKAGE = {
+    "acceptance.run_suite": "the Python entry point the README documents",
+    "metric.dist_oracle": "named in perfbench/tracer.py TRACED (ROADMAP item 1)",
+    "metric.tensor_dist_G": "named in perfbench/tracer.py TRACED (ROADMAP item 1)",
+    "words.embed": "named in perfbench/tracer.py TRACED (ROADMAP item 1)",
+    "geometry.in_triangle": "named in perfbench/tracer.py TRACED (ROADMAP item 1)",
+    "geometry.render_points": "named in perfbench/tracer.py TRACED (ROADMAP item 1)",
+    "spaces.tensor": "the premise criterion of ROADMAP item 17 calls it",
+    "spaces.certify": "the premise criterion of ROADMAP item 17 calls it",
+    "spaces.lipschitz": "the premise criterion of ROADMAP item 17 calls it",
+    "spaces.load_space": "the coalgebra-from-a-table input of ROADMAP item 5",
+}
 
 
 def _traced() -> dict:
@@ -25,3 +43,31 @@ def test_traced_names_exist():
         if not callable(getattr(importlib.import_module(f"trigasket.{mod}"), name, None))
     ]
     assert missing == []
+
+
+def _names(node: ast.AST) -> set:
+    """Every identifier a subtree names: variables, attributes and imports."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+    return found
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    bodies = {p.stem: ast.parse(p.read_text(encoding="utf-8")).body for p in PACKAGE.glob("*.py")}
+    orphans = []
+    for mod, body in bodies.items():
+        for d in body:
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            # a definition's own body does not count as a caller
+            if not any(d.name in _names(top) for b in bodies.values() for top in b if top is not d):
+                orphans.append(f"{mod}.{d.name}")
+    assert sorted(set(orphans) - set(NO_CALLER_IN_PACKAGE)) == []
+    # an allowlisted name that gains a caller leaves the list
+    assert sorted(set(NO_CALLER_IN_PACKAGE) - set(orphans)) == []
