@@ -40,13 +40,20 @@ def validate_coalgebra(co: Coalgebra) -> None:
 
 
 def unfold(co: Coalgebra, x: Point, n: int) -> tuple[str, Point]:
-    """Iterate the structure map n times: the label trace and the final point."""
+    """Iterate the structure map n times: the label trace and the final point.
+
+    A ValueError from the structure map is re-raised naming the coalgebra,
+    the starting point x and the step that failed.
+    """
     if n < 0:
         raise ValueError("depth must be nonnegative")
     labels = []
     p = x
-    for _ in range(n):
-        m, p = co.e(p)
+    for step in range(1, n + 1):
+        try:
+            m, p = co.e(p)
+        except ValueError as exc:
+            raise ValueError(f"{co.name}: unfolding {x} failed at step {step}: {exc}") from exc
         labels.append(m)
     return "".join(labels), p
 

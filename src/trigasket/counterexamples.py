@@ -131,8 +131,6 @@ def delta_coalgebra() -> Coalgebra:
 # ---------------------------------------------------------------------------
 
 REPORT_MAX_N = 12
-LIMIT_TOL = Fraction(1, 2**16)
-RATIO_SLACK = Fraction(1, 2**10)
 
 
 @dataclass
@@ -143,7 +141,6 @@ class NonLipschitzRow:
     dist_domain: Fraction
     dist_image: Fraction
     ratio: Fraction
-    bound: Fraction  # 2*2^n - slack; ratio must meet or exceed it
     x_limit_defect: Fraction  # distance of theta_q(x) from the L corner
     y_limit_defect: Fraction  # distance of theta_q(y) from the b^n.R point
 
@@ -157,10 +154,10 @@ def delta_pair(n: int) -> tuple[Fraction, Fraction]:
 def delta_nonlipschitz_report(n_max: int) -> list[NonLipschitzRow]:
     """Exact expansion ratios d_G(theta x, theta y) / |x - y| for the witness pairs.
 
-    The x_n limit is the L corner and the y_n limit is the point b^n.R, both
-    identified to within 2^-16; the ratio is exactly 2*2^n and must beat
-    2*2^n minus a 2^-10 slack. Raises ValidationError at the first row that
-    misses either gate.
+    The x_n limit is the L corner and the y_n limit is the point b^n.R; at
+    depth n + 16 both approximants hit their limits exactly, and the ratio
+    is exactly 2*2^n. Raises ValidationError at the first row with a nonzero
+    limit defect or any other ratio.
     """
     if not 1 <= n_max <= REPORT_MAX_N:
         raise ValueError(f"n_max must be 1..{REPORT_MAX_N}")
@@ -178,13 +175,10 @@ def delta_nonlipschitz_report(n_max: int) -> list[NonLipschitzRow]:
         d_dom = y - x
         d_img = dist_G(tx, ty)
         ratio = d_img / d_dom
-        bound = 2 * Fraction(2**n) - RATIO_SLACK
-        if not (dx_defect <= LIMIT_TOL and dy_defect <= LIMIT_TOL and ratio >= bound):
+        if not (dx_defect == 0 and dy_defect == 0 and ratio == 2 * 2**n):
             raise ValidationError(
                 f"n={n}: x={x} y={y}: limit defects {dx_defect}, {dy_defect} "
-                f"(tolerance 2^-16), ratio {ratio} (bound {bound})"
+                f"(want 0), ratio {ratio} (want {2 * 2**n})"
             )
-        rows.append(
-            NonLipschitzRow(n, x, y, d_dom, d_img, ratio, bound, dx_defect, dy_defect)
-        )
+        rows.append(NonLipschitzRow(n, x, y, d_dom, d_img, ratio, dx_defect, dy_defect))
     return rows

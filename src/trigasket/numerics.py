@@ -3,8 +3,8 @@
 Everything here is rational-first: metric values are `fractions.Fraction`,
 and the only irrationalities the artifact ever needs to compare exactly are
 sums of at most two square roots of rationals (triangle-with-apex distances).
-`RadicalSum` decides signs of those sums by recursive squaring; nothing is
-ever evaluated in floating point except for display.
+`RadicalSum` decides signs of those sums by recursive squaring and has no
+floating-point form: nothing here is ever evaluated in floating point.
 """
 
 from __future__ import annotations
@@ -217,12 +217,6 @@ class RadicalSum:
         if not self.terms:
             return hash(self.rational)
         return hash((self.rational, self.terms))
-
-    def __float__(self) -> float:
-        # display only; all decisions go through sign()
-        return float(self.rational) + sum(
-            float(c) * math.sqrt(float(r)) for c, r in self.terms
-        )
 
     def __str__(self) -> str:
         parts = [str(self.rational)]

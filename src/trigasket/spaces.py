@@ -4,11 +4,10 @@ A tri-pointed space is a 1-bounded metric space with marked points T, L, R
 pairwise at distance 1. The gluing of a space X takes three labeled copies,
 halves distances inside each copy, and identifies the corner pairs of
 `words.GLUE`, the one declaration of the gasket: (b,T)=(a,L), (a,R)=(c,T),
-(c,L)=(b,R); its marked points are (a,T), (b,L), (c,R). Maps are certified
-empirically on finite carriers or supplied samples: a breached claim, like
-any other violated invariant, raises ValidationError naming its witness.
-Continuity is reported as a modulus table with no gate, since finite data
-cannot certify it.
+(c,L)=(b,R); its marked points are (a,T), (b,L), (c,R). A map's claim is
+ISOMETRIC or a Lipschitz constant, certified exactly on a finite carrier
+or a supplied sample of pairs: a breached claim, like any other violated
+invariant, raises ValidationError naming its witness.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional
 
 from .metric import JUNCTIONS
 from .numerics import MetricValue
@@ -56,19 +55,14 @@ class TriPointedSpace:
 
 
 def validate_space(space: TriPointedSpace) -> None:
-    """Marked distances exactly 1; full metric axioms when finite."""
+    """Marked distances exactly 1, and the metric axioms on the carrier's
+    points: all of them when finite, the marked points otherwise."""
     for p, q in combinations(space.marked, 2):
         if space.dist(p, q) != ONE:
             raise ValidationError(
                 f"{space.name}: marked points {p!r}, {q!r} not at distance 1"
             )
-    if not space.is_finite():
-        # infinite carriers: spot-check symmetry and self-distance on marks
-        for p in space.marked:
-            if space.dist(p, p) != 0:
-                raise ValidationError(f"{space.name}: d({p!r},{p!r}) != 0")
-        return
-    pts = space.points
+    pts = space.points if space.is_finite() else space.marked
     for p in pts:
         if space.dist(p, p) != 0:
             raise ValidationError(f"{space.name}: d({p!r},{p!r}) != 0")
@@ -94,13 +88,6 @@ def glue_normalize(m: str, x: Point, base: TriPointedSpace) -> tuple[str, Point]
     return m, x
 
 
-@dataclass(frozen=True)
-class TensorSpace(TriPointedSpace):
-    """The glued triple of a base space; points are normalized (label, base point)."""
-
-    base: TriPointedSpace = None  # type: ignore[assignment]
-
-
 def _tensor_dist(base: TriPointedSpace) -> Callable[[Point, Point], MetricValue]:
     """Half the base distance in one copy; across copies, the cheaper crossing."""
 
@@ -116,24 +103,19 @@ def _tensor_dist(base: TriPointedSpace) -> Callable[[Point, Point], MetricValue]
     return dist
 
 
-def tensor(space: TriPointedSpace) -> TensorSpace:
-    """Glue three labeled copies of a validated space."""
+def tensor(space: TriPointedSpace) -> TriPointedSpace:
+    """Glue three labeled copies of a validated space; points are normalized
+    (label, base point) pairs."""
     validate_space(space)
     points: Optional[tuple[Point, ...]] = None
     if space.is_finite():
-        seen = []
-        for m in LABELS:
-            for x in space.points:
-                p = glue_normalize(m, x, space)
-                if p not in seen:
-                    seen.append(p)
-        points = tuple(seen)
-    return TensorSpace(
+        glued = (glue_normalize(m, x, space) for m in LABELS for x in space.points)
+        points = tuple(dict.fromkeys(glued))
+    return TriPointedSpace(
         name=f"glue({space.name})",
         dist=_tensor_dist(space),
         **{d: (m, getattr(space, d)) for d, m in PAD.items()},
         points=points,
-        base=space,
     )
 
 
@@ -141,13 +123,15 @@ def tensor(space: TriPointedSpace) -> TensorSpace:
 # Map witnesses and certification
 # ---------------------------------------------------------------------------
 
-SHORT = "short"
 ISOMETRIC = "isometric"
-CONTINUOUS = "continuous"
 
 
-def lipschitz(k: "Fraction | int") -> tuple[str, Fraction]:
-    return ("lipschitz", Fraction(k))
+def lipschitz(k: "Fraction | int") -> Fraction:
+    """The claim d(fx,fy) <= k*d(x,y)."""
+    return Fraction(k)
+
+
+SHORT = lipschitz(1)
 
 
 @dataclass(frozen=True)
@@ -157,7 +141,7 @@ class MapWitness:
     f: Callable[[Point], Point]
     domain: TriPointedSpace
     codomain: TriPointedSpace
-    claimed_class: "str | tuple[str, Fraction]"
+    claimed_class: "str | Fraction"  # ISOMETRIC or a Lipschitz constant
     name: str = "map"
 
     def __post_init__(self) -> None:
@@ -166,82 +150,32 @@ class MapWitness:
                 raise ValidationError(f"{self.name}: does not preserve mark {d}")
 
 
-@dataclass
-class CertifyReport:
-    witness_name: str
-    claimed_class: "str | tuple[str, Fraction]"
-    checked_pairs: int
-    best_constant: float  # max observed d(fx,fy)/d(x,y)
-    modulus_table: list[tuple[float, float]]  # (eps, observed delta), continuity only
-
-    def __str__(self) -> str:
-        head = f"{self.witness_name}: class={self.claimed_class} pairs={self.checked_pairs}"
-        if self.claimed_class == CONTINUOUS:
-            rows = ", ".join(f"eps={e:g} -> delta={d:g}" for e, d in self.modulus_table)
-            return f"{head} modulus[{rows}]"
-        return f"{head} max-ratio={self.best_constant:.6g}"
-
-
-def _pair_iter(
-    w: MapWitness, sample_pairs: Optional[Sequence[tuple[Point, Point]]]
-):
-    if sample_pairs is not None:
-        yield from sample_pairs
-        return
-    if not w.domain.is_finite():
-        raise ValidationError(
-            f"{w.name}: infinite domain needs an explicit pair sample"
-        )
-    yield from combinations(w.domain.points, 2)
-
-
 def certify(
-    w: MapWitness, sample_pairs: Optional[Sequence[tuple[Point, Point]]] = None
-) -> CertifyReport:
-    """Check the claimed class pair by pair, exactly.
+    w: MapWitness, sample_pairs: Optional[Iterable[tuple[Point, Point]]] = None
+) -> int:
+    """Check the claimed class pair by pair, exactly; return the pair count.
 
-    short: d(fx,fy) <= d(x,y); lipschitz k: <= k*d(x,y); isometric: equality.
-    A breach raises ValidationError naming the pair. continuous: no gate,
-    just the observed modulus (worst shrink of image distance per
-    domain-distance bucket) since samples cannot certify it.
+    ISOMETRIC: d(fx,fy) == d(x,y); a Lipschitz constant k: d(fx,fy) <= k*d(x,y).
+    The pairs are `sample_pairs`, or every pair of a finite domain. A breach
+    raises ValidationError naming the claim and the pair.
     """
+    if sample_pairs is None:
+        if not w.domain.is_finite():
+            raise ValidationError(f"{w.name}: infinite domain needs an explicit pair sample")
+        sample_pairs = combinations(w.domain.points, 2)
     claimed = w.claimed_class
     checked = 0
-    best_c = 0.0
-    moduli: dict[float, float] = {}
-
-    for x, y in _pair_iter(w, sample_pairs):
+    for x, y in sample_pairs:
         dxy = w.domain.dist(x, y)
         dfxy = w.codomain.dist(w.f(x), w.f(y))
-        checked += 1
-        fx, fy = float(dfxy), float(dxy)
-        if fy > 0:
-            ratio = fx / fy
-            if ratio > best_c:
-                best_c = ratio
-        if claimed == CONTINUOUS:
-            # observed delta for each eps: smallest domain distance whose
-            # image distance exceeds eps (any delta below it works on sample)
-            for eps in (0.5, 0.25, 0.125, 0.0625):
-                if fx > eps:
-                    moduli[eps] = min(moduli.get(eps, float("inf")), fy)
-            continue
-        if claimed == SHORT:
-            good = dfxy <= dxy
-        elif claimed == ISOMETRIC:
-            good = dfxy == dxy
-        else:
-            kind, k = claimed
-            if kind != "lipschitz":
-                raise ValidationError(f"unknown map class {claimed!r}")
-            good = dfxy <= k * dxy
-        if not good:
+        if not (dfxy == dxy if claimed == ISOMETRIC else dfxy <= claimed * dxy):
+            kind = claimed if claimed == ISOMETRIC else f"{claimed}-Lipschitz"
             raise ValidationError(
-                f"{w.name}: {claimed!r} breached at ({x!r}, {y!r}): "
+                f"{w.name}: {kind} breached at ({x!r}, {y!r}): "
                 f"d(fx,fy) = {dfxy}, d(x,y) = {dxy}"
             )
-
-    return CertifyReport(w.name, claimed, checked, best_c, sorted(moduli.items(), reverse=True))
+        checked += 1
+    return checked
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,20 @@ def test_mediate_bad_point_syntax(capsys):
     assert "x,ycoeff" in err
 
 
+def test_mediate_names_the_point_given(capsys):
+    # the point leaves the triangle at step 2; the error names the input, not
+    # only the remainder sigma_inv saw
+    code, out, err = run(
+        capsys,
+        "mediate", "--coalgebra", "gasket-sigma", "--point", "1/3,1/5", "--depth", "2",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: gasket-sigma: unfolding (1/3+0/1√3, 0/1+1/5√3) failed at step 2: "
+        "point outside the closed triangle: (2/3+0/1√3, 0/1+2/5√3)\n"
+    )
+
+
 def test_render_points(tmp_path, capsys):
     out_file = tmp_path / "pts.txt"
     code, out, _ = run(

@@ -114,8 +114,6 @@ def test_report_rows_exact():
         assert r.dist_domain == Fraction(1, 2 ** (2 * r.n + 1))
         assert r.dist_image == Fraction(1, 2**r.n)
         assert r.ratio == 2 * 2**r.n
-        assert r.ratio >= r.bound
-        # the limits are hit exactly, not merely within tolerance
         assert r.x_limit_defect == 0
         assert r.y_limit_defect == 0
 
@@ -125,6 +123,17 @@ def test_report_gate_breach(monkeypatch):
     monkeypatch.setattr(counterexamples, "delta_pair", lambda n: (Fraction(0), Fraction(1, 8)))
     with pytest.raises(ValidationError, match=r"^n=1: x=0 y=1/8: limit defects 0, 1/2 "):
         delta_nonlipschitz_report(3)
+
+
+def test_report_gate_is_exact(monkeypatch):
+    # an offset of 2^-40 on every distance lies within any 2^-16 tolerance
+    real = counterexamples.dist_G
+    monkeypatch.setattr(
+        counterexamples, "dist_G", lambda u, v: real(u, v) + Fraction(1, 2**40)
+    )
+    breach = r"^n=1: x=5/16 y=7/16: limit defects 1/1099511627776, "
+    with pytest.raises(ValidationError, match=breach):
+        delta_nonlipschitz_report(1)
 
 
 def test_report_range_guard():

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from trigasket.spaces import (
-    CONTINUOUS,
     ISOMETRIC,
     SHORT,
     MapWitness,
@@ -41,6 +40,18 @@ def test_validate_rejects_asymmetry():
 
     broken = TriPointedSpace("asym", dist, "T", "L", "R", points=("T", "L", "R"))
     with pytest.raises(ValidationError):
+        validate_space(broken)
+
+
+def test_validate_rejects_asymmetry_on_an_infinite_carrier():
+    # d(T,L) = 1 passes the marked-distance check; d(L,T) = 1/2 must not pass
+    def dist(p, q):
+        if (p, q) == ("L", "T"):
+            return Fraction(1, 2)
+        return Fraction(0) if p == q else Fraction(1)
+
+    broken = TriPointedSpace("asym-inf", dist, "T", "L", "R")
+    with pytest.raises(ValidationError, match=r"^asym-inf: asymmetric at 'T','L'$"):
         validate_space(broken)
 
 
@@ -86,8 +97,7 @@ def test_map_witness_requires_mark_preservation():
 
 def test_certify_identity_isometric():
     src = i_space()
-    rep = certify(MapWitness(lambda p: p, src, src, ISOMETRIC, name="id"))
-    assert (rep.checked_pairs, rep.best_constant) == (3, 1.0)
+    assert certify(MapWitness(lambda p: p, src, src, ISOMETRIC, name="id")) == 3
 
 
 def test_certify_unglue_is_lipschitz_two_not_short():
@@ -97,18 +107,10 @@ def test_certify_unglue_is_lipschitz_two_not_short():
     def unglue(p):
         return p[1]
 
-    breach = r"^unglue: 'short' breached at \(\('a', 'T'\), \('a', 'L'\)\): "
+    breach = r"^unglue: 1-Lipschitz breached at \(\('a', 'T'\), \('a', 'L'\)\): "
     with pytest.raises(ValidationError, match=breach):
         certify(MapWitness(unglue, dom, cod, SHORT, name="unglue"))
-    lip2 = certify(MapWitness(unglue, dom, cod, lipschitz(2), name="unglue"))
-    assert (lip2.checked_pairs, lip2.best_constant) == (15, 2.0)
-
-
-def test_certify_continuous_reports_modulus_only():
-    dom = tensor(i_space())
-    # unglue is not short (above), yet a continuity claim has no gate to breach
-    rep = certify(MapWitness(lambda p: p[1], dom, i_space(), CONTINUOUS, name="c"))
-    assert rep.modulus_table == [(0.5, 0.5), (0.25, 0.5), (0.125, 0.5), (0.0625, 0.5)]
+    assert certify(MapWitness(unglue, dom, cod, lipschitz(2), name="unglue")) == 15
 
 
 def test_certify_infinite_domain_needs_sample():
@@ -118,8 +120,7 @@ def test_certify_infinite_domain_needs_sample():
     w = MapWitness(lambda p: p, inf, inf, SHORT)
     with pytest.raises(ValidationError):
         certify(w)
-    rep = certify(w, sample_pairs=[("T", "L"), ("L", "R")])
-    assert rep.checked_pairs == 2
+    assert certify(w, sample_pairs=[("T", "L"), ("L", "R")]) == 2
 
 
 SPACE_TEXT = """\
@@ -131,6 +132,20 @@ L: 1 0 1 1/2
 R: 1 1 0 1/2
 m: 1 1/2 1/2 0
 """
+
+
+def test_certify_isometric_is_an_equality():
+    # the identity from the discrete four-point space onto the edge table is
+    # short, but it halves d(L,m), so an isometry claim breaches there
+    def discrete(p, q):
+        return Fraction(0) if p == q else Fraction(1)
+
+    dom = TriPointedSpace("discrete", discrete, "T", "L", "R", points=("T", "L", "R", "m"))
+    cod = load_space(SPACE_TEXT, name="edge")
+    assert certify(MapWitness(lambda p: p, dom, cod, SHORT, name="id")) == 6
+    breach = r"^id: isometric breached at \('L', 'm'\): d\(fx,fy\) = 1/2, d\(x,y\) = 1$"
+    with pytest.raises(ValidationError, match=breach):
+        certify(MapWitness(lambda p: p, dom, cod, ISOMETRIC, name="id"))
 
 
 def test_load_space_round_trip():
