@@ -13,11 +13,10 @@ output is reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from trigasket.words import (
     LABELS,
@@ -52,8 +51,7 @@ from trigasket.counterexamples import APEX, delta_nonlipschitz_report, delta_poi
 from trigasket.spaces import ValidationError
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -9,15 +9,13 @@ of the chosen representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .spaces import Point, TriPointedSpace, ValidationError
 from .words import ANCHOR, GLUE, AddressWord, CanonicalAddress, LABELS, iter_canonical, prepend
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(NamedTuple):
     space: TriPointedSpace
     e: Callable[[str, Point], Point]
     name: str = "algebra"

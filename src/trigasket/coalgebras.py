@@ -10,17 +10,15 @@ what it measured and raises ValidationError at its first breach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .metric import _dist_G_num
 from .spaces import Point, TriPointedSpace, ValidationError
 from .words import ANCHOR, AddressWord, CanonicalAddress, canonicalize, prepend
 
 
-@dataclass(frozen=True)
-class Coalgebra:
+class Coalgebra(NamedTuple):
     space: TriPointedSpace
     e: Callable[[Point], tuple[str, Point]]
     name: str = "coalgebra"

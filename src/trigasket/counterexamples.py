@@ -9,9 +9,9 @@ Lipschitz constant works.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .algebras import Algebra
 from .coalgebras import Coalgebra, theta
@@ -58,15 +58,16 @@ def i_algebra() -> Algebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaPoint:
-    """Either the apex, or (s, 0) on the base segment, s an exact rational."""
+class DeltaPoint(namedtuple("DeltaPoint", "s")):
+    """Either the apex (s is None), or (s, 0) on the base segment, s an
+    exact rational."""
 
-    s: Union[Fraction, None]  # None encodes the apex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.s is not None and not 0 <= self.s <= 1:
+    def __new__(cls, s: Union[Fraction, None]) -> "DeltaPoint":
+        if s is not None and not 0 <= s <= 1:
             raise ValueError("segment coordinate must lie in [0, 1]")
+        return tuple.__new__(cls, (s,))
 
     @property
     def is_apex(self) -> bool:
@@ -133,8 +134,7 @@ def delta_coalgebra() -> Coalgebra:
 REPORT_MAX_N = 12
 
 
-@dataclass
-class NonLipschitzRow:
+class NonLipschitzRow(NamedTuple):
     n: int
     x: Fraction
     y: Fraction

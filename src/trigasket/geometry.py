@@ -17,9 +17,8 @@ as u + v*sqrt3 with one of u, v zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .numerics import _ratio_text, decimal_str
 from .words import (
@@ -53,8 +52,7 @@ def surd_decimal(u: "Fraction | int", v: "Fraction | int", places: int = 12) -> 
     return decimal_str(u + v * sqrt3, places)
 
 
-@dataclass(frozen=True)
-class Point2:
+class Point2(NamedTuple):
     """The plane point (x, yc*sqrt3)."""
 
     x: Fraction

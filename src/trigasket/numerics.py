@@ -10,7 +10,7 @@ floating-point form: nothing here is ever evaluated in floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Union
 
@@ -88,8 +88,7 @@ def _sgn(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class RadicalSum:
+class RadicalSum(namedtuple("RadicalSum", "rational terms")):
     """q + sum of c_i*sqrt(r_i) with at most two radical terms.
 
     Radicands are positive rationals, deduplicated by exact equality (no
@@ -98,8 +97,8 @@ class RadicalSum:
     because every comparison bottoms out in squaring).
     """
 
-    rational: Fraction
-    terms: tuple[tuple[Fraction, Fraction], ...]  # ((coeff, radicand), ...)
+    # fields: rational, a Fraction; terms, ((coeff, radicand), ...) of Fractions
+    __slots__ = ()
 
     @staticmethod
     def of(rational: Rational = 0, *terms: tuple[Rational, Rational]) -> "RadicalSum":
@@ -212,6 +211,11 @@ class RadicalSum:
         if not isinstance(other, (RadicalSum, int, Fraction)):
             return NotImplemented
         return self._cmp(other) == 0
+
+    def __ne__(self, other: object) -> bool:
+        # tuple's own __ne__ would compare the fields, not the values
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self) -> int:
         if not self.terms:

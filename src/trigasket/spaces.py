@@ -12,10 +12,10 @@ invariant, raises ValidationError naming its witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
 from .metric import JUNCTIONS
 from .numerics import MetricValue
@@ -31,8 +31,7 @@ class ValidationError(ValueError):
     """A space or structure map violates its declared invariants."""
 
 
-@dataclass(frozen=True)
-class TriPointedSpace:
+class TriPointedSpace(NamedTuple):
     """Carrier with an exact metric and marked points T, L, R.
 
     `points` enumerates finite carriers (None means infinite/abstract); the
@@ -134,20 +133,24 @@ def lipschitz(k: "Fraction | int") -> Fraction:
 SHORT = lipschitz(1)
 
 
-@dataclass(frozen=True)
-class MapWitness:
-    """A marked-point-preserving map together with its claimed class."""
+class MapWitness(namedtuple("MapWitness", "f domain codomain claimed_class name")):
+    """A marked-point-preserving map together with its claimed class:
+    ISOMETRIC or a Lipschitz constant."""
 
-    f: Callable[[Point], Point]
-    domain: TriPointedSpace
-    codomain: TriPointedSpace
-    claimed_class: "str | Fraction"  # ISOMETRIC or a Lipschitz constant
-    name: str = "map"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        f: Callable[[Point], Point],
+        domain: TriPointedSpace,
+        codomain: TriPointedSpace,
+        claimed_class: "str | Fraction",
+        name: str = "map",
+    ) -> "MapWitness":
         for d in ("T", "L", "R"):
-            if self.f(getattr(self.domain, d)) != getattr(self.codomain, d):
-                raise ValidationError(f"{self.name}: does not preserve mark {d}")
+            if f(getattr(domain, d)) != getattr(codomain, d):
+                raise ValidationError(f"{name}: does not preserve mark {d}")
+        return tuple.__new__(cls, (f, domain, codomain, claimed_class, name))
 
 
 def certify(

@@ -20,7 +20,7 @@ are the one declaration of the gasket: every other table here, the metric's
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from typing import Iterator, Optional
 
@@ -79,18 +79,60 @@ _PARTNER = dict(REWRITE)
 _PARTNER.update(REWRITE_INV)
 
 
-@dataclass(frozen=True, order=True)
 class AddressWord:
-    """Immutable word: label string plus terminal letter."""
+    """Immutable word: label string plus terminal letter.
 
-    labels: str
-    terminal: str
+    Equality, hash and order are those of the tuple (labels, terminal),
+    between words only. It is a plain class, not a tuple, for the sake of
+    the `toward` cache (see `_CornerDigits`): CPython keeps a plain
+    instance's attributes as inline values, so caching adds no dict, while a
+    tuple subclass would build a `__dict__` for every word it caches on.
+    """
 
-    def __post_init__(self) -> None:
-        if _LABEL_STRING.fullmatch(self.labels) is None:
-            raise ValueError(f"bad label in {self.labels!r}")
-        if self.terminal not in TERMINALS:
-            raise ValueError(f"bad terminal {self.terminal!r}")
+    def __init__(self, labels: str, terminal: str) -> None:
+        if _LABEL_STRING.fullmatch(labels) is None:
+            raise ValueError(f"bad label in {labels!r}")
+        if terminal not in TERMINALS:
+            raise ValueError(f"bad terminal {terminal!r}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "terminal", terminal)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AddressWord:
+            return NotImplemented
+        return self.labels == other.labels and self.terminal == other.terminal
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.terminal))
+
+    def __lt__(self, other: "AddressWord") -> bool:
+        if other.__class__ is not AddressWord:
+            return NotImplemented
+        return (self.labels, self.terminal) < (other.labels, other.terminal)
+
+    def __le__(self, other: "AddressWord") -> bool:
+        if other.__class__ is not AddressWord:
+            return NotImplemented
+        return (self.labels, self.terminal) <= (other.labels, other.terminal)
+
+    def __gt__(self, other: "AddressWord") -> bool:
+        if other.__class__ is not AddressWord:
+            return NotImplemented
+        return (self.labels, self.terminal) > (other.labels, other.terminal)
+
+    def __ge__(self, other: "AddressWord") -> bool:
+        if other.__class__ is not AddressWord:
+            return NotImplemented
+        return (self.labels, self.terminal) >= (other.labels, other.terminal)
+
+    def __repr__(self) -> str:
+        return f"AddressWord(labels={self.labels!r}, terminal={self.terminal!r})"
 
     @property
     def level(self) -> int:
@@ -106,20 +148,18 @@ class AddressWord:
         return self.text
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalAddress:
+class CanonicalAddress(namedtuple("CanonicalAddress", "word")):
     """An AddressWord in canonical form; the blessed constructor is canonicalize()."""
 
-    word: AddressWord
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        w = self.word
-        if w.labels:
-            tail = (w.labels[-1], w.terminal)
-            if w.labels[-1] == PAD[w.terminal]:
-                raise ValueError(f"{w} carries chain padding")
-            if tail in REWRITE:
-                raise ValueError(f"{w} has a rewrite-source tail")
+    def __new__(cls, word: AddressWord) -> "CanonicalAddress":
+        if word.labels:
+            if word.labels[-1] == PAD[word.terminal]:
+                raise ValueError(f"{word} carries chain padding")
+            if (word.labels[-1], word.terminal) in REWRITE:
+                raise ValueError(f"{word} has a rewrite-source tail")
+        return tuple.__new__(cls, (word,))
 
     @property
     def level(self) -> int:

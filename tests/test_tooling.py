@@ -1,9 +1,14 @@
 """Guards on the library's surface: the traced benchmark run wraps library
-functions by name, so each must exist; and every module-level function or
-class in the package has a caller in the package, or a stated reason."""
+functions by name, so each must exist; the CLI's start-up imports what the
+tracer needs and nothing heavier; and every module-level function or class
+in the package has a caller in the package, or a stated reason."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +47,23 @@ def test_traced_names_exist():
         if not callable(getattr(importlib.import_module(f"trigasket.{mod}"), name, None))
     ]
     assert missing == []
+
+
+def test_cli_start_up_loads_the_traced_modules_and_no_dataclasses():
+    # a fresh interpreter, since pytest itself imports dataclasses: the
+    # tracer imports only trigasket.cli and then looks up every TRACED
+    # module, so a module that cli stops importing fails here
+    code = (
+        "import json, sys, tracer\n"
+        "tracer.install('probe')\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == []
 
 
 def _names(node: ast.AST) -> set:
