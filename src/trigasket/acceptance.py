@@ -38,7 +38,7 @@ from trigasket.metric import (
     oracle_table,
 )
 from trigasket.coalgebras import finality_check, get_coalgebra, thetas
-from trigasket.algebras import check_algebra_morphism, get_algebra, mediate_from_initial
+from trigasket.algebras import Algebra, check_algebra_morphism, get_algebra, mediate_from_initial
 from trigasket.geometry import (
     VERTEX,
     Point2,
@@ -165,38 +165,34 @@ def uniform_cauchy_modulus() -> str:
     return f"{checked} (p,q) comparisons, 200 points per coalgebra, depths to 14, zero violations"
 
 
+def _tear(alg: Algebra, near: str, label: str, far: str) -> None:
+    """The algebra's mediating map tears the addresses apart at a corner:
+    label^n.far lies exactly 2^-n from .near, yet the map sends the two to
+    the marked points far and near, at distance 1, for n = 1..10."""
+    check_algebra_morphism(alg, lambda u: mediate_from_initial(alg, u), 4)
+    space = alg.space
+    x = canonicalize(parse_word(f".{near}"))
+    fx = mediate_from_initial(alg, x)
+    if fx != getattr(space, near):
+        raise Fail(f"{alg.name}: f(.{near}) = {fx!r}, want {getattr(space, near)!r}")
+    for n in range(1, 11):
+        xn = canonicalize(parse_word(f"{label * n}.{far}"))
+        fn = mediate_from_initial(alg, xn)
+        dom = dist_G(xn, x)
+        img = space.dist(fn, fx)
+        if fn != getattr(space, far) or dom != Fraction(1, 2**n) or img != 1:
+            raise Fail(f"{alg.name}: n={n}: f={fn!r}, domain {dom}, image {img}")
+
+
 def three_point_collapse() -> str:
     """Mediating map onto the 3-point algebra tears apart converging addresses."""
-    alg = get_algebra("Y")
-    check_algebra_morphism(alg, lambda u: mediate_from_initial(alg, u), 4)
-    top = mediate_from_initial(alg, canonicalize(parse_word(".T")))
-    if top != "t":
-        raise Fail(f"f(.T) = {top!r}, want 't'")
-    image = alg.space.dist("l", "t")
-    for n in range(1, 11):
-        xn = canonicalize(parse_word("a" * n + ".L"))
-        fx = mediate_from_initial(alg, xn)
-        dom = dist_G(xn, canonicalize(parse_word(".T")))
-        if fx != "l" or dom != Fraction(1, 2**n) or image != 1:
-            raise Fail(f"n={n}: f={fx!r}, domain {dom}, image {image}")
+    _tear(get_algebra("Y"), "T", "a", "L")
     return "f(a^n.L)='l' at domain distance 2^-n from f(.T)='t', image distance 1, n=1..10"
 
 
 def edge_drain_collapse() -> str:
     """Same tear on the marked-triple algebra that drains the bottom edge to R."""
-    alg = get_algebra("I-e")
-    check_algebra_morphism(alg, lambda u: mediate_from_initial(alg, u), 4)
-    space = alg.space
-    left = mediate_from_initial(alg, canonicalize(parse_word(".L")))
-    if left != space.L:
-        raise Fail(f"h(.L) = {left!r}")
-    for n in range(1, 11):
-        wn = canonicalize(parse_word("b" * n + ".R"))
-        hn = mediate_from_initial(alg, wn)
-        dom = dist_G(wn, canonicalize(parse_word(".L")))
-        img = space.dist(hn, left)
-        if hn != space.R or dom > Fraction(1, 2**n) or img != 1:
-            raise Fail(f"n={n}: h={hn!r}, domain {dom}, image {img}")
+    _tear(get_algebra("I-e"), "L", "b", "R")
     return "h(b^n.R)=R within 2^-n of h(.L)=L, image distance 1, n=1..10"
 
 

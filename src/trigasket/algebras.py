@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .spaces import Point, TriPointedSpace, ValidationError
-from .words import ANCHOR, GLUE, AddressWord, CanonicalAddress, LABELS, iter_canonical, prepend
+from .words import ANCHOR, GLUE, CanonicalAddress, LABELS, iter_canonical, prepend
 
 
 class Algebra(NamedTuple):
@@ -36,26 +36,19 @@ def validate_algebra(alg: Algebra) -> None:
             raise ValidationError(f"{alg.name}: e({m},{x!r}) must be the marked point")
 
 
-def fold_from(alg: Algebra, labels: str, start: Point) -> Point:
-    """Apply e once per label, innermost first."""
-    p = start
-    for m in reversed(labels):
-        p = alg.e(m, p)
-    return p
-
-
-def iterate_algebra(alg: Algebra, word: AddressWord) -> Point:
-    """Fold a word: start at the marked point of its terminal, consume labels right to left."""
-    return fold_from(alg, word.labels, getattr(alg.space, word.terminal))
-
-
 def mediate_from_initial(alg: Algebra, x: CanonicalAddress) -> Point:
     """The unique structure-respecting map out of the address space, at one point.
 
-    Well-definedness (same value for every representative of the class) is
-    a consequence of the validated invariants and is tested exhaustively.
+    The fold starts at the marked point of the word's terminal and applies e
+    once per label, innermost (rightmost) first. Well-definedness (same
+    value for every representative of the class) is a consequence of the
+    validated invariants and is tested exhaustively.
     """
-    return iterate_algebra(alg, x.word)
+    w = x.word
+    p = getattr(alg.space, w.terminal)
+    for m in reversed(w.labels):
+        p = alg.e(m, p)
+    return p
 
 
 def check_algebra_morphism(

@@ -4,10 +4,10 @@ One gluing formula carries the metric: within one copy distances halve;
 across copies the shortest route either crosses the corner where the two
 copies meet or detours through the third copy, whose crossing always costs
 exactly 1 inside the outer minimum. `JUNCTIONS` names those corners for each
-ordered pair of copies; it is read off `words.GLUE`, the one declaration of
-the gasket. The formula needs only each side's distances to corners, and on
-words these have a closed form: one minus the barycentric weight toward the
-corner, whose numerator reads the labels as binary digits
+ordered pair of copies; like `words.GLUE`, it is read off `words.PAD`, the
+one declaration of the gasket. The formula needs only each side's distances
+to corners, and on words these have a closed form: one minus the barycentric
+weight toward the corner, whose numerator reads the labels as binary digits
 (`AddressWord.toward`, computed once per word and kept on it). `_crossing`
 evaluates the formula on those integers. The kernel `_dist` never reads a
 label string: a label is fixed by its T and R digits, so the first differing
@@ -32,9 +32,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
+from typing import NamedTuple
 
 from .words import (
-    GLUE,
+    ANCHOR,
     LABELS,
     AddressWord,
     CanonicalAddress,
@@ -47,19 +49,15 @@ from .words import (
 # levels 0-5 build in 1.6 s together and level 6 (1095 classes) alone in 48 s
 ORACLE_MAX_LEVEL = 5
 
-# the corner where copy m meets copy m', for each ordered pair
-_MEETS = {(m, m2): d for pair in GLUE for (m, d), (m2, _) in (pair, pair[::-1])}
-
 # Junction crossings, keyed by ordered copy pair (m, m'):
 # (direct corner on m side, direct corner on m' side, via corner).
-# The via route's middle leg crosses the third copy k corner-to-corner and
-# contributes exactly 1 inside the minimum. Copies m and m' both meet k at
-# k's anchor, so the via corner is the same on both sides.
+# Like `words.GLUE`, read off `words.PAD`: copy m meets copy m' at the corner
+# m' keeps, ANCHOR[m'], and m' meets m at ANCHOR[m]. The via route's middle
+# leg crosses the third copy k corner-to-corner and contributes exactly 1
+# inside the minimum. Copies m and m' both meet k at k's anchor, so the via
+# corner is the same on both sides.
 JUNCTIONS: dict[tuple[str, str], tuple[str, str, str]] = {
-    (m, m2): (_MEETS[m, m2], _MEETS[m2, m], _MEETS[m, k])
-    for m, m2 in _MEETS
-    for k in LABELS
-    if k not in (m, m2)
+    (m, m2): (ANCHOR[m2], ANCHOR[m], ANCHOR[k]) for m, m2, k in permutations(LABELS)
 }
 
 
@@ -186,20 +184,14 @@ class _UnionFind:
             self.parent[rj] = ri
 
 
-class OracleTable:
+class OracleTable(NamedTuple):
     """Level-n quotient space built from scratch: class ids and a distance matrix.
 
-    `dist` holds integer numerators over 2^level.
+    `dist` holds integer numerators over 2^n, one row per class.
     """
 
-    def __init__(self, level: int, class_of: dict[AddressWord, int], dist: list[list[int]]):
-        self.level = level
-        self.class_of = class_of
-        self.dist = dist
-
-    @property
-    def class_count(self) -> int:
-        return len(self.dist)
+    class_of: dict[AddressWord, int]
+    dist: list[list[int]]
 
 
 @lru_cache(maxsize=None)
@@ -208,11 +200,11 @@ def _oracle_table(level: int) -> OracleTable:
         words = list(iter_words(0))
         class_of = {w: i for i, w in enumerate(words)}
         dist = [[int(i != j) for j in range(3)] for i in range(3)]
-        return OracleTable(0, class_of, dist)
+        return OracleTable(class_of, dist)
 
     prev = _oracle_table(level - 1)
     # proto-nodes: (copy label, inner class); the three junction pairs merge
-    proto = [(m, c) for m in "abc" for c in range(prev.class_count)]
+    proto = [(m, c) for m in "abc" for c in range(len(prev.dist))]
     index = {pc: i for i, pc in enumerate(proto)}
     uf = _UnionFind(len(proto))
     ct, cl, cr = distinguished(level - 1)
@@ -271,7 +263,7 @@ def _oracle_table(level: int) -> OracleTable:
     for w in iter_words(level):
         inner = prev.class_of[AddressWord(w.labels[1:], w.terminal)]
         class_of[w] = cid[uf.find(index[(w.labels[0], inner)])]
-    return OracleTable(level, class_of, dist)
+    return OracleTable(class_of, dist)
 
 
 def oracle_table(level: int) -> OracleTable:

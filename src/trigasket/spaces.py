@@ -3,11 +3,12 @@
 A tri-pointed space is a 1-bounded metric space with marked points T, L, R
 pairwise at distance 1. The gluing of a space X takes three labeled copies,
 halves distances inside each copy, and identifies the corner pairs of
-`words.GLUE`, the one declaration of the gasket: (b,T)=(a,L), (a,R)=(c,T),
-(c,L)=(b,R); its marked points are (a,T), (b,L), (c,R). A map's claim is
-ISOMETRIC or a Lipschitz constant, certified exactly on a finite carrier
-or a supplied sample of pairs: a breached claim, like any other violated
-invariant, raises ValidationError naming its witness.
+`words.GLUE`, read off `words.PAD`, the one declaration of the gasket:
+(b,T)=(a,L), (a,R)=(c,T), (c,L)=(b,R); its marked points are (a,T), (b,L),
+(c,R). A map's claim is ISOMETRIC or a Lipschitz constant, certified
+exactly on a finite carrier or a supplied sample of pairs: a breached
+claim, like any other violated invariant, raises ValidationError naming
+its witness.
 """
 
 from __future__ import annotations

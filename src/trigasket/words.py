@@ -11,10 +11,11 @@ where two copies touch:
 applied under any common prefix. `canonicalize` picks one representative
 per point; `glue_partner` returns the other same-level name when one exists.
 
-`GLUE` (those three identifications) and `PAD` (the corner each copy keeps)
-are the one declaration of the gasket: every other table here, the metric's
-`JUNCTIONS`, the plane offsets in `geometry` and the structure-map checks in
-`algebras`, `coalgebras` and `spaces` are derived from them.
+`PAD` (the copy that keeps each corner) is the one declaration of the
+gasket. Copy m meets copy m2 at the corner m2 keeps, so `GLUE` (those three
+identifications) is read off it, and so is every other table here, the
+metric's `JUNCTIONS`, the plane offsets in `geometry` and the structure-map
+checks in `algebras`, `coalgebras` and `spaces`.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ _LABEL_STRING = re.compile(f"[{LABELS}]*")
 # label, the copy that keeps the corner
 PAD = {"T": "a", "L": "b", "R": "c"}
 
-# one gluing step identifies copy m's corner d with copy m2's corner d2
-GLUE = ((("b", "T"), ("a", "L")), (("a", "R"), ("c", "T")), (("c", "L"), ("b", "R")))
-
 # the corner a copy keeps: a->T, b->L, c->R
 ANCHOR = {m: d for d, m in PAD.items()}
+
+# one gluing step identifies copy m's corner ANCHOR[m2] with copy m2's corner
+# ANCHOR[m]: b.T~a.L, a.R~c.T, c.L~b.R, in the order validation reports them
+GLUE = tuple(((m, ANCHOR[m2]), (m2, ANCHOR[m])) for m, m2 in ("ba", "ac", "cb"))
 
 # corner d -> labels read as binary digits, 1 where the label is PAD[d]
 DIGITS = {d: str.maketrans(LABELS, "".join("01"[m == PAD[d]] for m in LABELS)) for d in TERMINALS}
@@ -72,11 +74,6 @@ class _CornerDigits:
 
 # junction tail rewrites toward the canonical member (lexicographic-least head)
 REWRITE = {max(pair): min(pair) for pair in GLUE}
-REWRITE_INV = {v: k for k, v in REWRITE.items()}
-
-# all six junction tail pairs, both directions
-_PARTNER = dict(REWRITE)
-_PARTNER.update(REWRITE_INV)
 
 
 class AddressWord:
@@ -184,10 +181,11 @@ def parse_word(text: str) -> AddressWord:
 def glue_partner(w: AddressWord) -> Optional[AddressWord]:
     """The unique other same-level word naming the same point, if any.
 
-    The partner is found by matching the maximal suffix of shape
-    m * pad(d)^k * d: only that run can match a junction pattern, because in
-    each of the six patterns the repeated letter is exactly pad(terminal).
-    All-padding words (the three corners at each level) have no partner.
+    The word ends in a maximal run h * p^k . d with p = PAD[d]: copy h at the
+    corner ANCHOR[p] that copy p keeps, which is copy p at ANCHOR[h]. So the
+    partner swaps the two labels, prefix * p * h^k . ANCHOR[h] (h pads its
+    own anchor). All-padding words (the three corners at each level) have
+    no partner.
     """
     p = PAD[w.terminal]
     k = 0
@@ -196,10 +194,7 @@ def glue_partner(w: AddressWord) -> Optional[AddressWord]:
     if k == len(w.labels):
         return None
     head = w.labels[-1 - k]
-    # head != p here, so (head, terminal) is one of the six junction pairs
-    m2, d2 = _PARTNER[(head, w.terminal)]
-    labels = w.labels[: -(k + 1)] + m2 + PAD[d2] * k
-    return AddressWord(labels, d2)
+    return AddressWord(w.labels[: -(k + 1)] + p + head * k, ANCHOR[head])
 
 
 def canonicalize(w: AddressWord) -> CanonicalAddress:

@@ -4,19 +4,26 @@ import pytest
 from trigasket.algebras import (
     Algebra,
     check_algebra_morphism,
-    fold_from,
     get_algebra,
-    iterate_algebra,
     mediate_from_initial,
     validate_algebra,
 )
-from trigasket.geometry import coords
+from trigasket.geometry import coords, sigma
 from trigasket.spaces import ValidationError, i_space
 from trigasket.words import canonicalize, iter_canonical, iter_words, parse_word
 
 
 def canon(text):
     return canonicalize(parse_word(text))
+
+
+def fold(alg, w):
+    """Reference fold of any spelling: e once per label, innermost first,
+    from the marked point of the terminal."""
+    p = getattr(alg.space, w.terminal)
+    for m in reversed(w.labels):
+        p = alg.e(m, p)
+    return p
 
 
 @pytest.mark.parametrize("name", ["gasket-tau", "Y", "I-e"])
@@ -37,10 +44,21 @@ def test_validate_rejects_ungluable_structure_map():
         validate_algebra(bad)
 
 
-def test_fold_from_order():
+def test_validate_rejects_moved_marked_point():
+    # respects every gluing (all three pairs go to one point) but copy a
+    # sends its anchor T to L
+    sp = i_space()
+    flat = Algebra(sp, lambda m, p: "L", name="flat")
+    with pytest.raises(ValidationError, match=r"^flat: e\(a,'T'\) must be the marked point$"):
+        validate_algebra(flat)
+
+
+def test_mediation_fold_order():
+    # the innermost (rightmost) label acts first
     alg = get_algebra("gasket-tau")
-    p = fold_from(alg, "ba", alg.space.R)
-    assert p == coords(parse_word("ba.R"))
+    p = mediate_from_initial(alg, canon("ba.R"))
+    assert p == sigma("b", sigma("a", alg.space.R)) == coords(parse_word("ba.R"))
+    assert p != coords(parse_word("ab.R"))
 
 
 def test_mediation_on_gasket_is_coords():
@@ -56,7 +74,7 @@ def test_mediation_well_defined_across_representatives():
         for w in iter_words(level):
             c = canonicalize(w)
             for alg in algs:
-                assert iterate_algebra(alg, w) == mediate_from_initial(alg, c)
+                assert fold(alg, w) == mediate_from_initial(alg, c)
 
 
 def test_collapse_values():

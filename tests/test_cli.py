@@ -139,6 +139,18 @@ def test_address_off_gasket(capsys):
     assert "is not on the gasket" in err
 
 
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ("1/0", "error: not a rational: '1/0' (Fraction(1, 0))\n"),
+        ("abc", "error: not a rational: 'abc' (Invalid literal for Fraction: 'abc')\n"),
+    ],
+)
+def test_address_rejects_a_non_rational(capsys, x, message):
+    code, out, err = run(capsys, "address", "--x", x, "--y-coeff", "0", "--depth", "4")
+    assert (code, out, err) == (1, "", message)
+
+
 def test_address_negative_coordinate(capsys):
     # a negative value must be attached with "=": argparse reads "-1/100" as an option
     code, out, err = run(

@@ -48,6 +48,11 @@ def test_unfold_trace():
     assert unfold(co, APEX, 3) == ("aaa", APEX)
 
 
+def test_unfold_rejects_negative_depth():
+    with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+        unfold(get_coalgebra("delta"), APEX, -1)
+
+
 def test_theta_requires_positive_depth():
     co = get_coalgebra("delta")
     with pytest.raises(ValueError):

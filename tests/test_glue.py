@@ -1,9 +1,9 @@
-"""Every gasket table is derived from `words.GLUE` and `words.PAD`; each must
-equal its literal, written out here by hand."""
+"""Every gasket table, `words.GLUE` among them, is derived from `words.PAD`;
+each must equal its literal, written out here by hand."""
 
 from trigasket import words
 from trigasket.metric import JUNCTIONS
-from trigasket.words import ANCHOR, DIGITS, REWRITE, REWRITE_INV, distinguished
+from trigasket.words import ANCHOR, DIGITS, REWRITE, distinguished
 
 
 def test_declaration():
@@ -17,7 +17,6 @@ def test_declaration():
 
 def test_word_tables():
     assert REWRITE == {("b", "T"): ("a", "L"), ("c", "T"): ("a", "R"), ("c", "L"): ("b", "R")}
-    assert REWRITE_INV == {("a", "L"): ("b", "T"), ("a", "R"): ("c", "T"), ("b", "R"): ("c", "L")}
     assert ANCHOR == {"a": "T", "b": "L", "c": "R"}
     # order matters: it fixes iter_canonical's order, hence render's rows
     assert words._CANONICAL_TAILS == (("a", "L"), ("a", "R"), ("b", "R"))

@@ -91,7 +91,8 @@ def test_oracle_numerators_match_dist_oracle():
 def test_oracle_class_counts():
     # (3^(n+1) + 3) / 2 classes at level n
     for level, want in enumerate([3, 6, 15, 42, 123, 366]):
-        assert len(set(oracle_table(level).class_of.values())) == want
+        table = oracle_table(level)
+        assert len(set(table.class_of.values())) == want == len(table.dist)
 
 
 def test_oracle_agrees_at_level_5():
@@ -105,6 +106,11 @@ def test_oracle_agrees_at_level_5():
 def test_oracle_level_guard():
     with pytest.raises(ValueError):
         oracle_table(ORACLE_MAX_LEVEL + 1)
+
+
+def test_dist_oracle_rejects_a_word_of_another_level():
+    with pytest.raises(ValueError, match="^oracle arguments must both have the stated level$"):
+        dist_oracle(parse_word("ab.T"), parse_word("a.L"), 2)
 
 
 def test_junction_pairs_at_distance_zero():

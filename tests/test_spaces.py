@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from trigasket.metric import dist_G
 from trigasket.spaces import (
     ISOMETRIC,
     SHORT,
@@ -17,6 +19,7 @@ from trigasket.spaces import (
     tensor,
     validate_space,
 )
+from trigasket.words import PAD, AddressWord, CanonicalAddress, iter_canonical
 
 
 def test_validate_i_space():
@@ -83,6 +86,32 @@ def test_tensor_distances():
     assert t1.dist(("b", "R"), ("c", "L")) == 0
     # across copies the geodesic may route through either shared corner
     assert t1.dist(("b", "T"), ("c", "T")) == Fraction(1, 2)
+
+
+def _as_word(point, level):
+    """A point of the level-fold gluing of I, (m1, (m2, ... (mn, d))), read
+    as the word m1...mn.d with its chain padding stripped."""
+    labels = ""
+    for _ in range(level):
+        m, point = point
+        labels += m
+    return CanonicalAddress(AddressWord(labels.rstrip(PAD[point]), point))
+
+
+def test_tensor_iterates_are_the_address_metric():
+    # the functor's own iterate, with no word code, is the metric kernel's
+    # space: glue_normalize leaves each point in canonical form, and the
+    # glued distance equals dist_G on every pair (861 at level 3)
+    space = i_space()
+    for level, count in ((1, 6), (2, 15), (3, 42)):
+        space = tensor(space)
+        words = [_as_word(p, level) for p in space.points]
+        assert len(words) == count
+        assert set(words) == set(iter_canonical(level))
+        pairs = list(combinations(range(count), 2))
+        for i, j in pairs:
+            assert space.dist(space.points[i], space.points[j]) == dist_G(words[i], words[j])
+    assert len(pairs) == 861
 
 
 def test_map_witness_requires_mark_preservation():
@@ -166,6 +195,25 @@ def test_readme_space_table_loads():
     assert sp.points == ("t", "l", "r")
     assert (sp.T, sp.L, sp.R) == ("t", "l", "r")
     assert sp.dist("t", "r") == 1
+
+
+HEAD = "points: T L R m\nmarked: T=T L=L R=R\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("T: 1/2 1 1 1\nL: 1 0 1 1\nR: 1 1 0 1\nm: 1 1 1 0\n", "t: d('T','T') != 0"),
+        ("T: 0 1 1 2\nL: 1 0 1 1\nR: 1 1 0 1\nm: 2 1 1 0\n", "t: d('T','m') > 1"),
+        ("T: 0 1 1 0\nL: 1 0 1 1\nR: 1 1 0 1\nm: 0 1 1 0\n", "t: distinct points at distance 0"),
+        ("T: 0 1 1 1\nx: 1 0 1 1\n", "matrix row for unknown point 'x'"),
+        ("T: 0 1 1 1\nL: 1 0 1 1\nR: 1 1 0 1\n", "matrix rows must cover every point exactly once"),
+    ],
+)
+def test_load_space_names_the_breach(rows, message):
+    with pytest.raises(ValidationError) as err:
+        load_space(HEAD + rows, name="t")
+    assert str(err.value) == message
 
 
 def test_load_space_rejects_bad_tables():

@@ -12,6 +12,7 @@ from trigasket.algebras import Algebra
 from trigasket.coalgebras import Coalgebra
 from trigasket.counterexamples import APEX, DeltaPoint, NonLipschitzRow, delta_point
 from trigasket.geometry import Point2
+from trigasket.metric import OracleTable
 from trigasket.numerics import RadicalSum
 from trigasket.spaces import ISOMETRIC, MapWitness, ValidationError, discrete_space
 from trigasket.words import AddressWord, CanonicalAddress, parse_word
@@ -74,6 +75,13 @@ CASES = [
         Algebra(SPACE, _act),
         (SPACE, _act, "algebra"),
         f"Algebra(space={SPACE_REPR}, e={_act!r}, name='algebra')",
+    ),
+    # a built table holds a dict and a list, which have no hash; stand-ins
+    # with a hash pin the record's own
+    (
+        OracleTable(((AddressWord("", "T"), 0),), ((0,),)),
+        (((AddressWord("", "T"), 0),), ((0,),)),
+        "OracleTable(class_of=((AddressWord(labels='', terminal='T'), 0),), dist=((0,),))",
     ),
     (
         MapWitness(_ident, SPACE, SPACE, ISOMETRIC),

@@ -131,6 +131,16 @@ def test_distinguished():
         assert canonicalize(w).word.level == 0
 
 
+def test_distinguished_rejects_negative_level():
+    with pytest.raises(ValueError, match="^level must be nonnegative$"):
+        distinguished(-1)
+
+
+def test_prepend_rejects_bad_label():
+    with pytest.raises(ValueError, match="^bad label 'd'$"):
+        prepend("d", canonicalize(parse_word("b.R")))
+
+
 def test_prepend_matches_concatenation():
     x = canonicalize(parse_word("b.R"))
     assert prepend("a", x).text == "ab.R"
