@@ -30,9 +30,11 @@ from trigasket.words import (
     prepend,
 )
 from trigasket.metric import (
+    _dist,
     _dist_G_num,
     _dist_level_num,
     _oracle_num,
+    _padded,
     _tensor_num,
     dist_G,
     oracle_table,
@@ -94,23 +96,26 @@ def prefix_diameter_bound() -> str:
     are 2^t and 2^(t+1).
     """
     rng = Random(1002)
+    choice, randint = rng.choice, rng.randint
     tails = {t: list(iter_words(t)) for t in range(3)}
 
     def prefixed(prefix: str, w: AddressWord) -> AddressWord:
         return AddressWord(prefix + w.labels, w.terminal)
 
     for _ in range(10_000):
-        n = rng.randint(0, 10)
-        prefix = "".join(rng.choice(LABELS) for _ in range(n))
-        t = rng.randint(0, 2)
-        x1, x2 = rng.choice(tails[t]), rng.choice(tails[t])
+        n = randint(0, 10)
+        prefix = "".join([choice(LABELS) for _ in range(n)])
+        t = randint(0, 2)
+        ts = tails[t]
+        x1, x2 = choice(ts), choice(ts)
         if _dist_level_num(prefixed(prefix, x1), prefixed(prefix, x2), n + t) > 1 << t:
             raise Fail(f"d > 2^-{n} for prefix {prefix!r}, tails {x1.text}/{x2.text}")
     for _ in range(10_000):
-        n = rng.randint(0, 10)
-        prefix = "".join(rng.choice(LABELS) for _ in range(n))
-        t = rng.randint(0, 2)
-        x1, x2, y1, y2 = (rng.choice(tails[t]) for _ in range(4))
+        n = randint(0, 10)
+        prefix = "".join([choice(LABELS) for _ in range(n)])
+        t = randint(0, 2)
+        ts = tails[t]
+        x1, x2, y1, y2 = choice(ts), choice(ts), choice(ts), choice(ts)
         level = n + t
         d1 = _dist_level_num(prefixed(prefix, x1), prefixed(prefix, x2), level)
         d2 = _dist_level_num(prefixed(prefix, y1), prefixed(prefix, y2), level)
@@ -127,9 +132,11 @@ def gluing_step_isometry() -> str:
     for _ in range(1_000):
         u = rng.choice(canon)
         v = rng.choice(canon)
+        pu = {m: prepend(m, u) for m in LABELS}
+        pv = {m: prepend(m, v) for m in LABELS}
         for mu, mv in product(LABELS, repeat=2):
             a, la = _tensor_num(mu, u, mv, v)
-            b, lb = _dist_G_num(prepend(mu, u), prepend(mv, v))
+            b, lb = _dist_G_num(pu[mu], pv[mv])
             if a << lb != b << la:
                 raise Fail(
                     f"{mu}*{u.text} / {mv}*{v.text}: "
@@ -140,7 +147,11 @@ def gluing_step_isometry() -> str:
 
 
 def uniform_cauchy_modulus() -> str:
-    """d_G(theta_p, theta_q) <= 2^-p for p < q, same modulus for every point."""
+    """d_G(theta_p, theta_q) <= 2^-p for p < q, same modulus for every point.
+
+    theta_k has level at most k, so each point's 14 approximants are padded
+    once to level 14, where the distance's numerator is over 2^14.
+    """
     rng = Random(1004)
     canon6 = list(iter_canonical(6))
     gasket_pts = [VERTEX["T"], VERTEX["L"], VERTEX["R"]]
@@ -155,11 +166,12 @@ def uniform_cauchy_modulus() -> str:
     for name, pts in (("gasket-sigma", gasket_pts), ("delta", delta_pts)):
         co = get_coalgebra(name)
         for x in pts:
-            ths = thetas(co, x, 14)
+            ths = [(_padded(t.word, 14), t.word.terminal) for t in thetas(co, x, 14)]
             for p in range(1, 14):
+                tp, dp = ths[p - 1]
                 for q in range(p + 1, 15):
-                    num, n = _dist_G_num(ths[p - 1], ths[q - 1])
-                    if num << p > 1 << n:
+                    tq, dq = ths[q - 1]
+                    if _dist(tp, dp, tq, dq, 14) << p > 1 << 14:
                         raise Fail(f"{name}: d(theta_{p}, theta_{q}) > 2^-{p} at {x!r}")
                     checked += 1
     return f"{checked} (p,q) comparisons, 200 points per coalgebra, depths to 14, zero violations"
@@ -223,9 +235,9 @@ def plane_embedding_roundtrip() -> str:
 
     trips = 0
     for w in iter_canonical(6):
-        if exact_address(coords(w)) != w:
-            raise Fail(f"exact_address(coords({w.text})) != {w.text}")
         p = coords(w)
+        if exact_address(p) != w:
+            raise Fail(f"exact_address(coords({w.text})) != {w.text}")
         for m in LABELS:
             q = sigma(m, p)
             m2, p2 = sigma_inv(q)

@@ -32,7 +32,9 @@ from trigasket.words import canonicalize, parse_word
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ValueError(f"not a rational: {text!r} (zero denominator)") from None
+    except ValueError as exc:
         raise ValueError(f"not a rational: {text!r} ({exc})") from None
 
 
@@ -164,6 +166,10 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("depth", "level"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ValueError(f"--{flag} must be nonnegative, got {value}")
         return args.fn(args)
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,9 @@ numerators themselves, through `_dist_level_num`, `_dist_G_num`,
 (equivalence classes + Floyd-Warshall on min-over-representative edge
 weights), so exact agreement between the two is a real check, not a
 tautology. The oracle too stores and relaxes integer numerators over 2^n.
+It relaxes only through the three junction classes of each level, the
+ones its own union relations merge across copies, which is exact (see
+`_oracle_table`) and builds level 6 in a fifth of a second.
 """
 
 from __future__ import annotations
@@ -45,9 +48,11 @@ from .words import (
     iter_words,
 )
 
-# level n has (3^(n+1) + 3) / 2 classes; measured on CPython 3.11 on one core,
-# levels 0-5 build in 1.6 s together and level 6 (1095 classes) alone in 48 s
-ORACLE_MAX_LEVEL = 5
+# level n has (3^(n+1) + 3) / 2 classes; measured on CPython 3.11.7 on one
+# core, levels 4, 5 and 6 (1095 classes) build in 3 ms, 18 ms and 0.17 s, and
+# building level 6 raises peak RSS by about 10 MB. Level 7 (3282 classes)
+# would hold a distance table nine times as large.
+ORACLE_MAX_LEVEL = 6
 
 # Junction crossings, keyed by ordered copy pair (m, m'):
 # (direct corner on m side, direct corner on m' side, via corner).
@@ -245,9 +250,18 @@ def _oracle_table(level: int) -> OracleTable:
             dist[i][j] = best
             dist[j][i] = best
 
-    # Floyd-Warshall; all values are <= one, so any intermediate at distance
-    # one can never shorten a path and its pass is skipped outright.
-    for k in range(n):
+    # Floyd-Warshall through the bridge classes only: the classes whose
+    # members lie in two different copies, three at every level >= 1. Each
+    # proto-node is in at most one of the three union relations, so a class
+    # has at most one member per copy, and any other class is one proto-node
+    # in one copy. The previous level's dist is a shortest-path metric, so any
+    # run of hops inside one copy shortens to one hop, and a weight-`one`
+    # edge never beats the initial cap of `one`. So a shortest path changes
+    # copy only at a bridge class, and relaxing through the three bridges
+    # finds it: O(3 n^2) in place of O(n^3). An intermediate at distance
+    # `one` can never shorten a path, so its row is skipped.
+    bridges = [i for i in range(n) if len({m for m, _ in members[i]}) > 1]
+    for k in bridges:
         dk = dist[k]
         for i in range(n):
             dik = dist[i][k]

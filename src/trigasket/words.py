@@ -89,7 +89,8 @@ class AddressWord:
     def __init__(self, labels: str, terminal: str) -> None:
         if _LABEL_STRING.fullmatch(labels) is None:
             raise ValueError(f"bad label in {labels!r}")
-        if terminal not in TERMINALS:
+        # exact membership: a substring test would pass '' and 'LR'
+        if terminal not in PAD:
             raise ValueError(f"bad terminal {terminal!r}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "terminal", terminal)
@@ -230,7 +231,7 @@ def distinguished(level: int) -> tuple[AddressWord, AddressWord, AddressWord]:
 
 def prepend(m: str, x: CanonicalAddress) -> CanonicalAddress:
     """The initial-algebra structure map on addresses: glue a label on front."""
-    if m not in LABELS:
+    if m not in ANCHOR:
         raise ValueError(f"bad label {m!r}")
     return canonicalize(AddressWord(m + x.word.labels, x.word.terminal))
 

@@ -86,3 +86,31 @@ def test_verify_prints_each_line_as_its_criterion_finishes(monkeypatch, capsys):
     assert seen[0].startswith("[PASS]  1 metric-matches-oracle: ")
     assert seen[0].count("\n") == 1
     assert capsys.readouterr().out == "[PASS]  2 prefix-diameter-bound: stub\n"
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(acceptance, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(acceptance, name, counted)
+    return calls
+
+
+def test_gluing_step_isometry_prepends_each_label_once_per_address(monkeypatch):
+    # 1000 address pairs, three labels on each side: the nine label pairs
+    # reuse the six images
+    calls = _count_calls(monkeypatch, "prepend")
+    assert run_criterion(3).passed
+    assert len(calls) == 6_000
+
+
+def test_plane_embedding_roundtrip_maps_each_word_once(monkeypatch):
+    # once for each of the 1095 canonical addresses of levels <= 6, twice
+    # for each of the 1074 junction words of levels 1-5
+    calls = _count_calls(monkeypatch, "coords")
+    assert run_criterion(8).passed
+    assert len(calls) == 1095 + 2 * 1074

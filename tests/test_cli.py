@@ -142,13 +142,30 @@ def test_address_off_gasket(capsys):
 @pytest.mark.parametrize(
     "x, message",
     [
-        ("1/0", "error: not a rational: '1/0' (Fraction(1, 0))\n"),
+        ("1/0", "error: not a rational: '1/0' (zero denominator)\n"),
         ("abc", "error: not a rational: 'abc' (Invalid literal for Fraction: 'abc')\n"),
     ],
 )
 def test_address_rejects_a_non_rational(capsys, x, message):
     code, out, err = run(capsys, "address", "--x", x, "--y-coeff", "0", "--depth", "4")
     assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["address", "--x", "1/2", "--y-coeff", "1/2", "--depth", "-5"], "--depth"),
+        (["dist", "--level", "-1", ".T", ".L"], "--level"),
+        (["mediate", "--coalgebra", "delta", "--point", "1/3", "--depth", "-2"], "--depth"),
+        (["render", "--depth", "-1", "--out", "x.svg"], "--depth"),
+    ],
+)
+def test_negative_depth_or_level_names_the_flag(capsys, monkeypatch, tmp_path, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    value = argv[argv.index(flag) + 1]
+    assert (code, out, err) == (1, "", f"error: {flag} must be nonnegative, got {value}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_address_negative_coordinate(capsys):

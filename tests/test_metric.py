@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from trigasket.metric import (
     tensor_dist_G,
     _dist_G_num,
     _dist_level_num,
+    _UnionFind,
     _oracle_num,
     _padded,
     _tensor_num,
@@ -101,6 +103,58 @@ def test_oracle_agrees_at_level_5():
     for _ in range(5000):
         u, v = rng.choice(ws), rng.choice(ws)
         assert dist_level(u, v, 5) == dist_oracle(u, v, 5)
+
+
+def test_oracle_agrees_at_level_6():
+    rng = Random(66)
+    ws = list(iter_words(6))
+    for _ in range(5000):
+        u, v = rng.choice(ws), rng.choice(ws)
+        assert dist_level(u, v, 6) == dist_oracle(u, v, 6)
+
+
+@lru_cache(maxsize=None)
+def _full_floyd_warshall(level):
+    """The oracle's quotient at a level with Floyd-Warshall relaxed through
+    every class: the reference for its relaxation through the junction
+    classes alone. Returns (class_of, dist) like an OracleTable."""
+    if level == 0:
+        dist = [[int(i != j) for j in range(3)] for i in range(3)]
+        return {w: i for i, w in enumerate(iter_words(0))}, dist
+    prev_class, prev_dist = _full_floyd_warshall(level - 1)
+    proto = [(m, c) for m in "abc" for c in range(len(prev_dist))]
+    index = {pc: i for i, pc in enumerate(proto)}
+    uf = _UnionFind(len(proto))
+    corner = {w.terminal: prev_class[w] for w in distinguished(level - 1)}
+    # b.T~a.L, a.R~c.T, c.L~b.R
+    for m1, d1, m2, d2 in ("bTaL", "aRcT", "cLbR"):
+        uf.union(index[m1, corner[d1]], index[m2, corner[d2]])
+    cid = {root: i for i, root in enumerate(sorted({uf.find(i) for i in range(len(proto))}))}
+    members = [[] for _ in cid]
+    for pc, i in index.items():
+        members[cid[uf.find(i)]].append(pc)
+    one = 2**level
+    dist = [
+        [min([prev_dist[c1][c2] for m1, c1 in mi for m2, c2 in mj if m1 == m2], default=one)
+         for mj in members]
+        for mi in members
+    ]
+    n = len(members)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    class_of = {
+        w: cid[uf.find(index[w.labels[0], prev_class[AddressWord(w.labels[1:], w.terminal)]])]
+        for w in iter_words(level)
+    }
+    return class_of, dist
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_oracle_matches_full_floyd_warshall(level):
+    table = oracle_table(level)
+    assert (table.class_of, table.dist) == _full_floyd_warshall(level)
 
 
 def test_oracle_level_guard():

@@ -158,6 +158,8 @@ def test_constructors_take_their_field_names():
             ValidationError,
             "flat: does not preserve mark T",
         ),
+        (lambda: AddressWord("ab", ""), ValueError, "bad terminal ''"),
+        (lambda: AddressWord("ab", "LR"), ValueError, "bad terminal 'LR'"),
     ],
 )
 def test_constructor_messages(build, error, message):

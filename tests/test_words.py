@@ -141,6 +141,13 @@ def test_prepend_rejects_bad_label():
         prepend("d", canonicalize(parse_word("b.R")))
 
 
+@pytest.mark.parametrize("m", ["", "bc"])
+def test_prepend_rejects_a_label_that_is_not_one_letter(m):
+    with pytest.raises(ValueError) as err:
+        prepend(m, canonicalize(parse_word("b.R")))
+    assert str(err.value) == f"bad label {m!r}"
+
+
 def test_prepend_matches_concatenation():
     x = canonicalize(parse_word("b.R"))
     assert prepend("a", x).text == "ab.R"
