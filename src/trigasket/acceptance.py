@@ -23,6 +23,7 @@ from trigasket.words import (
     AddressWord,
     CanonicalAddress,
     canonicalize,
+    corner_digits,
     glue_partner,
     iter_canonical,
     iter_words,
@@ -35,6 +36,7 @@ from trigasket.metric import (
     _dist_level_num,
     _oracle_num,
     _padded,
+    _prefixed,
     _tensor_num,
     dist_G,
     oracle_table,
@@ -93,14 +95,16 @@ def prefix_diameter_bound() -> str:
     """A shared n-label prefix confines any two tails to diameter 2^-n.
 
     The words have level n + t, so the bounds on numerators over 2^(n+t)
-    are 2^t and 2^(t+1).
+    are 2^t and 2^(t+1). Each sample reads its prefix's corner digits once
+    (`corner_digits`) and extends them by each tail's cached digits
+    (`_prefixed`): those are exactly the digits of the word prefix + tail,
+    and the random draws are the same calls in the same order as when each
+    sample built its words, so the kernel gets the same inputs, and gives
+    the same results, as it would on the built words.
     """
     rng = Random(1002)
     choice, randint = rng.choice, rng.randint
     tails = {t: list(iter_words(t)) for t in range(3)}
-
-    def prefixed(prefix: str, w: AddressWord) -> AddressWord:
-        return AddressWord(prefix + w.labels, w.terminal)
 
     for _ in range(10_000):
         n = randint(0, 10)
@@ -108,7 +112,9 @@ def prefix_diameter_bound() -> str:
         t = randint(0, 2)
         ts = tails[t]
         x1, x2 = choice(ts), choice(ts)
-        if _dist_level_num(prefixed(prefix, x1), prefixed(prefix, x2), n + t) > 1 << t:
+        digits = corner_digits(prefix)
+        d = _dist(_prefixed(digits, x1), x1.terminal, _prefixed(digits, x2), x2.terminal, n + t)
+        if d > 1 << t:
             raise Fail(f"d > 2^-{n} for prefix {prefix!r}, tails {x1.text}/{x2.text}")
     for _ in range(10_000):
         n = randint(0, 10)
@@ -117,8 +123,9 @@ def prefix_diameter_bound() -> str:
         ts = tails[t]
         x1, x2, y1, y2 = choice(ts), choice(ts), choice(ts), choice(ts)
         level = n + t
-        d1 = _dist_level_num(prefixed(prefix, x1), prefixed(prefix, x2), level)
-        d2 = _dist_level_num(prefixed(prefix, y1), prefixed(prefix, y2), level)
+        digits = corner_digits(prefix)
+        d1 = _dist(_prefixed(digits, x1), x1.terminal, _prefixed(digits, x2), x2.terminal, level)
+        d2 = _dist(_prefixed(digits, y1), y1.terminal, _prefixed(digits, y2), y2.terminal, level)
         if abs(d1 - d2) > 2 << t:
             raise Fail(f"|d1-d2| > 2^(1-{n}) for prefix {prefix!r}")
     return "10000 pair samples within 2^-n and 10000 quadruples within 2^(1-n), levels 0-10"

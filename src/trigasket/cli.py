@@ -9,6 +9,7 @@ errors (argparse's default).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -25,13 +26,24 @@ from trigasket.geometry import (
     surd_text,
 )
 from trigasket.metric import dist_G, dist_level
-from trigasket.numerics import _ratio_text, format_dist
+from trigasket.numerics import _ratio_text, _text_int, format_dist
 from trigasket.words import canonicalize, parse_word
+
+
+# a ratio of integers, the form `coords` prints; Fraction(text) refuses
+# integers longer than sys.get_int_max_str_digits() digits, so these are read
+# in chunks, and every other form Fraction accepts goes to Fraction
+_RATIO = re.compile(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*")
 
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        ratio = _RATIO.fullmatch(text)
+        if ratio is None:
+            return Fraction(text)
+        sign, num, den = ratio.groups()
+        value = Fraction(_text_int(num), _text_int(den or "1"))
+        return -value if sign == "-" else value
     except ZeroDivisionError:
         raise ValueError(f"not a rational: {text!r} (zero denominator)") from None
     except ValueError as exc:

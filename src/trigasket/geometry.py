@@ -23,7 +23,6 @@ from typing import Iterator, NamedTuple
 from .numerics import _ratio_text, decimal_str
 from .words import (
     ANCHOR,
-    DIGITS,
     AddressWord,
     CanonicalAddress,
     canonicalize,
@@ -95,12 +94,11 @@ def coords(addr: "AddressWord | CanonicalAddress") -> Point2:
 
     Each map halves and adds half its copy's corner, so scaled by 2^(n+1)
     x = A + 2C + 2*VERTEX[d].x and yc = A + 2*VERTEX[d].yc, where A and C read
-    the labels as binary digits toward T and R (`words.DIGITS`), 1 where the
-    label is a (A) or c (C).
+    the labels as binary digits toward T and R (`AddressWord.toward`), 1
+    where the label is a (A) or c (C).
     """
     w = addr.word if isinstance(addr, CanonicalAddress) else addr
-    a = int(w.labels.translate(DIGITS["T"]) or "0", 2)
-    c = int(w.labels.translate(DIGITS["R"]) or "0", 2)
+    a, _, c = w.toward
     vx, vy = _VERTEX2[w.terminal]
     den = 2 << len(w.labels)
     return Point2(Fraction(a + 2 * c + vx, den), Fraction(a + vy, den))

@@ -8,16 +8,20 @@ ordered pair of copies; like `words.GLUE`, it is read off `words.PAD`, the
 one declaration of the gasket. The formula needs only each side's distances
 to corners, and on words these have a closed form: one minus the barycentric
 weight toward the corner, whose numerator reads the labels as binary digits
-(`AddressWord.toward`, computed once per word and kept on it). `_crossing`
-evaluates the formula on those integers. The kernel `_dist` never reads a
-label string: a label is fixed by its T and R digits, so the first differing
-label is the highest bit where those readouts differ, and both labels are
-read off that bit. It works on the digits of two words of one level n,
-keeps no table between calls, and returns the distance's integer numerator
-over 2^n: every level-n distance lies in 2^-n Z. `dist_level` hands it two
-words of the stated level, while `dist_G` and `tensor_dist_G` pad the
-shallower word to the deeper level with its terminal's pad label, which
-names the same point and shifts its digits, and build no word. Each public
+(`AddressWord.toward`, the (T, L, R) tuple of `words.corner_digits`,
+computed once per word and kept on it). `_crossing` evaluates the formula
+on those integers. The kernel `_dist` never reads a label string: a label
+is fixed by its T and R digits, so the first differing label is the highest
+bit where those readouts differ, and the two labels' codes 2*T + R at that
+bit key `_JUNCTION_AT`, `JUNCTIONS` with each corner given as its digit
+index and letter, so one lookup names the junction. It works on the digits
+of two words of one level n, keeps no state between calls, and returns the
+distance's integer numerator over 2^n: every level-n distance lies in
+2^-n Z. `dist_level` hands it two words of the stated level, while `dist_G`
+and `tensor_dist_G` pad the shallower word to the deeper level with its
+terminal's pad label, which names the same point and shifts its digits,
+and build no word; `_prefixed` likewise gives the digits of a prefix
+followed by a word from the prefix's digits and the word's. Each public
 function makes one kernel call and builds one Fraction from its numerator;
 the acceptance criteria and `coalgebras.finality_check` compare the
 numerators themselves, through `_dist_level_num`, `_dist_G_num`,
@@ -41,6 +45,7 @@ from typing import NamedTuple
 from .words import (
     ANCHOR,
     LABELS,
+    TERMINALS,
     AddressWord,
     CanonicalAddress,
     PAD,
@@ -66,45 +71,57 @@ JUNCTIONS: dict[tuple[str, str], tuple[str, str, str]] = {
 }
 
 
-def _crossing(mu: str, mv: str, tu: dict, du: str, tv: dict, dv: str, m: int) -> int:
-    """The gluing formula on integers: 2^m times the cheaper crossing from
-    copy mu to copy mv != mu, for two level-m words given by their corner
-    digits tu, tv (`AddressWord.toward`, of which only the low m bits count)
-    and terminals.
+# A label's code is 2*T + R of its own digits: its digit is 1 toward the one
+# corner it pads, so a reads 2, b reads 0 and c reads 1.
+_CODE = {m: 2 * (m == PAD["T"]) + (m == PAD["R"]) for m in LABELS}
+
+# a corner's index in a (T, L, R) digit tuple
+_CORNER = {d: i for i, d in enumerate(TERMINALS)}
+
+# JUNCTIONS keyed by the two copies' codes, each corner given as its digit
+# index and its letter: (p index, p, q index, q, via index, via).
+_JUNCTION_AT: dict[tuple[int, int], tuple[int, str, int, str, int, str]] = {
+    (_CODE[m], _CODE[m2]): tuple(x for c in corners for x in (_CORNER[c], c))
+    for (m, m2), corners in JUNCTIONS.items()
+}
+
+
+def _crossing(junction: tuple, tu: tuple, du: str, tv: tuple, dv: str, m: int) -> int:
+    """The gluing formula on integers: 2^m times the cheaper crossing
+    between two copies, through their `_JUNCTION_AT` entry, for two level-m
+    words given by their corner digits tu, tv (`AddressWord.toward`, of
+    which only the low m bits count) and terminals.
 
     2^m times a word's distance to corner c is 2^m minus its digits toward c,
     minus 1 if its terminal is c.
     """
-    p, q, r = JUNCTIONS[mu, mv]
+    p, cp, q, cq, r, cr = junction
     s = 1 << m
     mask = s - 1
-    direct = 2 * s - (tu[p] & mask) - (du == p) - (tv[q] & mask) - (dv == q)
-    via = 3 * s - (tu[r] & mask) - (du == r) - (tv[r] & mask) - (dv == r)
-    return min(direct, via)
+    direct = 2 * s - (tu[p] & mask) - (du == cp) - (tv[q] & mask) - (dv == cq)
+    via = 3 * s - (tu[r] & mask) - (du == cr) - (tv[r] & mask) - (dv == cr)
+    return direct if direct < via else via
 
 
-# (T digit, R digit) -> label: a label's digit is 1 toward the one corner it
-# pads, so PAD["L"] reads 0 on both
-_LABEL_AT = {(1, 0): PAD["T"], (0, 0): PAD["L"], (0, 1): PAD["R"]}
-
-
-def _dist(tu: dict, du: str, tv: dict, dv: str, n: int) -> int:
+def _dist(tu: tuple, du: str, tv: tuple, dv: str, n: int) -> int:
     """2^n times the quotient metric between two level-n words given by their
     corner digits tu, tv and terminals du, dv.
 
     Each label is fixed by its T and R digits, so the first differing label
-    is the highest set bit of the two readouts' differences.
+    is the highest set bit of the two readouts' differences, and the codes
+    read at that bit name the junction.
     """
-    diff = (tu["T"] ^ tv["T"]) | (tu["R"] ^ tv["R"])
+    ut, _, ur = tu
+    vt, _, vr = tv
+    diff = (ut ^ vt) | (ur ^ vr)
     if not diff:
         return int(du != dv)
     m = diff.bit_length() - 1
-    mu = _LABEL_AT[tu["T"] >> m & 1, tu["R"] >> m & 1]
-    mv = _LABEL_AT[tv["T"] >> m & 1, tv["R"] >> m & 1]
-    return _crossing(mu, mv, tu, du, tv, dv, m)
+    junction = _JUNCTION_AT[(ut >> m & 1) << 1 | ur >> m & 1, (vt >> m & 1) << 1 | vr >> m & 1]
+    return _crossing(junction, tu, du, tv, dv, m)
 
 
-def _padded(w: AddressWord, n: int) -> dict[str, int]:
+def _padded(w: AddressWord, n: int) -> tuple[int, int, int]:
     """Corner digits of w padded to level n >= w.level: the same point.
 
     The k pad labels are all PAD[terminal], so they shift every readout up by
@@ -113,10 +130,19 @@ def _padded(w: AddressWord, n: int) -> dict[str, int]:
     k = n - len(w.labels)
     if not k:
         return w.toward
-    t, d = w.toward, w.terminal
-    digits = {"T": t["T"] << k, "L": t["L"] << k, "R": t["R"] << k}
-    digits[d] += (1 << k) - 1
-    return digits
+    t, l, r = w.toward
+    digits = [t << k, l << k, r << k]
+    digits[_CORNER[w.terminal]] += (1 << k) - 1
+    return tuple(digits)
+
+
+def _prefixed(prefix: tuple, w: AddressWord) -> tuple[int, int, int]:
+    """Corner digits of the word prefix + w.labels, given the prefix's
+    corner digits: w's labels are the low len(w.labels) digits."""
+    k = len(w.labels)
+    pt, pl, pr = prefix
+    t, l, r = w.toward
+    return pt << k | t, pl << k | l, pr << k | r
 
 
 def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
@@ -165,7 +191,8 @@ def _tensor_num(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> t
     tu, tv = _padded(wu, n), _padded(wv, n)
     if mu == mv:
         return _dist(tu, wu.terminal, tv, wv.terminal, n), n + 1
-    return _crossing(mu, mv, tu, wu.terminal, tv, wv.terminal, n), n + 1
+    junction = _JUNCTION_AT[_CODE[mu], _CODE[mv]]
+    return _crossing(junction, tu, wu.terminal, tv, wv.terminal, n), n + 1
 
 
 # ---------------------------------------------------------------------------

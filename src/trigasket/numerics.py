@@ -32,7 +32,8 @@ def decimal_str(value: Fraction, places: int = 12) -> str:
 
 
 # CPython refuses str() of an int longer than sys.get_int_max_str_digits()
-# digits (4300 by default, never below 640), so longer ints go out in chunks
+# digits (4300 by default, never below 640), so longer ints go out, and come
+# back in, in chunks
 _CHUNK_DIGITS = 600
 _CHUNK = 10**_CHUNK_DIGITS
 
@@ -45,6 +46,16 @@ def _int_text(i: int) -> str:
         parts.append(f"{r:0{_CHUNK_DIGITS}d}")
     parts.append(str(i))
     return "".join(reversed(parts))
+
+
+def _text_int(digits: str) -> int:
+    """The nonnegative int a string of decimal digits of any length spells:
+    `_int_text` read back, chunk by chunk."""
+    i = 0
+    for k in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[k : k + _CHUNK_DIGITS]
+        i = i * 10 ** len(chunk) + int(chunk)
+    return i
 
 
 def _ratio_text(value: Fraction) -> str:

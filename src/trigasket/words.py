@@ -46,28 +46,34 @@ GLUE = tuple(((m, ANCHOR[m2]), (m2, ANCHOR[m])) for m, m2 in ("ba", "ac", "cb"))
 DIGITS = {d: str.maketrans(LABELS, "".join("01"[m == PAD[d]] for m in LABELS)) for d in TERMINALS}
 
 
-class _CornerDigits:
-    """`AddressWord.toward`: corner c -> the labels read as binary digits, 1
-    where the label is PAD[c].
+def corner_digits(labels: str) -> tuple[int, int, int]:
+    """The labels read as binary digits toward each corner (T, L, R), 1
+    where the label is that corner's pad label.
 
-    Over 2^n, plus 2^-n if the terminal is c, this is the point's barycentric
-    weight toward corner c; the digits of the last m labels are its low m
-    bits. Every label is the pad label of exactly one corner, so the three
-    readouts sum to 2^n - 1 and two parses give all three. The first read
-    stores the digits as an instance attribute, which shadows this
-    (non-data) descriptor, so later reads are plain attribute lookups; the
-    word is immutable, so they never go stale. Every reader gets the same
-    dict: read it, never change it. (Writing `w.__dict__` instead would
-    build a dict per word out of CPython's inline attribute values.)
+    Every label is the pad label of exactly one corner, so the three
+    readouts sum to 2^n - 1 and two parses give all three.
+    """
+    t = int(labels.translate(DIGITS["T"]) or "0", 2)
+    r = int(labels.translate(DIGITS["R"]) or "0", 2)
+    return t, (1 << len(labels)) - 1 - t - r, r
+
+
+class _CornerDigits:
+    """`AddressWord.toward`: the (T, L, R) tuple `corner_digits(labels)`.
+
+    Over 2^n, plus 2^-n if the terminal is c, the readout toward corner c
+    is the point's barycentric weight toward c; the digits of the last m
+    labels are its low m bits. The first read stores the tuple as an
+    instance attribute, which shadows this (non-data) descriptor, so later
+    reads are plain attribute lookups; the word is immutable, so they never
+    go stale. (Writing `w.__dict__` instead would build a dict per word out
+    of CPython's inline attribute values.)
     """
 
     def __get__(self, w, owner=None):
         if w is None:
             return self
-        labels = w.labels
-        t = int(labels.translate(DIGITS["T"]) or "0", 2)
-        r = int(labels.translate(DIGITS["R"]) or "0", 2)
-        digits = {"T": t, "L": (1 << len(labels)) - 1 - t - r, "R": r}
+        digits = corner_digits(w.labels)
         object.__setattr__(w, "toward", digits)
         return digits
 

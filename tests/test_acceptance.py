@@ -15,6 +15,7 @@ import pytest
 from trigasket import acceptance
 from trigasket.acceptance import CRITERIA, SUITES, run_criterion, run_suite
 from trigasket.cli import main
+from trigasket.words import AddressWord
 
 _IDS = [f"{num:02d}-{fn.__name__}" for num, fn in CRITERIA]
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -114,3 +115,24 @@ def test_plane_embedding_roundtrip_maps_each_word_once(monkeypatch):
     calls = _count_calls(monkeypatch, "coords")
     assert run_criterion(8).passed
     assert len(calls) == 1095 + 2 * 1074
+
+
+def test_prefix_diameter_bound_reads_each_prefix_once_and_builds_no_word(monkeypatch):
+    # 20,000 samples read their prefix's digits once each; the 10,000 pairs
+    # and 10,000 quadruples make 30,000 kernel calls on digits extended from
+    # the tails' cached ones, so the only words built are the 3 + 9 + 27
+    # tails of levels 0-2, before the loops
+    digit_reads = _count_calls(monkeypatch, "corner_digits")
+    kernel = _count_calls(monkeypatch, "_dist")
+    built = []
+    init = AddressWord.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(AddressWord, "__init__", counted_init)
+    assert run_criterion(2).passed
+    assert len(digit_reads) == 20_000
+    assert len(kernel) == 30_000
+    assert len(built) == 3 + 9 + 27

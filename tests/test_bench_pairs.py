@@ -1,0 +1,140 @@
+"""tools/bench_pairs.py assembles its report from run.py's last stdout line;
+here it is fed canned lines, and no benchmark runs."""
+
+import importlib.util
+import json
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BOUNDS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def canned(ops_per_s, op_tail_ms, correct=True):
+    """A run.py stdout: figure lines, then the JSON result line."""
+    metrics = {
+        "setup_s": {"value": 0.06, "unit": "s"},
+        "rss_peak_mb": {"value": 24.75, "unit": "MB"},
+        "op_p50_ms": {"value": 36.9, "unit": "ms"},
+        "op_tail_ms": {"value": op_tail_ms, "unit": "ms"},
+        "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+    }
+    return (
+        "times scaled to the reference speed\n"
+        f"op_p50_ms 36.9000 ms, op_tail_ms {op_tail_ms} ms, ops_per_s {ops_per_s}\n"
+        "run digest 0123456789abcdef\n"
+        + json.dumps({"correct": correct, "attempted": 50, "failed": 1 - correct, "metrics": metrics})
+        + "\n"
+    )
+
+
+PARENT_OPS = [14.1, 14.3, 14.2, 14.4, 14.3, 14.2, 14.5, 14.3, 14.1, 14.4]
+CHANGE_OPS = [18.9, 19.0, 18.8, 19.1, 14.0, 18.9, 19.2, 18.7, 19.0, 18.9]
+
+
+def runner(calls):
+    def run(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed, seconds))
+        i = seed - 201
+        if tree.name == "parent":
+            return canned(PARENT_OPS[i], 330.0 + i)
+        # the tail worsens by 40% on the change
+        return canned(CHANGE_OPS[i], 1.4 * (330.0 + i))
+    return run
+
+
+def test_pairs_alternate_and_read_the_last_line():
+    calls = []
+    trees = {"parent": Path("parent"), "change": Path("change")}
+    pairs = bench_pairs.run_pairs(trees, "verify", list(range(201, 211)), 20.0, runner(calls))
+    assert [c[0] for c in calls[:4]] == ["parent", "change", "change", "parent"]
+    assert {c[1:] for c in calls[:2]} == {("verify", 201, 20.0)}
+    assert [p["first"] for p in pairs[:3]] == ["parent", "change", "parent"]
+    assert pairs[4]["change"] == {
+        "correct": True,
+        "attempted": 50,
+        "failed": 0,
+        "metrics": {
+            "setup_s": 0.06, "rss_peak_mb": 24.75, "op_p50_ms": 36.9,
+            "op_tail_ms": pytest.approx(1.4 * 334.0), "ops_per_s": 14.0,
+        },
+    }
+
+    summary = bench_pairs.summarize(pairs, BOUNDS)
+    assert summary["all_correct"] is True
+    ops = summary["metrics"]["ops_per_s"]
+    # pair 5 is a loss: 9 wins of 10, and the gap beats the parent's IQR
+    assert (ops["wins"], ops["pairs"], ops["verdict"]) == (9, 10, "better")
+    assert ops["parent_median"] == pytest.approx(14.3)
+    assert ops["change_median"] == pytest.approx(18.9)
+    assert (ops["parent_q1"], ops["parent_q3"]) == pytest.approx((14.2, 14.375))
+    tail = summary["metrics"]["op_tail_ms"]
+    assert (tail["wins"], tail["verdict"]) == (0, "worse")
+    assert tail["change_pct"] == pytest.approx(40.0)
+    # identical runs: no wins, no change, within the bound
+    same = summary["metrics"]["setup_s"]
+    assert (same["wins"], same["change_pct"], same["verdict"]) == (0, 0.0, "within bound")
+
+
+def test_a_wrong_run_is_reported():
+    def run(tree, workload, seed, seconds):
+        return canned(14.0, 330.0, correct=tree.name != "change" or seed != 3)
+
+    trees = {"parent": Path("parent"), "change": Path("change")}
+    pairs = bench_pairs.run_pairs(trees, "cli", [1, 2, 3], 3.0, run)
+    assert pairs[2]["change"]["failed"] == 1
+    assert bench_pairs.summarize(pairs, BOUNDS)["all_correct"] is False
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, want",
+    [
+        # a wide parent spread and mixed runs: no verdict either way
+        ([10.0, 14.0, 10.0, 14.0], [11.0, 13.0, 11.0, 13.0], "higher", "unresolved"),
+        # the same spread, but every change run beats every parent run
+        ([10.0, 14.0, 10.0, 14.0], [15.0, 16.0, 15.0, 16.0], "lower", "worse"),
+        # every pair won, yet the gap is inside the parent's IQR of 4
+        ([10.0, 14.0, 10.0, 14.0], [9.0, 9.5, 9.0, 9.5], "lower", "within bound"),
+        ([10.0, 11.0] * 5, [9.0, 8.5] * 5, "lower", "better"),
+        # the same runs over four pairs: too few to claim a gain
+        ([10.0, 11.0] * 2, [9.0, 8.5] * 2, "lower", "within bound"),
+        ([10.0, 10.1, 10.0, 10.1], [10.1, 10.0, 10.1, 10.0], "lower", "within bound"),
+    ],
+)
+def test_verdicts(parent, change, better, want):
+    assert bench_pairs.verdict(parent, change, better, 0.25)["verdict"] == want
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_export_tree_writes_the_committed_files(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src" / "trigasket").mkdir(parents=True)
+    module = repo / "src" / "trigasket" / "m.py"
+    module.write_text("A = 1\n")
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=repo, check=True, capture_output=True, text=True).stdout
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "one")
+    first = git("rev-parse", "HEAD").strip()
+    committed = bench_pairs.src_digest(repo)
+    module.write_text("A = 2\n")
+    git("commit", "-q", "-am", "two")
+
+    tree = tmp_path / "parent"
+    assert bench_pairs.export_tree("HEAD~1", tree, repo) == first
+    assert (tree / "src" / "trigasket" / "m.py").read_text() == "A = 1\n"
+    assert bench_pairs.src_digest(tree) == committed
+    assert not (tree / ".git").exists()
+    # the repository's own checkout is left as it was
+    assert module.read_text() == "A = 2\n"
+    assert git("worktree", "list").count("\n") == 1

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from trigasket.cli import main
+from trigasket.cli import _fraction, main
 from trigasket.geometry import coords, surd_decimal
 from trigasket.metric import dist_G
 from trigasket.numerics import decimal_str
@@ -112,6 +113,30 @@ def test_coords_prints_level_16000_coordinates_exactly(capsys):
     assert (_decimal_int(xp), _decimal_int(xq)) == (p.x.numerator, p.x.denominator)
     assert (_decimal_int(yp), _decimal_int(yq)) == (p.yc.numerator, p.yc.denominator)
     assert (x_dec, y_dec) == (surd_decimal(p.x, 0), surd_decimal(0, p.yc))
+
+
+def test_address_reads_back_level_16000_coordinates(capsys):
+    # the parts of x and yc run to about 4,800 digits, past CPython's default
+    # limit for reading an int, and `address` reads them back exactly
+    rng = Random(16002)
+    word = "".join(rng.choice("abc") for _ in range(16000)) + ".L"
+    code, out, err = run(capsys, "coords", word)
+    assert (code, err) == (0, "")
+    x_line, y_line = out.splitlines()
+    x = x_line.removeprefix("x = ").split(" = ")[0].removesuffix("+0/1√3")
+    yc = y_line.removeprefix("y = ").split(" = ")[0].removeprefix("0/1+").removesuffix("√3")
+    assert max(len(part) for part in x.split("/") + yc.split("/")) > 4300
+    code, out, err = run(capsys, "address", "--x", x, "--y-coeff", yc, "--depth", "16000")
+    assert (code, err) == (0, "")
+    assert out == canonicalize(parse_word(word)).text + "\n"
+
+
+@pytest.mark.parametrize(
+    "text", ["3/8", "-3/8", "+12/18", " 7 ", "\t-0\n", "0/5", "1.5", "-2.5e-3", "1_000/3", "٣/٤"]
+)
+def test_fraction_reads_short_text_as_fraction_does(text):
+    value = _fraction(text)
+    assert type(value) is Fraction and value == Fraction(text)
 
 
 def test_coords(capsys):

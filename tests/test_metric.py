@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from trigasket.geometry import coords
 from trigasket.metric import (
+    JUNCTIONS,
     ORACLE_MAX_LEVEL,
     dist_G,
     dist_level,
@@ -17,13 +18,16 @@ from trigasket.metric import (
     _dist_level_num,
     _UnionFind,
     _oracle_num,
+    _JUNCTION_AT,
     _padded,
+    _prefixed,
     _tensor_num,
 )
 from trigasket.words import (
     PAD,
     AddressWord,
     canonicalize,
+    corner_digits,
     distinguished,
     embed,
     glue_partner,
@@ -444,6 +448,29 @@ def test_padded_digits_match_padded_word(labels, d, extra):
     n = len(labels) + extra
     padded = AddressWord(labels + PAD[d] * extra, d)
     assert _padded(w, n) == padded.toward
+
+
+@given(
+    prefix=st.one_of(st.integers(min_value=0, max_value=12), DEEP).flatmap(labels_of),
+    tail=st.builds(AddressWord, st.text(alphabet="abc", max_size=12), terminals),
+)
+@settings(deadline=None, max_examples=300)
+def test_prefixed_digits_match_prefixed_word(prefix, tail):
+    want = AddressWord(prefix + tail.labels, tail.terminal).toward
+    assert _prefixed(corner_digits(prefix), tail) == want
+
+
+def test_junction_table_is_keyed_by_label_codes():
+    # a label's code is 2*T + R of its own one-label digits
+    code = {m: 2 * t + r for m in "abc" for t, _, r in [corner_digits(m)]}
+    assert sorted(code.values()) == [0, 1, 2]
+    assert len(_JUNCTION_AT) == 6
+    assert set(_JUNCTION_AT) == {(code[m], code[m2]) for m in "abc" for m2 in "abc" if m != m2}
+    for (m, m2), corners in JUNCTIONS.items():
+        p, cp, q, cq, r, cr = _JUNCTION_AT[code[m], code[m2]]
+        # each corner's digit index names the letter it carries
+        assert (cp, cq, cr) == corners
+        assert ("TLR"[p], "TLR"[q], "TLR"[r]) == corners
 
 
 # levels 0-2000, shallow ones often; the words share a drawn prefix, so they

@@ -6,6 +6,7 @@ from trigasket.words import (
     AddressWord,
     CanonicalAddress,
     canonicalize,
+    corner_digits,
     count_canonical,
     distinguished,
     embed,
@@ -198,11 +199,15 @@ def test_toward_digits(labels, d):
     w = AddressWord(labels, d)
     assert "toward" not in vars(w)
     digits = w.toward
-    for c in "TLR":
-        # reference: the labels read as binary digits, 1 where the label is PAD[c]
-        want = sum(1 << (len(labels) - 1 - k) for k, m in enumerate(labels) if m == PAD[c])
-        assert digits[c] == want
-    assert sum(digits.values()) == (1 << len(labels)) - 1
+    # reference: the labels read as binary digits, 1 where the label is PAD[c],
+    # one readout per corner in the order (T, L, R)
+    want = tuple(
+        sum(1 << (len(labels) - 1 - k) for k, m in enumerate(labels) if m == PAD[c])
+        for c in "TLR"
+    )
+    assert type(digits) is tuple and digits == want
+    assert digits == corner_digits(labels)
+    assert sum(digits) == (1 << len(labels)) - 1
     # kept on the word; equality, hashing and order still see only the fields
     assert w.toward is digits
     fresh = AddressWord(labels, d)
