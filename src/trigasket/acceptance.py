@@ -32,12 +32,11 @@ from trigasket.words import (
 )
 from trigasket.metric import (
     _dist,
-    _dist_G_num,
     _dist_level_num,
     _oracle_num,
     _padded,
     _prefixed,
-    _tensor_num,
+    _tensor,
     dist_G,
     oracle_table,
 )
@@ -141,9 +140,18 @@ def gluing_step_isometry() -> str:
         v = rng.choice(canon)
         pu = {m: prepend(m, u) for m in LABELS}
         pv = {m: prepend(m, v) for m in LABELS}
+        # u and v padded once to their common level n, the six images once
+        # to theirs: padding names the same point, so the tensor side's
+        # numerators are over 2^(n+1) and the image side's over 2^lb
+        wu, wv = u.word, v.word
+        n = max(len(wu.labels), len(wv.labels))
+        tu, tv, la = _padded(wu, n), _padded(wv, n), n + 1
+        lb = max(len(x.word.labels) for x in (*pu.values(), *pv.values()))
+        iu = {m: (_padded(x.word, lb), x.word.terminal) for m, x in pu.items()}
+        iv = {m: (_padded(x.word, lb), x.word.terminal) for m, x in pv.items()}
         for mu, mv in product(LABELS, repeat=2):
-            a, la = _tensor_num(mu, u, mv, v)
-            b, lb = _dist_G_num(pu[mu], pv[mv])
+            a = _tensor(mu, tu, wu.terminal, mv, tv, wv.terminal, n)
+            b = _dist(*iu[mu], *iv[mv], lb)
             if a << lb != b << la:
                 raise Fail(
                     f"{mu}*{u.text} / {mv}*{v.text}: "

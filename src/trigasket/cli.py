@@ -30,19 +30,26 @@ from trigasket.numerics import _ratio_text, _text_int, format_dist
 from trigasket.words import canonicalize, parse_word
 
 
-# a ratio of integers, the form `coords` prints; Fraction(text) refuses
-# integers longer than sys.get_int_max_str_digits() digits, so these are read
-# in chunks, and every other form Fraction accepts goes to Fraction
+# a ratio of integers, the form `coords` prints, and a plain decimal (at
+# least one digit, no exponent); Fraction(text) refuses integers longer than
+# sys.get_int_max_str_digits() digits, so these are read in chunks, and
+# every other form Fraction accepts goes to Fraction
 _RATIO = re.compile(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*")
+_DECIMAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)\.(\d*)\s*")
 
 
 def _fraction(text: str) -> Fraction:
     try:
         ratio = _RATIO.fullmatch(text)
-        if ratio is None:
-            return Fraction(text)
-        sign, num, den = ratio.groups()
-        value = Fraction(_text_int(num), _text_int(den or "1"))
+        if ratio is not None:
+            sign, num, den = ratio.groups()
+            value = Fraction(_text_int(num), _text_int(den or "1"))
+        else:
+            decimal = _DECIMAL.fullmatch(text)
+            if decimal is None:
+                return Fraction(text)
+            sign, whole, frac = decimal.groups()
+            value = Fraction(_text_int(whole + frac), 10 ** len(frac))
         return -value if sign == "-" else value
     except ZeroDivisionError:
         raise ValueError(f"not a rational: {text!r} (zero denominator)") from None

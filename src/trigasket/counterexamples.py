@@ -105,6 +105,10 @@ def delta_space() -> TriPointedSpace:
     )
 
 
+# delta_step's breakpoints, built once rather than on every step
+_QUARTER, _HALF, _THREE_QUARTERS = Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)
+
+
 def delta_step(p: DeltaPoint) -> tuple[str, DeltaPoint]:
     """Piecewise map: outer quarters collapse to corners, middle halves expand x4.
 
@@ -114,11 +118,11 @@ def delta_step(p: DeltaPoint) -> tuple[str, DeltaPoint]:
     if p.is_apex:
         return "a", APEX
     s = p.s
-    if s <= Fraction(1, 4):
+    if s <= _QUARTER:
         return "b", delta_point(0)
-    if s <= Fraction(1, 2):
+    if s <= _HALF:
         return "b", delta_point(4 * s - 1)
-    if s <= Fraction(3, 4):
+    if s <= _THREE_QUARTERS:
         return "c", delta_point(4 * s - 2)
     return "c", delta_point(1)
 

@@ -24,8 +24,9 @@ and build no word; `_prefixed` likewise gives the digits of a prefix
 followed by a word from the prefix's digits and the word's. Each public
 function makes one kernel call and builds one Fraction from its numerator;
 the acceptance criteria and `coalgebras.finality_check` compare the
-numerators themselves, through `_dist_level_num`, `_dist_G_num`,
-`_tensor_num` and `_oracle_num`.
+numerators themselves, through `_dist_level_num`, `_dist_G_num` and
+`_oracle_num`, or on digits they padded once, through `_dist` and
+`_tensor`, the one-step formula that `_tensor_num` applies.
 `dist_oracle` rebuilds the same metric with none of that structure
 (equivalence classes + Floyd-Warshall on min-over-representative edge
 weights), so exact agreement between the two is a real check, not a
@@ -49,6 +50,7 @@ from .words import (
     AddressWord,
     CanonicalAddress,
     PAD,
+    _word,
     distinguished,
     iter_words,
 )
@@ -188,11 +190,15 @@ def _tensor_num(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> t
     than the deeper word's level: the step halves distances in a copy."""
     wu, wv = u.word, v.word
     n = max(len(wu.labels), len(wv.labels))
-    tu, tv = _padded(wu, n), _padded(wv, n)
+    return _tensor(mu, _padded(wu, n), wu.terminal, mv, _padded(wv, n), wv.terminal, n), n + 1
+
+
+def _tensor(mu: str, tu: tuple, du: str, mv: str, tv: tuple, dv: str, n: int) -> int:
+    """2^(n+1) times the one-step distance between copy mu of one level-n
+    word and copy mv of another, given by their corner digits and terminals."""
     if mu == mv:
-        return _dist(tu, wu.terminal, tv, wv.terminal, n), n + 1
-    junction = _JUNCTION_AT[_CODE[mu], _CODE[mv]]
-    return _crossing(junction, tu, wu.terminal, tv, wv.terminal, n), n + 1
+        return _dist(tu, du, tv, dv, n)
+    return _crossing(_JUNCTION_AT[_CODE[mu], _CODE[mv]], tu, du, tv, dv, n)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +308,7 @@ def _oracle_table(level: int) -> OracleTable:
 
     class_of: dict[AddressWord, int] = {}
     for w in iter_words(level):
-        inner = prev.class_of[AddressWord(w.labels[1:], w.terminal)]
+        inner = prev.class_of[_word(w.labels[1:], w.terminal)]
         class_of[w] = cid[uf.find(index[(w.labels[0], inner)])]
     return OracleTable(class_of, dist)
 

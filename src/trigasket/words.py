@@ -16,6 +16,16 @@ gasket. Copy m meets copy m2 at the corner m2 keeps, so `GLUE` (those three
 identifications) is read off it, and so is every other table here, the
 metric's `JUNCTIONS`, the plane offsets in `geometry` and the structure-map
 checks in `algebras`, `coalgebras` and `spaces`.
+
+A word is validated once, where its text or labels enter from outside:
+`AddressWord(...)`, `parse_word` and `prepend`'s label check. A word the
+library derives from words it already holds (a canonical form, a junction
+partner, a padded or enumerated word, a peeled address) is built by the
+private `_word`, which skips the checks, and a canonical form is wrapped
+by `_canonical`, which skips `CanonicalAddress`'s. `canonicalize` hands
+back its argument's own word when that is already canonical, so the
+word's cached `toward` digits carry over. `coalgebras._anchored` keeps
+validating: its labels come from a structure map a user may have written.
 """
 
 from __future__ import annotations
@@ -152,6 +162,20 @@ class AddressWord:
         return self.text
 
 
+# bound once: `_word` runs for every word the library derives
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _word(labels: str, terminal: str) -> AddressWord:
+    """AddressWord(labels, terminal) without its checks, for labels and a
+    terminal taken from words that were already checked."""
+    w = _new(AddressWord)
+    _set(w, "labels", labels)
+    _set(w, "terminal", terminal)
+    return w
+
+
 class CanonicalAddress(namedtuple("CanonicalAddress", "word")):
     """An AddressWord in canonical form; the blessed constructor is canonicalize()."""
 
@@ -175,6 +199,11 @@ class CanonicalAddress(namedtuple("CanonicalAddress", "word")):
 
     def __str__(self) -> str:
         return self.text
+
+
+def _canonical(word: AddressWord) -> CanonicalAddress:
+    """CanonicalAddress(word) without its checks, for a word in canonical form."""
+    return tuple.__new__(CanonicalAddress, (word,))
 
 
 def parse_word(text: str) -> AddressWord:
@@ -201,19 +230,25 @@ def glue_partner(w: AddressWord) -> Optional[AddressWord]:
     if k == len(w.labels):
         return None
     head = w.labels[-1 - k]
-    return AddressWord(w.labels[: -(k + 1)] + p + head * k, ANCHOR[head])
+    return _word(w.labels[: -(k + 1)] + p + head * k, ANCHOR[head])
 
 
 def canonicalize(w: AddressWord) -> CanonicalAddress:
-    """Unique representative: strip the chain padding, then rewrite the junction tail."""
+    """Unique representative: strip the chain padding, then rewrite the junction tail.
+
+    A word that is already canonical is its own representative: the result
+    holds w itself, with whatever `toward` digits w has cached.
+    """
     d = w.terminal
     labels = w.labels.rstrip(PAD[d])
     if labels and (labels[-1], d) in REWRITE:
         # no rewrite target ends in its own terminal's pad label, so this
-        # leaves no padding to strip (CanonicalAddress checks it)
+        # leaves no padding to strip
         m2, d = REWRITE[(labels[-1], d)]
-        labels = labels[:-1] + m2
-    return CanonicalAddress(AddressWord(labels, d))
+        return _canonical(_word(labels[:-1] + m2, d))
+    if len(labels) == len(w.labels):
+        return _canonical(w)
+    return _canonical(_word(labels, d))
 
 
 def embed(w: AddressWord, target_level: int) -> AddressWord:
@@ -225,21 +260,21 @@ def embed(w: AddressWord, target_level: int) -> AddressWord:
     if target_level < w.level:
         raise ValueError(f"cannot embed level {w.level} word into level {target_level}")
     pad = PAD[w.terminal] * (target_level - w.level)
-    return AddressWord(w.labels + pad, w.terminal)
+    return _word(w.labels + pad, w.terminal)
 
 
 def distinguished(level: int) -> tuple[AddressWord, AddressWord, AddressWord]:
     """The three corner words at a level: (a^n.T, b^n.L, c^n.R)."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    return tuple(AddressWord(PAD[d] * level, d) for d in TERMINALS)
+    return tuple(_word(PAD[d] * level, d) for d in TERMINALS)
 
 
 def prepend(m: str, x: CanonicalAddress) -> CanonicalAddress:
     """The initial-algebra structure map on addresses: glue a label on front."""
     if m not in ANCHOR:
         raise ValueError(f"bad label {m!r}")
-    return canonicalize(AddressWord(m + x.word.labels, x.word.terminal))
+    return canonicalize(_word(m + x.word.labels, x.word.terminal))
 
 
 # exact level-n tails that satisfy the canonical-form invariants: neither
@@ -253,7 +288,7 @@ def iter_words(level: int) -> Iterator[AddressWord]:
     """All 3^n * 3 words of exactly this level."""
     for labels in map("".join, product(LABELS, repeat=level)):
         for d in TERMINALS:
-            yield AddressWord(labels, d)
+            yield _word(labels, d)
 
 
 def iter_canonical(max_level: int) -> Iterator[CanonicalAddress]:
@@ -263,11 +298,11 @@ def iter_canonical(max_level: int) -> Iterator[CanonicalAddress]:
     three admissible tails), i.e. (3^(n+1) + 3)/2 cumulatively.
     """
     for d in TERMINALS:
-        yield CanonicalAddress(AddressWord("", d))
+        yield _canonical(_word("", d))
     for n in range(1, max_level + 1):
         for prefix in map("".join, product(LABELS, repeat=n - 1)):
             for m, d in _CANONICAL_TAILS:
-                yield CanonicalAddress(AddressWord(prefix + m, d))
+                yield _canonical(_word(prefix + m, d))
 
 
 def count_canonical(max_level: int) -> int:

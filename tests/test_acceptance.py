@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from trigasket import acceptance
+from trigasket import acceptance, metric, words
 from trigasket.acceptance import CRITERIA, SUITES, run_criterion, run_suite
 from trigasket.cli import main
 from trigasket.words import AddressWord
@@ -109,6 +109,23 @@ def test_gluing_step_isometry_prepends_each_label_once_per_address(monkeypatch):
     assert len(calls) == 6_000
 
 
+def test_gluing_step_isometry_pads_each_word_once_per_pair(monkeypatch):
+    # per address pair: u and v once to their common level, and the six
+    # images once to theirs, for all nine label pairs; counted through both
+    # modules' bindings, so padding inside a metric helper counts too
+    calls = []
+    padded = metric._padded
+
+    def counted(*args):
+        calls.append(args)
+        return padded(*args)
+
+    monkeypatch.setattr(metric, "_padded", counted)
+    monkeypatch.setattr(acceptance, "_padded", counted)
+    assert run_criterion(3).passed
+    assert len(calls) == 8_000
+
+
 def test_plane_embedding_roundtrip_maps_each_word_once(monkeypatch):
     # once for each of the 1095 canonical addresses of levels <= 6, twice
     # for each of the 1074 junction words of levels 1-5
@@ -121,17 +138,23 @@ def test_prefix_diameter_bound_reads_each_prefix_once_and_builds_no_word(monkeyp
     # 20,000 samples read their prefix's digits once each; the 10,000 pairs
     # and 10,000 quadruples make 30,000 kernel calls on digits extended from
     # the tails' cached ones, so the only words built are the 3 + 9 + 27
-    # tails of levels 0-2, before the loops
+    # tails of levels 0-2, before the loops. Both constructors are counted:
+    # the validating one and the unchecked one the library derives words with
     digit_reads = _count_calls(monkeypatch, "corner_digits")
     kernel = _count_calls(monkeypatch, "_dist")
     built = []
-    init = AddressWord.__init__
+    init, unchecked = AddressWord.__init__, words._word
 
     def counted_init(self, *args):
         built.append(args)
         init(self, *args)
 
+    def counted_unchecked(*args):
+        built.append(args)
+        return unchecked(*args)
+
     monkeypatch.setattr(AddressWord, "__init__", counted_init)
+    monkeypatch.setattr(words, "_word", counted_unchecked)
     assert run_criterion(2).passed
     assert len(digit_reads) == 20_000
     assert len(kernel) == 30_000

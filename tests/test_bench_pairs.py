@@ -3,6 +3,7 @@ here it is fed canned lines, and no benchmark runs."""
 
 import importlib.util
 import json
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -14,7 +15,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-BOUNDS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+BOUNDS = BENCHMARK["end_to_end"]
 
 
 def canned(ops_per_s, op_tail_ms, correct=True):
@@ -138,3 +140,23 @@ def test_export_tree_writes_the_committed_files(tmp_path):
     # the repository's own checkout is left as it was
     assert module.read_text() == "A = 2\n"
     assert git("worktree", "list").count("\n") == 1
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_is_complete_and_its_verdicts_recompute(path):
+    report = json.loads(path.read_text(encoding="utf-8"))
+    for side in ("parent", "change"):
+        assert re.fullmatch(r"[0-9a-f]{40}", report[side]["commit"])
+    assert re.fullmatch(r"3\.\d+\.\d+", report["python"])
+    assert report["harness"] == "perfbench/run.py of the change"
+    workloads = {w["name"] for w in BENCHMARK["workloads"]}
+    assert report["workloads"] and set(report["workloads"]) <= workloads
+    names = {b["name"] for b in BOUNDS}
+    for entry in report["workloads"].values():
+        assert entry["pairs"]
+        for pair in entry["pairs"]:
+            for side in ("parent", "change"):
+                assert isinstance(pair[side]["correct"], bool)
+                assert names <= set(pair[side]["metrics"])
+        # every figure and verdict of the summary is what the pairs give
+        assert entry["summary"] == bench_pairs.summarize(entry["pairs"], BOUNDS)

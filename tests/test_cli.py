@@ -132,11 +132,23 @@ def test_address_reads_back_level_16000_coordinates(capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["3/8", "-3/8", "+12/18", " 7 ", "\t-0\n", "0/5", "1.5", "-2.5e-3", "1_000/3", "٣/٤"]
+    "text",
+    [
+        "3/8", "-3/8", "+12/18", " 7 ", "\t-0\n", "0/5", "1.5", "-2.5e-3", "1_000/3", "٣/٤",
+        "0.375", "-.25", "+5.", " 12.50 ", "-0.0", "1_0.5", "٣.٤", "2.5E3",
+    ],
 )
 def test_fraction_reads_short_text_as_fraction_does(text):
     value = _fraction(text)
     assert type(value) is Fraction and value == Fraction(text)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_fraction_reads_a_decimal_past_the_int_digit_limit(sign):
+    # 5,000 digits after the point, more than CPython reads into one int
+    value = _fraction(f"{sign}0.{'1' * 5000}")
+    want = Fraction((10**5000 - 1) // 9, 10**5000)
+    assert value == (-want if sign else want)
 
 
 def test_coords(capsys):
@@ -169,6 +181,8 @@ def test_address_off_gasket(capsys):
     [
         ("1/0", "error: not a rational: '1/0' (zero denominator)\n"),
         ("abc", "error: not a rational: 'abc' (Invalid literal for Fraction: 'abc')\n"),
+        # a point with no digit is no decimal
+        (".", "error: not a rational: '.' (Invalid literal for Fraction: '.')\n"),
     ],
 )
 def test_address_rejects_a_non_rational(capsys, x, message):

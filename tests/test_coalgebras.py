@@ -53,6 +53,17 @@ def test_unfold_rejects_negative_depth():
         unfold(get_coalgebra("delta"), APEX, -1)
 
 
+def test_theta_validates_the_trace_of_a_structure_map():
+    # a user's structure map can emit any label: "d" then "a" anchors at
+    # ANCHOR["a"] and the word's own label check rejects the trace, while a
+    # trace ending in "d" has no anchor at all
+    co = Coalgebra(i_space(), lambda p: ("d", "R") if p == "L" else ("a", p), name="bad-label")
+    with pytest.raises(ValueError, match="^bad label in 'da'$"):
+        theta(co, "L", 2)
+    with pytest.raises(KeyError):
+        theta(co, "L", 1)
+
+
 def test_theta_requires_positive_depth():
     co = get_coalgebra("delta")
     with pytest.raises(ValueError):

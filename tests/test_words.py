@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from trigasket.words import (
     PAD,
+    REWRITE,
     AddressWord,
     CanonicalAddress,
     canonicalize,
@@ -213,3 +214,48 @@ def test_toward_digits(labels, d):
     fresh = AddressWord(labels, d)
     assert w == fresh and hash(w) == hash(fresh) and not w < fresh and not fresh < w
     assert "toward" not in vars(fresh)
+
+
+# ------------------------------------------------- the validation boundary
+
+
+def _canonicalize_reference(w: AddressWord) -> CanonicalAddress:
+    """canonicalize built through both validating constructors: the
+    reference that the unchecked construction is held to."""
+    d = w.terminal
+    labels = w.labels.rstrip(PAD[d])
+    if labels and (labels[-1], d) in REWRITE:
+        m2, d = REWRITE[(labels[-1], d)]
+        labels = labels[:-1] + m2
+    return CanonicalAddress(AddressWord(labels, d))
+
+
+@st.composite
+def leveled_words(draw):
+    """A word of level 0-12 or 1500-2500 whose last few labels are one
+    repeated label, so that padding runs and junction tails occur at every
+    level, as do words that are already canonical."""
+    n = draw(st.one_of(st.integers(0, 12), st.integers(1500, 2500)))
+    head = _base3(draw(st.integers(min_value=0, max_value=3**n - 1))).rjust(n, "0")
+    run = draw(st.integers(min_value=0, max_value=min(n, 4)))
+    labels = "".join("abc"[int(c)] for c in head[: n - run]) + draw(st.sampled_from("abc")) * run
+    return AddressWord(labels, draw(st.sampled_from("TLR")))
+
+
+@settings(deadline=None, max_examples=300)
+@given(leveled_words())
+def test_canonicalize_matches_the_validating_reference(w):
+    want = _canonicalize_reference(w)
+    got = canonicalize(w)
+    assert type(got) is CanonicalAddress and got == want
+    assert CanonicalAddress(got.word) == got
+    # an already canonical word is kept, cached digits and all
+    assert (got.word is w) == (want.word == w)
+
+
+def test_outside_input_is_validated():
+    # prepend's label check is pinned by test_prepend_rejects_bad_label
+    with pytest.raises(ValueError, match="^bad label in 'abx'$"):
+        AddressWord("abx", "T")
+    with pytest.raises(ValueError, match="^bad terminal 'Q'$"):
+        parse_word("ab.Q")
