@@ -33,7 +33,6 @@ from trigasket.words import (
 from trigasket.metric import (
     _dist,
     _dist_level_num,
-    _oracle_num,
     _padded,
     _prefixed,
     _tensor,
@@ -69,22 +68,50 @@ class Fail(Exception):
     """A criterion's FAIL verdict; the message is its detail."""
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n), n >= 1, by `Random`'s own rejection loop: draw
+    n.bit_length() bits until the value is below n.
+
+    `Random.choice(seq)` is `seq[_randbelow(len(seq))]` and `randint(a, b)` is
+    `a + _randbelow(b - a + 1)`, and `_randbelow` is this loop, so from one
+    seed these are exactly their draws, without the three Python frames each
+    of them passes through. Criteria 1 and 2 draw tens of thousands of times
+    and use it; criteria 3, 4 and 9 draw for under a millisecond and keep
+    `Random`'s methods.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def metric_matches_oracle() -> str:
-    """Closed-form two-path kernel (dist_level) vs brute-force quotient-graph metric."""
+    """Closed-form two-path kernel (dist_level) vs brute-force quotient-graph metric.
+
+    Each level's oracle table is taken once and each word's class read once,
+    so a pair costs one kernel call and one read of the table's numerator.
+    """
     checked = 0
     for level in range(4):
         ws = list(iter_words(level))
-        for i in range(len(ws)):
+        table = oracle_table(level)
+        cls = [table.class_of[w] for w in ws]
+        for i, u in enumerate(ws):
+            row = table.dist[cls[i]]
             for j in range(i + 1, len(ws)):
-                if _dist_level_num(ws[i], ws[j], level) != _oracle_num(ws[i], ws[j], level):
-                    raise Fail(f"mismatch at level {level}: {ws[i].text} / {ws[j].text}")
+                if _dist_level_num(u, ws[j], level) != row[cls[j]]:
+                    raise Fail(f"mismatch at level {level}: {u.text} / {ws[j].text}")
                 checked += 1
-    rng = Random(1001)
+    getrandbits = Random(1001).getrandbits
     ws4 = list(iter_words(4))
+    table = oracle_table(4)
+    cls4 = [table.class_of[w] for w in ws4]
     for _ in range(10_000):
-        u = rng.choice(ws4)
-        v = rng.choice(ws4)
-        if _dist_level_num(u, v, 4) != _oracle_num(u, v, 4):
+        i = _below(getrandbits, len(ws4))
+        j = _below(getrandbits, len(ws4))
+        u, v = ws4[i], ws4[j]
+        if _dist_level_num(u, v, 4) != table.dist[cls4[i]][cls4[j]]:
             raise Fail(f"mismatch at level 4: {u.text} / {v.text}")
         checked += 1
     return f"exact equality on {checked} pairs (levels 0-3 exhaustive, 10000 random at level 4)"
@@ -97,30 +124,40 @@ def prefix_diameter_bound() -> str:
     are 2^t and 2^(t+1). Each sample reads its prefix's corner digits once
     (`corner_digits`) and extends them by each tail's cached digits
     (`_prefixed`): those are exactly the digits of the word prefix + tail,
-    and the random draws are the same calls in the same order as when each
-    sample built its words, so the kernel gets the same inputs, and gives
-    the same results, as it would on the built words.
+    and the draws, made by `_below`, are the same draws `Random.choice` and
+    `randint` give, in the same order as when each sample built its words,
+    so the kernel gets the same inputs, and gives the same results, as it
+    would on the built words.
     """
-    rng = Random(1002)
-    choice, randint = rng.choice, rng.randint
-    tails = {t: list(iter_words(t)) for t in range(3)}
+    getrandbits = Random(1002).getrandbits
+    tails = [list(iter_words(t)) for t in range(3)]
+
+    def sample() -> tuple[int, str, int]:
+        # randint(0, 10), n times choice(LABELS) with `_below` inlined, randint(0, 2)
+        n = _below(getrandbits, 11)
+        labels = []
+        for _ in range(n):
+            r = getrandbits(2)
+            while r == 3:
+                r = getrandbits(2)
+            labels.append(LABELS[r])
+        return n, "".join(labels), _below(getrandbits, 3)
 
     for _ in range(10_000):
-        n = randint(0, 10)
-        prefix = "".join([choice(LABELS) for _ in range(n)])
-        t = randint(0, 2)
+        n, prefix, t = sample()
         ts = tails[t]
-        x1, x2 = choice(ts), choice(ts)
+        k = len(ts)
+        x1, x2 = ts[_below(getrandbits, k)], ts[_below(getrandbits, k)]
         digits = corner_digits(prefix)
         d = _dist(_prefixed(digits, x1), x1.terminal, _prefixed(digits, x2), x2.terminal, n + t)
         if d > 1 << t:
             raise Fail(f"d > 2^-{n} for prefix {prefix!r}, tails {x1.text}/{x2.text}")
     for _ in range(10_000):
-        n = randint(0, 10)
-        prefix = "".join([choice(LABELS) for _ in range(n)])
-        t = randint(0, 2)
+        n, prefix, t = sample()
         ts = tails[t]
-        x1, x2, y1, y2 = choice(ts), choice(ts), choice(ts), choice(ts)
+        k = len(ts)
+        x1, x2 = ts[_below(getrandbits, k)], ts[_below(getrandbits, k)]
+        y1, y2 = ts[_below(getrandbits, k)], ts[_below(getrandbits, k)]
         level = n + t
         digits = corner_digits(prefix)
         d1 = _dist(_prefixed(digits, x1), x1.terminal, _prefixed(digits, x2), x2.terminal, level)

@@ -30,31 +30,53 @@ from trigasket.numerics import _ratio_text, _text_int, format_dist
 from trigasket.words import canonicalize, parse_word
 
 
-# a ratio of integers, the form `coords` prints, and a plain decimal (at
-# least one digit, no exponent); Fraction(text) refuses integers longer than
-# sys.get_int_max_str_digits() digits, so these are read in chunks, and
-# every other form Fraction accepts goes to Fraction
-_RATIO = re.compile(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*")
-_DECIMAL = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)\.(\d*)\s*")
+# a ratio of integers, the form `coords` prints, and a decimal with an
+# optional exponent (at least one digit); Fraction(text) refuses integers
+# longer than sys.get_int_max_str_digits() digits, so these are read in
+# chunks, and every other form Fraction accepts goes to Fraction. The
+# exponent is read whole, as Fraction reads it. The patterns here are
+# compiled on first use, through `re`'s own cache, so that importing the
+# CLI compiles none of them.
+_RATIO = r"\s*([-+]?)(\d+)(?:/(\d+))?\s*"
+_DECIMAL = r"\s*([-+]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*"
 
 
 def _fraction(text: str) -> Fraction:
     try:
-        ratio = _RATIO.fullmatch(text)
+        ratio = re.fullmatch(_RATIO, text)
         if ratio is not None:
             sign, num, den = ratio.groups()
             value = Fraction(_text_int(num), _text_int(den or "1"))
         else:
-            decimal = _DECIMAL.fullmatch(text)
+            decimal = re.fullmatch(_DECIMAL, text)
             if decimal is None:
                 return Fraction(text)
-            sign, whole, frac = decimal.groups()
-            value = Fraction(_text_int(whole + frac), 10 ** len(frac))
+            sign, whole, frac, exp = decimal.groups()
+            frac = frac or ""
+            value = _text_int(whole + frac) * Fraction(10) ** (int(exp or 0) - len(frac))
         return -value if sign == "-" else value
     except ZeroDivisionError:
         raise ValueError(f"not a rational: {text!r} (zero denominator)") from None
     except ValueError as exc:
         raise ValueError(f"not a rational: {text!r} ({exc})") from None
+
+
+# the options that take a rational; argparse reads a separate "-1/2" as an
+# option, not as their value (it takes only "-1" and "-.5" for numbers), so
+# `main` attaches a value that starts like a negative number to its option,
+# "--x=-1/2", as a user may write it
+_RATIONAL_OPTIONS = ("--x", "--y-coeff", "--point")
+_NEGATIVE = r"-\.?\d"
+
+
+def _attach_negatives(argv: "list[str]") -> "list[str]":
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and re.match(_NEGATIVE, arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -183,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negatives(sys.argv[1:] if argv is None else argv))
     try:
         for flag in ("depth", "level"):
             value = getattr(args, flag, None)

@@ -57,8 +57,10 @@ def unfold(co: Coalgebra, x: Point, n: int) -> tuple[str, Point]:
 
 
 def _anchored(labels: str) -> CanonicalAddress:
-    """A label trace anchored at the corner its last label fixes."""
-    return canonicalize(AddressWord(labels, ANCHOR[labels[-1]]))
+    """A label trace anchored at the corner its last label fixes. A last
+    label outside a, b, c fixes none, and the word's own label check, made
+    before its terminal is read, rejects the trace as for any other label."""
+    return canonicalize(AddressWord(labels, ANCHOR.get(labels[-1])))
 
 
 def theta(co: Coalgebra, x: Point, n: int) -> CanonicalAddress:

@@ -9,13 +9,15 @@ file for the full gate:
 
 import json
 from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from trigasket import acceptance, metric, words
 from trigasket.acceptance import CRITERIA, SUITES, run_criterion, run_suite
 from trigasket.cli import main
-from trigasket.words import AddressWord
+from trigasket.words import LABELS, AddressWord, iter_words
 
 _IDS = [f"{num:02d}-{fn.__name__}" for num, fn in CRITERIA]
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -65,9 +67,13 @@ def test_crashing_criterion_is_a_fail_verdict(monkeypatch, capsys):
 
 
 def test_fail_verdict_carries_its_detail(monkeypatch):
-    # an oracle numerator of 2 at level 0 (distance 2) disagrees with the
-    # kernel on the first pair
-    monkeypatch.setattr(acceptance, "_oracle_num", lambda *args: 2)
+    # an oracle table whose numerators all read 2 (distance 2 at level 0)
+    # disagrees with the kernel on the first pair
+    def tampered(level):
+        table = metric.oracle_table(level)
+        return table._replace(dist=[[2] * len(row) for row in table.dist])
+
+    monkeypatch.setattr(acceptance, "oracle_table", tampered)
     r = run_criterion(1)
     assert r.line() == "[FAIL]  1 metric-matches-oracle: mismatch at level 0: .T / .L"
 
@@ -159,3 +165,71 @@ def test_prefix_diameter_bound_reads_each_prefix_once_and_builds_no_word(monkeyp
     assert len(digit_reads) == 20_000
     assert len(kernel) == 30_000
     assert len(built) == 3 + 9 + 27
+
+
+# sizes where the rejection loop is busiest or idle: 1, powers of two and
+# their neighbours, and the sizes the criteria draw from (3 labels or tails,
+# 11 prefix lengths, 243 level-4 words, 9,843 canonical words of level <= 8)
+_SIZES = st.one_of(
+    st.sampled_from([1, 3, 11, 243, 9_843]),
+    st.integers(0, 62).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1])).filter(bool),
+    st.integers(1, 10**6),
+)
+
+
+@given(seed=st.integers(0, 2**64), draws=st.lists(st.tuples(_SIZES, st.booleans()), max_size=40))
+def test_below_draws_what_choice_and_randint_draw(seed, draws):
+    getrandbits, rng = Random(seed).getrandbits, Random(seed)
+    for n, as_choice in draws:
+        want = rng.choice(range(n)) if as_choice else rng.randint(0, n - 1)
+        assert acceptance._below(getrandbits, n) == want
+
+
+def metric_matches_oracle_inputs():
+    """Criterion 1's kernel inputs in order, its level-4 pairs drawn by
+    `Random.choice`."""
+    inputs = []
+    for level in range(4):
+        ws = list(iter_words(level))
+        inputs += [(ws[i], ws[j], level) for i in range(len(ws)) for j in range(i + 1, len(ws))]
+    rng = Random(1001)
+    ws4 = list(iter_words(4))
+    for _ in range(10_000):
+        u = rng.choice(ws4)
+        v = rng.choice(ws4)
+        inputs.append((u, v, 4))
+    return inputs
+
+
+def prefix_diameter_bound_inputs():
+    """Criterion 2's kernel inputs in order, drawn by `Random.choice` and
+    `randint`, on the digits of words built from each prefix and tail."""
+    rng = Random(1002)
+    choice, randint = rng.choice, rng.randint
+    tails = {t: list(iter_words(t)) for t in range(3)}
+
+    def built(prefix, x):
+        w = AddressWord(prefix + x.labels, x.terminal)
+        return w.toward, w.terminal
+
+    inputs = []
+    for samples, tails_per_sample in ((10_000, 2), (10_000, 4)):
+        for _ in range(samples):
+            n = randint(0, 10)
+            prefix = "".join([choice(LABELS) for _ in range(n)])
+            t = randint(0, 2)
+            xs = [choice(tails[t]) for _ in range(tails_per_sample)]
+            for x1, x2 in zip(xs[::2], xs[1::2]):
+                inputs.append((*built(prefix, x1), *built(prefix, x2), n + t))
+    return inputs
+
+
+@pytest.mark.parametrize(
+    "number, kernel, reference",
+    [(1, "_dist_level_num", metric_matches_oracle_inputs),
+     (2, "_dist", prefix_diameter_bound_inputs)],
+)
+def test_criterion_feeds_the_kernel_what_random_draws_give(monkeypatch, number, kernel, reference):
+    calls = _count_calls(monkeypatch, kernel)
+    assert run_criterion(number).passed
+    assert calls == reference()

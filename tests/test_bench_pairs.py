@@ -114,32 +114,71 @@ def test_verdicts(parent, change, better, want):
     assert bench_pairs.verdict(parent, change, better, 0.25)["verdict"] == want
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_export_tree_writes_the_committed_files(tmp_path):
+def committed_repo(tmp_path, *versions):
+    """A git repository that commits each version of src/trigasket/m.py in
+    turn; returns it, a git runner and each commit with its src digest."""
     repo = tmp_path / "repo"
-    (repo / "src" / "trigasket").mkdir(parents=True)
     module = repo / "src" / "trigasket" / "m.py"
-    module.write_text("A = 1\n")
+    module.parent.mkdir(parents=True)
 
     def git(*args):
         return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
                               cwd=repo, check=True, capture_output=True, text=True).stdout
     git("init", "-q")
-    git("add", ".")
-    git("commit", "-q", "-m", "one")
-    first = git("rev-parse", "HEAD").strip()
-    committed = bench_pairs.src_digest(repo)
-    module.write_text("A = 2\n")
-    git("commit", "-q", "-am", "two")
+    commits = []
+    for text in versions:
+        module.write_text(text)
+        git("add", ".")
+        git("commit", "-q", "-m", text)
+        commits.append((git("rev-parse", "HEAD").strip(), bench_pairs.src_digest(repo)))
+    return repo, git, commits
 
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_export_tree_writes_the_committed_files(tmp_path):
+    repo, git, [(first, committed), _] = committed_repo(tmp_path, "A = 1\n", "A = 2\n")
     tree = tmp_path / "parent"
     assert bench_pairs.export_tree("HEAD~1", tree, repo) == first
     assert (tree / "src" / "trigasket" / "m.py").read_text() == "A = 1\n"
     assert bench_pairs.src_digest(tree) == committed
     assert not (tree / ".git").exists()
     # the repository's own checkout is left as it was
-    assert module.read_text() == "A = 2\n"
+    assert (repo / "src" / "trigasket" / "m.py").read_text() == "A = 2\n"
     assert git("worktree", "list").count("\n") == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+@pytest.mark.parametrize("change", [None, "HEAD"])
+def test_change_is_the_checkout_or_an_exported_revision(tmp_path, change):
+    repo, git, [parent, child] = committed_repo(tmp_path, "A = 1\n", "A = 2\n")
+    # an uncommitted edit: measured by default, never with --change
+    (repo / "src" / "trigasket" / "m.py").write_text("A = 3\n")
+    seen = []
+
+    def run(tree, workload, seed, seconds):
+        text = (tree / "src" / "trigasket" / "m.py").read_text()
+        seen.append((tree, text))
+        # the canned speed tells which tree ran
+        return canned(10.0 + int(text[-2]), 330.0)
+
+    argv = ["--parent", "HEAD~1", "--name", "t", "--workload", "verify",
+            "--pairs", "2", "--seed", "1", "--seconds", "1"]
+    argv += ["--change", change] if change else []
+    assert bench_pairs.main(argv, runner=run, repo=repo) == 0
+    report = json.loads((repo / "BENCH_t.json").read_text())
+
+    want = "A = 2\n" if change else "A = 3\n"
+    assert sorted({text for _, text in seen}) == ["A = 1\n", want]
+    assert (repo in {tree for tree, _ in seen}) is (change is None)
+    assert not any(tree.exists() for tree, _ in seen if tree != repo)
+    assert report["parent"] == {"commit": parent[0], "src_sha256": parent[1]}
+    assert report["change"]["commit"] == child[0]
+    assert report["change"]["uncommitted_changes"] is (change is None)
+    if change:
+        assert report["change"]["src_sha256"] == child[1]
+    pairs = report["workloads"]["verify"]["pairs"]
+    assert [p["parent"]["metrics"]["ops_per_s"] for p in pairs] == [11.0, 11.0]
+    assert {p["change"]["metrics"]["ops_per_s"] for p in pairs} == {10.0 + int(want[-2])}
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

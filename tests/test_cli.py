@@ -151,6 +151,15 @@ def test_fraction_reads_a_decimal_past_the_int_digit_limit(sign):
     assert value == (-want if sign else want)
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_fraction_reads_an_exponent_form_past_the_int_digit_limit(sign):
+    # 5,000 digits and an exponent: the decimal's digits are read in chunks too
+    repunit = (10**5000 - 1) // 9
+    for text, want in ((f"0.{'1' * 5000}e1", Fraction(repunit, 10**4999)),
+                       (f"{'1' * 5000}e1", Fraction(10 * repunit))):
+        assert _fraction(sign + text) == (-want if sign else want)
+
+
 def test_coords(capsys):
     code, out, _ = run(capsys, "coords", "ba.R")
     assert code == 0
@@ -208,12 +217,35 @@ def test_negative_depth_or_level_names_the_flag(capsys, monkeypatch, tmp_path, a
 
 
 def test_address_negative_coordinate(capsys):
-    # a negative value must be attached with "=": argparse reads "-1/100" as an option
     code, out, err = run(
         capsys, "address", "--x", "1/2", "--y-coeff=-1/100", "--depth", "10"
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "is not on the gasket" in err
+
+
+@pytest.mark.parametrize(
+    "spaced, attached",
+    [
+        ("address --x 1/2 --y-coeff -1/100 --depth 10", "address --x 1/2 --y-coeff=-1/100 --depth 10"),
+        ("address --x -1/2 --y-coeff 0 --depth 10", "address --x=-1/2 --y-coeff 0 --depth 10"),
+        ("address --x 1/2 --y-coeff -.5e-1 --depth 10", "address --x 1/2 --y-coeff=-.5e-1 --depth 10"),
+        ("mediate --coalgebra delta --point -1/3 --depth 5",
+         "mediate --coalgebra delta --point=-1/3 --depth 5"),
+    ],
+)
+def test_a_spaced_negative_value_reads_as_an_attached_one(capsys, spaced, attached):
+    # argparse alone reads a separate "-1/100" as an unknown option and exits 2
+    code, out, err = run(capsys, *spaced.split())
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    assert run(capsys, *attached.split()) == (code, out, err)
+
+
+def test_an_option_after_a_rational_option_still_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["address", "--x", "1/2", "--y-coeff", "-q", "--depth", "10"])
+    assert exc.value.code == 2
+    assert "argument --y-coeff: expected one argument" in capsys.readouterr().err
 
 
 def test_mediate_delta(capsys):

@@ -56,11 +56,11 @@ def test_unfold_rejects_negative_depth():
 def test_theta_validates_the_trace_of_a_structure_map():
     # a user's structure map can emit any label: "d" then "a" anchors at
     # ANCHOR["a"] and the word's own label check rejects the trace, while a
-    # trace ending in "d" has no anchor at all
+    # trace ending in "d" has no anchor, and is rejected with the same message
     co = Coalgebra(i_space(), lambda p: ("d", "R") if p == "L" else ("a", p), name="bad-label")
     with pytest.raises(ValueError, match="^bad label in 'da'$"):
         theta(co, "L", 2)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^bad label in 'd'$"):
         theta(co, "L", 1)
 
 

@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Measure a parent revision against this checkout with one harness.
+"""Measure a parent revision against a change with one harness.
 
 Run from anywhere inside the repository:
 
     python3 tools/bench_pairs.py --parent REV --name 33 --workload verify \\
         --pairs 10 --seed 201 --seconds 20
 
-The parent revision is exported with `git archive` into a temporary
-directory, which is removed afterwards, so the repository itself is left as
-it was; `perfbench/out` is created there, since the `cli` workload's
-renders write into it. This checkout's `perfbench/run.py` then runs on
-both trees in turn, with the working directory set to each tree, so that
-one harness measures both. Pair i uses seed SEED + i and alternates which
-tree runs first. The result goes to `BENCH_<name>.json` at the root of this
-checkout: both commits, each pair's end-to-end metrics and correctness, and
-per metric the medians, the parent's quartiles, the win count and a verdict
-against the bounds in `BENCHMARK.json`.
+The change is this checkout, or with `--change REV` a committed revision,
+so that both sides of a pair can be past commits. Each revision is exported
+with `git archive` into a temporary directory, which is removed afterwards,
+so the repository itself is left as it was; `perfbench/out` is created
+there, since the `cli` workload's renders write into it. This checkout's
+`perfbench/run.py` then runs on both trees in turn, with the working
+directory set to each tree, so that one harness measures both. Pair i uses
+seed SEED + i and alternates which tree runs first. The result goes to
+`BENCH_<name>.json` at the root of this checkout: both commits, each pair's
+end-to-end metrics and correctness, and per metric the medians, the
+parent's quartiles, the win count and a verdict against the bounds in
+`BENCHMARK.json`.
 
 A verdict reads `better` when there are at least ten pairs, the change wins
 at least nine tenths of them (ties count for neither) and the medians
@@ -154,18 +156,21 @@ def src_digest(tree: Path) -> str:
     return h.hexdigest()
 
 
-def measure(args: argparse.Namespace, parent_commit: str, parent_tree: Path) -> dict:
-    """The whole report for the parent's exported tree and this checkout."""
-    (parent_tree / "perfbench" / "out").mkdir(parents=True, exist_ok=True)
-    trees = {"parent": parent_tree, "change": ROOT}
+def measure(args: argparse.Namespace, trees: dict[str, Path], commits: dict[str, str],
+            uncommitted: bool, runner: Runner = run_harness) -> dict:
+    """The whole report for the parent's tree and the change's: `trees` and
+    `commits` give each side's directory and commit, and `uncommitted` says
+    whether the change's directory differs from its commit."""
+    for tree in trees.values():
+        (tree / "perfbench" / "out").mkdir(parents=True, exist_ok=True)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seeds = [args.seed + i for i in range(args.pairs)]
     report = {
-        "parent": {"commit": parent_commit, "src_sha256": src_digest(parent_tree)},
+        "parent": {"commit": commits["parent"], "src_sha256": src_digest(trees["parent"])},
         "change": {
-            "commit": _git("rev-parse", "HEAD"),
-            "uncommitted_changes": bool(_git("status", "--porcelain", "--untracked-files=no")),
-            "src_sha256": src_digest(ROOT),
+            "commit": commits["change"],
+            "uncommitted_changes": uncommitted,
+            "src_sha256": src_digest(trees["change"]),
         },
         "python": platform.python_version(),
         "harness": "perfbench/run.py of the change",
@@ -173,7 +178,7 @@ def measure(args: argparse.Namespace, parent_commit: str, parent_tree: Path) -> 
         "workloads": {},
     }
     for workload in args.workload:
-        pairs = run_pairs(trees, workload, seeds, args.seconds)
+        pairs = run_pairs(trees, workload, seeds, args.seconds, runner)
         report["workloads"][workload] = {
             "pairs": pairs,
             "summary": summarize(pairs, bench["end_to_end"]),
@@ -181,9 +186,11 @@ def measure(args: argparse.Namespace, parent_commit: str, parent_tree: Path) -> 
     return report
 
 
-def main(argv: "list[str] | None" = None) -> int:
+def main(argv: "list[str] | None" = None, runner: Runner = run_harness,
+         repo: Path = ROOT) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="the parent revision, e.g. HEAD~1")
+    ap.add_argument("--change", help="the change's revision; default: this checkout as it is")
     ap.add_argument("--name", required=True, help="writes BENCH_<name>.json at the root")
     ap.add_argument("--workload", action="append", required=True,
                     help="a workload of BENCHMARK.json; repeat for several")
@@ -193,10 +200,18 @@ def main(argv: "list[str] | None" = None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        tree = Path(tmp) / "parent"
-        report = measure(args, export_tree(args.parent, tree), tree)
-    out = ROOT / f"BENCH_{args.name}.json"
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": repo}
+        commits = {"parent": export_tree(args.parent, trees["parent"], repo)}
+        if args.change is None:
+            commits["change"] = _git("rev-parse", "HEAD", cwd=repo)
+            uncommitted = bool(_git("status", "--porcelain", "--untracked-files=no", cwd=repo))
+        else:
+            trees["change"] = Path(tmp) / "change"
+            commits["change"] = export_tree(args.change, trees["change"], repo)
+            uncommitted = False
+        report = measure(args, trees, commits, uncommitted, runner)
+    out = repo / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, entry in report["workloads"].items():
         print(f"{workload}: every run correct: {entry['summary']['all_correct']}")
