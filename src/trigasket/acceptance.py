@@ -50,6 +50,7 @@ from trigasket.geometry import (
     sigma_inv,
 )
 from trigasket.counterexamples import APEX, delta_nonlipschitz_report, delta_point
+from trigasket.numerics import dyadic
 from trigasket.spaces import ValidationError
 
 
@@ -192,7 +193,7 @@ def gluing_step_isometry() -> str:
             if a << lb != b << la:
                 raise Fail(
                     f"{mu}*{u.text} / {mv}*{v.text}: "
-                    f"tensor {Fraction(a, 1 << la)} vs image {Fraction(b, 1 << lb)}"
+                    f"tensor {dyadic(a, la)} vs image {dyadic(b, lb)}"
                 )
             checked += 1
     return f"exact equality on {checked} label-pair combinations (1000 address pairs, levels <= 8)"

@@ -26,7 +26,7 @@ from trigasket.geometry import (
     surd_text,
 )
 from trigasket.metric import dist_G, dist_level
-from trigasket.numerics import _ratio_text, _text_int, format_dist
+from trigasket.numerics import _ratio_text, _text_int, dyadic, format_dist
 from trigasket.words import canonicalize, parse_word
 
 
@@ -59,24 +59,6 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r} (zero denominator)") from None
     except ValueError as exc:
         raise ValueError(f"not a rational: {text!r} ({exc})") from None
-
-
-# the options that take a rational; argparse reads a separate "-1/2" as an
-# option, not as their value (it takes only "-1" and "-.5" for numbers), so
-# `main` attaches a value that starts like a negative number to its option,
-# "--x=-1/2", as a user may write it
-_RATIONAL_OPTIONS = ("--x", "--y-coeff", "--point")
-_NEGATIVE = r"-\.?\d"
-
-
-def _attach_negatives(argv: "list[str]") -> "list[str]":
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in _RATIONAL_OPTIONS and re.match(_NEGATIVE, arg):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -133,7 +115,7 @@ def _cmd_mediate(args: argparse.Namespace) -> int:
     anchor = coords(t.word)
     print(f"theta_{args.depth} = {t.text}")
     print(f"coords = {surd_text(anchor.x, 0)}, {surd_text(0, anchor.yc)}")
-    print(f"bound = {_ratio_text(Fraction(1, 1 << args.depth))}")
+    print(f"bound = {_ratio_text(dyadic(1, args.depth))}")
     return 0
 
 
@@ -153,7 +135,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # imported here, not at the top, so that importing the CLI defines no
+    # parser class: the benchmark's dist-matrix worker imports the CLI, and
+    # a few more GC-tracked objects at import move a gen-0 collection into
+    # its first timed row (ROADMAP item 1)
+    from trigasket.argv import Parser
+
+    parser = Parser(
         prog="trigasket",
         description="Exact address arithmetic on the Sierpinski gasket.",
     )
@@ -205,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_negatives(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     try:
         for flag in ("depth", "level"):
             value = getattr(args, flag, None)

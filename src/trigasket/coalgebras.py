@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .metric import _dist_G_num
+from .numerics import dyadic
 from .spaces import Point, TriPointedSpace, ValidationError
 from .words import ANCHOR, AddressWord, CanonicalAddress, canonicalize, prepend
 
@@ -107,11 +108,11 @@ def finality_check(
             if num << (k - 1) > 1 << n:
                 raise ValidationError(
                     f"{co.name}: finality square breached at x={x!r} k={k}: "
-                    f"{lhs.text} vs {rhs.text} (defect {Fraction(num, 1 << n)} > 2^{1 - k})"
+                    f"{lhs.text} vs {rhs.text} (defect {dyadic(num, n)} > 2^{1 - k})"
                 )
             if num << wn > worst << n:
                 worst, wn = num, n
-    return Fraction(worst, 1 << wn)
+    return dyadic(worst, wn)
 
 
 def get_coalgebra(name: str) -> Coalgebra:

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .numerics import _ratio_text, decimal_str
+from .numerics import _ratio_text, decimal_str, dyadic
 from .words import (
     ANCHOR,
     AddressWord,
@@ -101,8 +101,8 @@ def coords(addr: "AddressWord | CanonicalAddress") -> Point2:
     w = addr.word if isinstance(addr, CanonicalAddress) else addr
     a, _, c = w.toward
     vx, vy = _VERTEX2[w.terminal]
-    den = 2 << len(w.labels)
-    return Point2(Fraction(a + 2 * c + vx, den), Fraction(a + vy, den))
+    k = len(w.labels) + 1
+    return Point2(dyadic(a + 2 * c + vx, k), dyadic(a + vy, k))
 
 
 # sigma_inv and address_of peel integer numerators: x = X/den, yc = Y/den with

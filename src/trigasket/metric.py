@@ -22,11 +22,13 @@ and `tensor_dist_G` pad the shallower word to the deeper level with its
 terminal's pad label, which names the same point and shifts its digits,
 and build no word; `_prefixed` likewise gives the digits of a prefix
 followed by a word from the prefix's digits and the word's. Each public
-function makes one kernel call and builds one Fraction from its numerator;
-the acceptance criteria and `coalgebras.finality_check` compare the
-numerators themselves, through `_dist_level_num`, `_dist_G_num` and
-`_oracle_num`, or on digits they padded once, through `_dist` and
-`_tensor`, the one-step formula that `_tensor_num` applies.
+function makes one kernel call and builds one Fraction from its numerator
+over 2^n with `numerics.dyadic`: the only common factor of the two is a
+power of two, so shifting it out gives the exact value in lowest terms
+without a gcd. The acceptance criteria and `coalgebras.finality_check`
+compare the numerators themselves, through `_dist_level_num`,
+`_dist_G_num` and `_oracle_num`, or on digits they padded once, through
+`_dist` and `_tensor`, the one-step formula that `_tensor_num` applies.
 `dist_oracle` rebuilds the same metric with none of that structure
 (equivalence classes + Floyd-Warshall on min-over-representative edge
 weights), so exact agreement between the two is a real check, not a
@@ -43,6 +45,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
+from .numerics import dyadic
 from .words import (
     ANCHOR,
     LABELS,
@@ -149,7 +152,7 @@ def _prefixed(prefix: tuple, w: AddressWord) -> tuple[int, int, int]:
 
 def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
     """Quotient metric between two words of the given common level."""
-    return Fraction(_dist_level_num(u, v, level), 1 << level)
+    return dyadic(_dist_level_num(u, v, level), level)
 
 
 def _dist_level_num(u: AddressWord, v: AddressWord, level: int) -> int:
@@ -164,7 +167,7 @@ def _dist_level_num(u: AddressWord, v: AddressWord, level: int) -> int:
 def dist_G(u: CanonicalAddress, v: CanonicalAddress) -> Fraction:
     """Metric on the address space: pad to the deeper level, measure there."""
     num, n = _dist_G_num(u, v)
-    return Fraction(num, 1 << n)
+    return dyadic(num, n)
 
 
 def _dist_G_num(u: CanonicalAddress, v: CanonicalAddress) -> tuple[int, int]:
@@ -182,7 +185,7 @@ def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) ->
     checks that equality.
     """
     num, n = _tensor_num(mu, u, mv, v)
-    return Fraction(num, 1 << n)
+    return dyadic(num, n)
 
 
 def _tensor_num(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> tuple[int, int]:
@@ -322,7 +325,7 @@ def oracle_table(level: int) -> OracleTable:
 
 def dist_oracle(u: AddressWord, v: AddressWord, level: int) -> Fraction:
     """Brute-force quotient-graph distance; independent of dist_level."""
-    return Fraction(_oracle_num(u, v, level), 1 << level)
+    return dyadic(_oracle_num(u, v, level), level)
 
 
 def _oracle_num(u: AddressWord, v: AddressWord, level: int) -> int:

@@ -5,6 +5,11 @@ and the only irrationalities the artifact ever needs to compare exactly are
 sums of at most two square roots of rationals (triangle-with-apex distances).
 `RadicalSum` decides signs of those sums by recursive squaring and has no
 floating-point form: nothing here is ever evaluated in floating point.
+
+Every distance the metric returns and every coordinate `coords` returns is
+an integer numerator over a power of two, and `dyadic(num, k)` builds that
+value as `Fraction(num, 2**k)` would, in lowest terms, without a gcd: the
+only common factor of num and 2^k is a power of two.
 """
 
 from __future__ import annotations
@@ -17,6 +22,27 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 ZERO = Fraction(0)
+
+
+def dyadic(num: int, k: int) -> Fraction:
+    """Fraction(num, 2**k) for an int num and k >= 0, built without a gcd.
+
+    gcd(num, 2^k) is 2^z with z the smaller of k and num's trailing zero
+    bits, and z = k when num = 0, whose lowest terms are 0/1. Shifting z twos
+    out of both leaves num >> z over 2^(k - z): coprime, with a positive
+    denominator, which is the normal form Fraction's own constructor makes.
+    So the value is stored in Fraction's two slots, `_numerator` and
+    `_denominator`, as CPython 3.12's `Fraction._from_coprime_ints` does;
+    the slots are the same on 3.10-3.13, and every Fraction method reads
+    only them.
+    """
+    z = (num & -num).bit_length() - 1 if num else k
+    if z > k:
+        z = k
+    value = object.__new__(Fraction)
+    value._numerator = num >> z
+    value._denominator = 1 << (k - z)
+    return value
 
 
 def decimal_str(value: Fraction, places: int = 12) -> str:

@@ -1,5 +1,6 @@
 """Command line surface: frozen output lines, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 from fractions import Fraction
@@ -8,6 +9,7 @@ from random import Random
 
 import pytest
 
+from trigasket.argv import attach_negatives
 from trigasket.cli import _fraction, main
 from trigasket.geometry import coords, surd_decimal
 from trigasket.metric import dist_G
@@ -232,6 +234,13 @@ def test_address_negative_coordinate(capsys):
         ("address --x 1/2 --y-coeff -.5e-1 --depth 10", "address --x 1/2 --y-coeff=-.5e-1 --depth 10"),
         ("mediate --coalgebra delta --point -1/3 --depth 5",
          "mediate --coalgebra delta --point=-1/3 --depth 5"),
+        # abbreviations argparse resolves to a rational option
+        ("address --x 1/2 --y -1/100 --depth 10", "address --x 1/2 --y-coeff=-1/100 --depth 10"),
+        ("address --x 1/2 --y-c -1/100 --depth 10", "address --x 1/2 --y-coeff=-1/100 --depth 10"),
+        ("mediate --coalgebra delta --poi -1/3 --depth 3",
+         "mediate --coalgebra delta --point=-1/3 --depth 3"),
+        ("mediate --coalgebra delta --p -1/3 --depth 3",
+         "mediate --coalgebra delta --point=-1/3 --depth 3"),
     ],
 )
 def test_a_spaced_negative_value_reads_as_an_attached_one(capsys, spaced, attached):
@@ -239,6 +248,41 @@ def test_a_spaced_negative_value_reads_as_an_attached_one(capsys, spaced, attach
     code, out, err = run(capsys, *spaced.split())
     assert (code, out) == (1, "") and err.startswith("error: ")
     assert run(capsys, *attached.split()) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # an unknown option keeps its value apart
+        ("address --x 1/2 --z -1/100 --y-coeff 0 --depth 10",
+         "unrecognized arguments: --z -1/100"),
+        # an abbreviation of an option that takes no rational is not joined
+        ("address --x 1/2 --y-coeff 0 --d -1/2", "argument --depth: expected one argument"),
+        # after "--" every argument is a positional, so nothing is joined
+        ("address --x 1/2 --y-coeff 0 --depth 1 -- --x -1/2",
+         "unrecognized arguments: -- --x -1/2"),
+    ],
+)
+def test_a_spaced_negative_value_after_another_option_still_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_an_ambiguous_abbreviation_keeps_its_value_apart(capsys):
+    # no subcommand has two options sharing a prefix, so these stand in:
+    # "--poi" could be --point or --pointer, and argparse refuses it
+    options = ("-h", "--help", "--point", "--pointer")
+    assert attach_negatives(["--point", "-1/3"], options) == ["--point=-1/3"]
+    assert attach_negatives(["--poi", "-1/3"], options) == ["--poi", "-1/3"]
+    parser = argparse.ArgumentParser(prog="p")
+    parser.add_argument("--point")
+    parser.add_argument("--pointer")
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["--poi", "-1/3"])
+    assert exc.value.code == 2
+    assert "ambiguous option: --poi could match --point, --pointer" in capsys.readouterr().err
 
 
 def test_an_option_after_a_rational_option_still_exits_2(capsys):

@@ -112,3 +112,18 @@ def test_every_definition_has_a_caller_in_the_package():
     assert sorted(set(orphans) - set(NO_CALLER_IN_PACKAGE)) == []
     # an allowlisted name that gains a caller leaves the list
     assert sorted(set(NO_CALLER_IN_PACKAGE) - set(orphans)) == []
+
+
+def test_no_fraction_over_a_shift_in_the_package():
+    # a numerator over a power of two is built by numerics.dyadic, the one
+    # way the package makes such a value; Fraction(num, 1 << k) would run a
+    # gcd for the same result
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "Fraction"
+        and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.LShift) for a in node.args)
+    ]
+    assert found == []
