@@ -23,7 +23,6 @@ from trigasket.words import (
     AddressWord,
     CanonicalAddress,
     canonicalize,
-    corner_digits,
     glue_partner,
     iter_canonical,
     iter_words,
@@ -34,7 +33,6 @@ from trigasket.metric import (
     _dist,
     _dist_level_num,
     _padded,
-    _prefixed,
     _tensor,
     dist_G,
     oracle_table,
@@ -118,53 +116,73 @@ def metric_matches_oracle() -> str:
     return f"exact equality on {checked} pairs (levels 0-3 exhaustive, 10000 random at level 4)"
 
 
+def _prefix_text(pt: int, pr: int, n: int) -> str:
+    """The n labels whose T and R readouts are pt and pr."""
+    return "".join(
+        "a" if pt >> i & 1 else "c" if pr >> i & 1 else "b" for i in range(n - 1, -1, -1)
+    )
+
+
 def prefix_diameter_bound() -> str:
     """A shared n-label prefix confines any two tails to diameter 2^-n.
 
     The words have level n + t, so the bounds on numerators over 2^(n+t)
-    are 2^t and 2^(t+1). Each sample reads its prefix's corner digits once
-    (`corner_digits`) and extends them by each tail's cached digits
-    (`_prefixed`): those are exactly the digits of the word prefix + tail,
-    and the draws, made by `_below`, are the same draws `Random.choice` and
-    `randint` give, in the same order as when each sample built its words,
-    so the kernel gets the same inputs, and gives the same results, as it
-    would on the built words.
+    are 2^t and 2^(t+1). Each sample draws its prefix as digits: label r
+    (a, b, c for r = 0, 1, 2) appends a 1 to the T readout if r = 0 and to
+    the R readout if r = 2, and the L readout is the rest of 2^n - 1. The
+    prefix's digits shifted up by t, ORed with a tail's cached digits, are
+    exactly the digits of the word prefix + tail, and the draws, made by
+    `_below`, are the same draws `Random.choice` and `randint` give, in the
+    same order as when each sample built its words, so the kernel gets the
+    same inputs, and gives the same results, as it would on the built
+    words. No prefix string is built unless a check fails.
     """
     getrandbits = Random(1002).getrandbits
     tails = [list(iter_words(t)) for t in range(3)]
 
-    def sample() -> tuple[int, str, int]:
+    def sample() -> tuple[int, int, tuple[int, int, int]]:
+        """n, t and the prefix's digits shifted up by t."""
         # randint(0, 10), n times choice(LABELS) with `_below` inlined, randint(0, 2)
         n = _below(getrandbits, 11)
-        labels = []
+        pt = pr = 0
         for _ in range(n):
             r = getrandbits(2)
             while r == 3:
                 r = getrandbits(2)
-            labels.append(LABELS[r])
-        return n, "".join(labels), _below(getrandbits, 3)
+            pt = pt << 1 | (r == 0)
+            pr = pr << 1 | (r == 2)
+        t = _below(getrandbits, 3)
+        return n, t, (pt << t, ((1 << n) - 1 - pt - pr) << t, pr << t)
 
     for _ in range(10_000):
-        n, prefix, t = sample()
+        n, t, (pt, pl, pr) = sample()
         ts = tails[t]
         k = len(ts)
         x1, x2 = ts[_below(getrandbits, k)], ts[_below(getrandbits, k)]
-        digits = corner_digits(prefix)
-        d = _dist(_prefixed(digits, x1), x1.terminal, _prefixed(digits, x2), x2.terminal, n + t)
+        (t1, l1, r1), (t2, l2, r2) = x1.toward, x2.toward
+        d = _dist(
+            (pt | t1, pl | l1, pr | r1), x1.terminal, (pt | t2, pl | l2, pr | r2), x2.terminal, n + t
+        )
         if d > 1 << t:
+            prefix = _prefix_text(pt >> t, pr >> t, n)
             raise Fail(f"d > 2^-{n} for prefix {prefix!r}, tails {x1.text}/{x2.text}")
     for _ in range(10_000):
-        n, prefix, t = sample()
+        n, t, (pt, pl, pr) = sample()
         ts = tails[t]
         k = len(ts)
         x1, x2 = ts[_below(getrandbits, k)], ts[_below(getrandbits, k)]
         y1, y2 = ts[_below(getrandbits, k)], ts[_below(getrandbits, k)]
         level = n + t
-        digits = corner_digits(prefix)
-        d1 = _dist(_prefixed(digits, x1), x1.terminal, _prefixed(digits, x2), x2.terminal, level)
-        d2 = _dist(_prefixed(digits, y1), y1.terminal, _prefixed(digits, y2), y2.terminal, level)
+        (t1, l1, r1), (t2, l2, r2) = x1.toward, x2.toward
+        d1 = _dist(
+            (pt | t1, pl | l1, pr | r1), x1.terminal, (pt | t2, pl | l2, pr | r2), x2.terminal, level
+        )
+        (t1, l1, r1), (t2, l2, r2) = y1.toward, y2.toward
+        d2 = _dist(
+            (pt | t1, pl | l1, pr | r1), y1.terminal, (pt | t2, pl | l2, pr | r2), y2.terminal, level
+        )
         if abs(d1 - d2) > 2 << t:
-            raise Fail(f"|d1-d2| > 2^(1-{n}) for prefix {prefix!r}")
+            raise Fail(f"|d1-d2| > 2^(1-{n}) for prefix {_prefix_text(pt >> t, pr >> t, n)!r}")
     return "10000 pair samples within 2^-n and 10000 quadruples within 2^(1-n), levels 0-10"
 
 

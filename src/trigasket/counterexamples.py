@@ -4,7 +4,8 @@ Two algebras whose mediating maps out of the address space are not
 continuous (address distance 2^-n against image distance 1), and one
 coalgebra on a triangle outline whose structure map is Lipschitz with
 constant 2 while its limit map expands some pairs by 2*2^n, so no single
-Lipschitz constant works.
+Lipschitz constant works. Its structure map `delta_step` compares and
+rescales the base coordinate on its integer numerator and denominator.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple, Union
 from .algebras import Algebra
 from .coalgebras import Coalgebra, theta
 from .metric import dist_G
-from .numerics import sqrt_fraction
+from .numerics import ratio, sqrt_fraction
 from .spaces import TriPointedSpace, ValidationError, discrete_space, i_space
 from .words import AddressWord, canonicalize
 
@@ -84,6 +85,10 @@ def delta_point(s: "Fraction | int | str") -> DeltaPoint:
     return DeltaPoint(Fraction(s))
 
 
+# the base's two ends, where delta_step's outer quarters collapse
+_LEFT, _RIGHT = delta_point(0), delta_point(1)
+
+
 def delta_space() -> TriPointedSpace:
     """Base segment plus apex, Euclidean metric (apex distances are radicals)."""
 
@@ -99,14 +104,10 @@ def delta_space() -> TriPointedSpace:
         name="triangle-outline",
         dist=dist,
         T=APEX,
-        L=delta_point(0),
-        R=delta_point(1),
+        L=_LEFT,
+        R=_RIGHT,
         points=None,
     )
-
-
-# delta_step's breakpoints, built once rather than on every step
-_QUARTER, _HALF, _THREE_QUARTERS = Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)
 
 
 def delta_step(p: DeltaPoint) -> tuple[str, DeltaPoint]:
@@ -114,17 +115,22 @@ def delta_step(p: DeltaPoint) -> tuple[str, DeltaPoint]:
 
     At s = 1/2 the two middle cases give (b,1) and (c,0), the glued pair;
     the b branch is the deterministic choice and either is acceptable.
+
+    It works on s = n/d, d > 0: s <= 1/4 is 4n <= d, and 4s - 1 is
+    (4n - d)/d, built by `numerics.ratio`.
     """
     if p.is_apex:
         return "a", APEX
     s = p.s
-    if s <= _QUARTER:
-        return "b", delta_point(0)
-    if s <= _HALF:
-        return "b", delta_point(4 * s - 1)
-    if s <= _THREE_QUARTERS:
-        return "c", delta_point(4 * s - 2)
-    return "c", delta_point(1)
+    n, d = s.numerator, s.denominator
+    n4 = 4 * n
+    if n4 <= d:
+        return "b", _LEFT
+    if n4 <= 2 * d:
+        return "b", DeltaPoint(ratio(n4 - d, d))
+    if n4 <= 3 * d:
+        return "c", DeltaPoint(ratio(n4 - 2 * d, d))
+    return "c", _RIGHT
 
 
 def delta_coalgebra() -> Coalgebra:

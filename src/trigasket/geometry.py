@@ -9,7 +9,10 @@ multiple of sqrt 3 (the dyadic vertex sets V_n), so a point is stored as the
 two rationals (x, yc) with y = yc*sqrt3. Squared Euclidean distances
 dx^2 + 3*dyc^2 are plain rationals, and every geometric predicate (cell
 membership, junction ties, round trips) is a rational comparison, made on
-integer numerators over one common denominator. Square
+integer numerators over one common denominator. The maps compute on
+numerators too: `coords` builds its dyadic results with `numerics.dyadic`,
+and `sigma` and `sigma_inv`, which take any rational point, build theirs
+with `numerics.ratio`, each the Fraction its constructor would make. Square
 roots are never extracted except for display, where a coordinate is shown
 as u + v*sqrt3 with one of u, v zero.
 """
@@ -20,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .numerics import _ratio_text, decimal_str, dyadic
+from .numerics import _ratio_text, decimal_str, dyadic, ratio
 from .words import (
     ANCHOR,
     AddressWord,
@@ -87,7 +90,7 @@ def sigma(m: str, p: Point2) -> Point2:
         raise ValueError(f"bad label {m!r}") from None
     xn, xd = p.x.numerator, p.x.denominator
     yn, yd = p.yc.numerator, p.yc.denominator
-    return Point2(Fraction(2 * xn + vx * xd, 4 * xd), Fraction(2 * yn + vy * yd, 4 * yd))
+    return Point2(ratio(2 * xn + vx * xd, 4 * xd), ratio(2 * yn + vy * yd, 4 * yd))
 
 
 def coords(addr: "AddressWord | CanonicalAddress") -> Point2:
@@ -151,7 +154,7 @@ def sigma_inv(p: Point2) -> tuple[str, Point2]:
     if step is None:
         raise ValueError(f"point outside the closed triangle: {p}")
     m, X, Y = step
-    return m, Point2(Fraction(X, den), Fraction(Y, den))
+    return m, Point2(ratio(X, den), ratio(Y, den))
 
 
 def address_of(p: Point2, depth: int) -> AddressWord:

@@ -9,7 +9,8 @@ one declaration of the gasket. The formula needs only each side's distances
 to corners, and on words these have a closed form: one minus the barycentric
 weight toward the corner, whose numerator reads the labels as binary digits
 (`AddressWord.toward`, the (T, L, R) tuple of `words.corner_digits`,
-computed once per word and kept on it). `_crossing` evaluates the formula
+read once per word, when a validated word is built or a derived one is
+first measured, and kept on it). `_crossing` evaluates the formula
 on those integers. The kernel `_dist` never reads a label string: a label
 is fixed by its T and R digits, so the first differing label is the highest
 bit where those readouts differ, and the two labels' codes 2*T + R at that
@@ -20,7 +21,7 @@ distance's integer numerator over 2^n: every level-n distance lies in
 2^-n Z. `dist_level` hands it two words of the stated level, while `dist_G`
 and `tensor_dist_G` pad the shallower word to the deeper level with its
 terminal's pad label, which names the same point and shifts its digits,
-and build no word; `_prefixed` likewise gives the digits of a prefix
+and build no word; `words._prefixed` likewise gives the digits of a prefix
 followed by a word from the prefix's digits and the word's. Each public
 function makes one kernel call and builds one Fraction from its numerator
 over 2^n with `numerics.dyadic`: the only common factor of the two is a
@@ -139,15 +140,6 @@ def _padded(w: AddressWord, n: int) -> tuple[int, int, int]:
     digits = [t << k, l << k, r << k]
     digits[_CORNER[w.terminal]] += (1 << k) - 1
     return tuple(digits)
-
-
-def _prefixed(prefix: tuple, w: AddressWord) -> tuple[int, int, int]:
-    """Corner digits of the word prefix + w.labels, given the prefix's
-    corner digits: w's labels are the low len(w.labels) digits."""
-    k = len(w.labels)
-    pt, pl, pr = prefix
-    t, l, r = w.toward
-    return pt << k | t, pl << k | l, pr << k | r
 
 
 def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:

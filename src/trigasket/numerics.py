@@ -9,7 +9,13 @@ floating-point form: nothing here is ever evaluated in floating point.
 Every distance the metric returns and every coordinate `coords` returns is
 an integer numerator over a power of two, and `dyadic(num, k)` builds that
 value as `Fraction(num, 2**k)` would, in lowest terms, without a gcd: the
-only common factor of num and 2^k is a power of two.
+only common factor of num and 2^k is a power of two. The plane maps
+`sigma` and `sigma_inv` and the triangle-outline step `delta_step` compute
+on numerators over any positive denominator, and `ratio(num, den)` builds
+their results as `Fraction(num, den)` would, with the same gcd and without
+the constructor's type dispatch. Both fill Fraction's two slots with a
+coprime pair whose denominator is positive, which is the normal form
+Fraction's own constructor makes, so either value is that Fraction.
 """
 
 from __future__ import annotations
@@ -42,6 +48,21 @@ def dyadic(num: int, k: int) -> Fraction:
     value = object.__new__(Fraction)
     value._numerator = num >> z
     value._denominator = 1 << (k - z)
+    return value
+
+
+def ratio(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for ints num and den > 0, built by slot fill.
+
+    Dividing both by g = gcd(num, den), which is positive, leaves a coprime
+    pair over a positive denominator (0/1 when num = 0, since then g = den):
+    the value `Fraction.__new__` stores after the same gcd, stored here
+    without its checks of the arguments' types and sign, as `dyadic` does.
+    """
+    g = math.gcd(num, den)
+    value = object.__new__(Fraction)
+    value._numerator = num // g
+    value._denominator = den // g
     return value
 
 

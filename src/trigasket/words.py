@@ -18,28 +18,30 @@ metric's `JUNCTIONS`, the plane offsets in `geometry` and the structure-map
 checks in `algebras`, `coalgebras` and `spaces`.
 
 A word is validated once, where its text or labels enter from outside:
-`AddressWord(...)`, `parse_word` and `prepend`'s label check. A word the
-library derives from words it already holds (a canonical form, a junction
-partner, a padded or enumerated word, a peeled address) is built by the
-private `_word`, which skips the checks, and a canonical form is wrapped
-by `_canonical`, which skips `CanonicalAddress`'s. `canonicalize` hands
-back its argument's own word when that is already canonical, so the
-word's cached `toward` digits carry over. `coalgebras._anchored` keeps
-validating: its labels come from a structure map a user may have written.
+`AddressWord(...)`, `parse_word` and `prepend`'s label check. The label
+check is the word's one readout of its labels: `corner_digits` reads them
+as binary digits toward each corner through a byte table that turns any
+other character into one `int` rejects, and the word keeps the digits
+(`toward`). A word the library derives from words it already holds (a
+canonical form, a junction partner, a padded or enumerated word, a peeled
+address) is built by the private `_word`, which skips the checks and reads
+its digits on first use, and a canonical form is wrapped by `_canonical`,
+which skips `CanonicalAddress`'s. `canonicalize` hands back its argument's
+own word when that is already canonical, and otherwise derives the
+canonical word's digits from its argument's, as `prepend` derives the
+glued word's, so no label string is read twice. `coalgebras._anchored`
+keeps validating: its labels come from a structure map a user may have
+written.
 """
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from itertools import product
 from typing import Iterator, Optional
 
 LABELS = "abc"
 TERMINALS = "TLR"
-
-# fullmatch, not match with "$": "$" would also accept one trailing newline
-_LABEL_STRING = re.compile(f"[{LABELS}]*")
 
 # chain padding: embedding a corner one level down re-enters through this
 # label, the copy that keeps the corner
@@ -52,8 +54,14 @@ ANCHOR = {m: d for d, m in PAD.items()}
 # ANCHOR[m]: b.T~a.L, a.R~c.T, c.L~b.R, in the order validation reports them
 GLUE = tuple(((m, ANCHOR[m2]), (m2, ANCHOR[m])) for m, m2 in ("ba", "ac", "cb"))
 
-# corner d -> labels read as binary digits, 1 where the label is PAD[d]
-DIGITS = {d: str.maketrans(LABELS, "".join("01"[m == PAD[d]] for m in LABELS)) for d in TERMINALS}
+# corner d -> a bytes.translate table that reads the encoded labels as binary
+# digits, 1 where the label is PAD[d]. Every other byte becomes "2", which
+# int(., 2) rejects wherever it stands, so no sign, space, underscore or
+# "0b" prefix that int would accept can survive a readout.
+DIGITS = {
+    d: bytes(ord("01"[chr(i) == PAD[d]]) if chr(i) in LABELS else ord("2") for i in range(256))
+    for d in TERMINALS
+}
 
 
 def corner_digits(labels: str) -> tuple[int, int, int]:
@@ -61,10 +69,16 @@ def corner_digits(labels: str) -> tuple[int, int, int]:
     where the label is that corner's pad label.
 
     Every label is the pad label of exactly one corner, so the three
-    readouts sum to 2^n - 1 and two parses give all three.
+    readouts sum to 2^n - 1 and two parses give all three. The readout is
+    also the label check: a string with any other character, non-ASCII
+    ones included, raises ValueError("bad label in ...").
     """
-    t = int(labels.translate(DIGITS["T"]) or "0", 2)
-    r = int(labels.translate(DIGITS["R"]) or "0", 2)
+    try:
+        raw = labels.encode()
+        t = int(raw.translate(DIGITS["T"]) or b"0", 2)
+        r = int(raw.translate(DIGITS["R"]) or b"0", 2)
+    except ValueError:
+        raise ValueError(f"bad label in {labels!r}") from None
     return t, (1 << len(labels)) - 1 - t - r, r
 
 
@@ -73,11 +87,14 @@ class _CornerDigits:
 
     Over 2^n, plus 2^-n if the terminal is c, the readout toward corner c
     is the point's barycentric weight toward c; the digits of the last m
-    labels are its low m bits. The first read stores the tuple as an
-    instance attribute, which shadows this (non-data) descriptor, so later
-    reads are plain attribute lookups; the word is immutable, so they never
-    go stale. (Writing `w.__dict__` instead would build a dict per word out
-    of CPython's inline attribute values.)
+    labels are its low m bits. A validated word stores the tuple when it is
+    built, since its label check is that readout, and so does a word
+    `canonicalize` or `prepend` derives from one whose digits it holds. A
+    word `_word` builds otherwise reads them here on first use. Either way
+    the tuple is an instance attribute, which shadows this (non-data)
+    descriptor, so later reads are plain attribute lookups; the word is
+    immutable, so they never go stale. (Writing `w.__dict__` instead would
+    build a dict per word out of CPython's inline attribute values.)
     """
 
     def __get__(self, w, owner=None):
@@ -91,6 +108,13 @@ class _CornerDigits:
 # junction tail rewrites toward the canonical member (lexicographic-least head)
 REWRITE = {max(pair): min(pair) for pair in GLUE}
 
+# REWRITE with what it does to the corner digits: the last label m becomes
+# m2, so its digit moves from the corner m pads to the corner m2 pads
+_REWRITE_DIGITS = {
+    (m, d): (m2, d2, tuple((PAD[c] == m2) - (PAD[c] == m) for c in TERMINALS))
+    for (m, d), (m2, d2) in REWRITE.items()
+}
+
 
 class AddressWord:
     """Immutable word: label string plus terminal letter.
@@ -103,13 +127,16 @@ class AddressWord:
     """
 
     def __init__(self, labels: str, terminal: str) -> None:
-        if _LABEL_STRING.fullmatch(labels) is None:
-            raise ValueError(f"bad label in {labels!r}")
+        if not isinstance(labels, str):
+            raise TypeError(f"labels must be a str, not {type(labels).__name__}")
+        # the readout is the label check
+        toward = corner_digits(labels)
         # exact membership: a substring test would pass '' and 'LR'
         if terminal not in PAD:
             raise ValueError(f"bad terminal {terminal!r}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "terminal", terminal)
+        object.__setattr__(self, "toward", toward)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -169,10 +196,21 @@ _set = object.__setattr__
 
 def _word(labels: str, terminal: str) -> AddressWord:
     """AddressWord(labels, terminal) without its checks, for labels and a
-    terminal taken from words that were already checked."""
+    terminal taken from words that were already checked. Its digits are
+    read on first use."""
     w = _new(AddressWord)
     _set(w, "labels", labels)
     _set(w, "terminal", terminal)
+    return w
+
+
+def _word_with(labels: str, terminal: str, toward: tuple[int, int, int]) -> AddressWord:
+    """`_word(labels, terminal)` carrying its digits, derived from those of
+    the word it was made from."""
+    w = _new(AddressWord)
+    _set(w, "labels", labels)
+    _set(w, "terminal", terminal)
+    _set(w, "toward", toward)
     return w
 
 
@@ -237,18 +275,25 @@ def canonicalize(w: AddressWord) -> CanonicalAddress:
     """Unique representative: strip the chain padding, then rewrite the junction tail.
 
     A word that is already canonical is its own representative: the result
-    holds w itself, with whatever `toward` digits w has cached.
+    holds w itself, with whatever `toward` digits w has cached. Otherwise
+    the result gets w's digits: the k stripped pad labels are the low k
+    digits, so they shift out, and a rewrite moves the last label's digit
+    to the corner of its new label.
     """
     d = w.terminal
     labels = w.labels.rstrip(PAD[d])
-    if labels and (labels[-1], d) in REWRITE:
+    k = len(w.labels) - len(labels)
+    if labels and (labels[-1], d) in _REWRITE_DIGITS:
         # no rewrite target ends in its own terminal's pad label, so this
         # leaves no padding to strip
-        m2, d = REWRITE[(labels[-1], d)]
-        return _canonical(_word(labels[:-1] + m2, d))
-    if len(labels) == len(w.labels):
+        m2, d, (bt, bl, br) = _REWRITE_DIGITS[(labels[-1], d)]
+        t, l, r = w.toward
+        toward = ((t >> k) + bt, (l >> k) + bl, (r >> k) + br)
+        return _canonical(_word_with(labels[:-1] + m2, d, toward))
+    if not k:
         return _canonical(w)
-    return _canonical(_word(labels, d))
+    t, l, r = w.toward
+    return _canonical(_word_with(labels, d, (t >> k, l >> k, r >> k)))
 
 
 def embed(w: AddressWord, target_level: int) -> AddressWord:
@@ -270,11 +315,28 @@ def distinguished(level: int) -> tuple[AddressWord, AddressWord, AddressWord]:
     return tuple(_word(PAD[d] * level, d) for d in TERMINALS)
 
 
+def _prefixed(prefix: tuple, w: AddressWord) -> tuple[int, int, int]:
+    """Corner digits of the word prefix + w.labels, given the prefix's
+    corner digits: w's labels are the low len(w.labels) digits."""
+    k = len(w.labels)
+    pt, pl, pr = prefix
+    t, l, r = w.toward
+    return pt << k | t, pl << k | l, pr << k | r
+
+
+# each label's own one-digit readouts
+_LABEL_DIGITS = {m: corner_digits(m) for m in LABELS}
+
+
 def prepend(m: str, x: CanonicalAddress) -> CanonicalAddress:
-    """The initial-algebra structure map on addresses: glue a label on front."""
+    """The initial-algebra structure map on addresses: glue a label on front.
+
+    The glued word's digits are x's with m's digit on top (`_prefixed`).
+    """
     if m not in ANCHOR:
         raise ValueError(f"bad label {m!r}")
-    return canonicalize(_word(m + x.word.labels, x.word.terminal))
+    w = x.word
+    return canonicalize(_word_with(m + w.labels, w.terminal, _prefixed(_LABEL_DIGITS[m], w)))
 
 
 # exact level-n tails that satisfy the canonical-form invariants: neither

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trigasket import counterexamples
 from trigasket.algebras import validate_algebra
@@ -81,6 +82,46 @@ def test_delta_step_branches():
     assert delta_step(delta_point(Fraction(3, 4))) == ("c", delta_point(1))
     assert delta_step(delta_point(Fraction(7, 8))) == ("c", delta_point(1))
     assert delta_step(delta_point(1)) == ("c", delta_point(1))
+
+
+def _delta_step_reference(p):
+    """delta_step written with Fraction arithmetic and Fraction breakpoints."""
+    if p.is_apex:
+        return "a", APEX
+    s = p.s
+    if s <= Fraction(1, 4):
+        return "b", delta_point(0)
+    if s <= Fraction(1, 2):
+        return "b", delta_point(4 * s - 1)
+    if s <= Fraction(3, 4):
+        return "c", delta_point(4 * s - 2)
+    return "c", delta_point(1)
+
+
+# rationals j/(2k + 1) in [0, 1]: odd denominators, wide ones included, so
+# never the breakpoints 1/4, 1/2 and 3/4, which the examples add
+odd_fractions = st.builds(
+    lambda k, n: Fraction(n % (2 * k + 2), 2 * k + 1),
+    st.integers(min_value=0, max_value=10**30),
+    st.integers(min_value=0, max_value=10**31),
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(odd_fractions, st.fractions(min_value=0, max_value=1)))
+@example(Fraction(0))
+@example(Fraction(1, 4))
+@example(Fraction(1, 2))
+@example(Fraction(3, 4))
+@example(Fraction(1))
+def test_delta_step_matches_the_fraction_formula(s):
+    p = delta_point(s)
+    m, q = delta_step(p)
+    want_m, want_q = _delta_step_reference(p)
+    assert m == want_m and q == want_q
+    assert type(q.s) is Fraction
+    assert (q.s.numerator, q.s.denominator) == (want_q.s.numerator, want_q.s.denominator)
+    assert hash(q) == hash(want_q) and str(q) == str(want_q)
 
 
 def test_delta_coalgebras_validate(delta_alt):

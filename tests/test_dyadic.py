@@ -1,7 +1,8 @@
-"""`numerics.dyadic` builds Fraction(num, 2**k) without a gcd: it must agree
-with Fraction in every respect, and every public result built with it must
-be in lowest terms, with a power-of-two denominator, and equal to the value
-the Fraction constructor gives for the same numerator."""
+"""`numerics.dyadic` builds Fraction(num, 2**k) without a gcd, and
+`numerics.ratio` builds Fraction(num, den) by slot fill: each must agree
+with Fraction in every respect, and every public result built with them
+must be in lowest terms and equal to the value the Fraction constructor
+gives for the same numerator and denominator."""
 
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from trigasket.coalgebras import finality_check, thetas
 from trigasket.counterexamples import delta_coalgebra, delta_point
-from trigasket.geometry import VERTEX, coords, sigma
+from trigasket.geometry import VERTEX, Point2, coords, sigma, sigma_inv
 from trigasket.metric import (
     _dist_G_num,
     _dist_level_num,
@@ -22,9 +23,9 @@ from trigasket.metric import (
     dist_oracle,
     tensor_dist_G,
 )
-from trigasket.numerics import dyadic
+from trigasket.numerics import dyadic, ratio
 from trigasket.spaces import ValidationError
-from trigasket.words import AddressWord, canonicalize, prepend
+from trigasket.words import ANCHOR, AddressWord, canonicalize, prepend
 
 # zero, small values of either sign, values with many trailing twos (often
 # more than k) and wide ones
@@ -49,6 +50,26 @@ def facets(f):
 @example(num=-(3 << 9), k=9)
 def test_dyadic_is_the_fraction(num, k):
     got, want = dyadic(num, k), Fraction(num, 1 << k)
+    assert got == want and want == got
+    assert facets(got) == facets(want)
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    num=NUMS,
+    den=st.one_of(
+        st.integers(min_value=1, max_value=2**70),
+        st.integers(min_value=1, max_value=2**1200),
+        st.builds(lambda a, s: a << s, st.integers(min_value=1, max_value=999),
+                  st.integers(min_value=0, max_value=400)),
+    ),
+)
+@example(num=0, den=1)
+@example(num=0, den=12)
+@example(num=-6, den=4)
+@example(num=3 << 1100, den=9 << 1000)
+def test_ratio_is_the_fraction(num, den):
+    got, want = ratio(num, den), Fraction(num, den)
     assert got == want and want == got
     assert facets(got) == facets(want)
 
@@ -78,12 +99,33 @@ addresses = st.builds(canonicalize, st.integers(min_value=0, max_value=60).flatm
 def test_dist_level_and_coords_are_in_lowest_terms(level, data):
     u, v = data.draw(words(level)), data.draw(words(level))
     assert_dyadic(dist_level(u, v, level), _dist_level_num(u, v, level), level)
-    # coords against the fold of sigma it stands for, built by Fraction
+    # coords against the fold of sigma it stands for, each step the midpoint
+    # of the point and the corner the copy keeps, built by Fraction arithmetic
     p = coords(u)
     want = VERTEX[u.terminal]
     for m in reversed(u.labels):
-        want = sigma(m, want)
+        v = VERTEX[ANCHOR[m]]
+        step = Point2((want.x + v.x) / 2, (want.yc + v.yc) / 2)
+        assert facets(sigma(m, want).x) == facets(step.x)
+        assert facets(sigma(m, want).yc) == facets(step.yc)
+        want = step
     assert facets(p.x) == facets(want.x) and facets(p.yc) == facets(want.yc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    x=st.fractions(min_value=0, max_value=1, max_denominator=1 << 40),
+    y=st.fractions(min_value=0, max_value=1, max_denominator=1 << 40),
+)
+def test_sigma_inv_builds_the_fraction(x, y):
+    # any rational point in the closed triangle (0 <= yc <= min(x, 1 - x)),
+    # not only dyadic ones: the preimage is twice the point minus the corner
+    # its copy keeps
+    p = Point2(x, y * min(x, 1 - x))
+    m, q = sigma_inv(p)
+    v = VERTEX[ANCHOR[m]]
+    assert facets(q.x) == facets(2 * p.x - v.x)
+    assert facets(q.yc) == facets(2 * p.yc - v.yc)
 
 
 @settings(deadline=None, max_examples=300)

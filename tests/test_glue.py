@@ -32,8 +32,10 @@ def test_distinguished():
 
 
 def test_digit_tables():
-    assert DIGITS["T"] == str.maketrans("abc", "100")
-    assert DIGITS["R"] == str.maketrans("abc", "001")
+    # bytes.translate tables: a, b, c are bytes 97-99, every other byte reads "2"
+    assert DIGITS["T"] == b"2" * 97 + b"100" + b"2" * 156
+    assert DIGITS["L"] == b"2" * 97 + b"010" + b"2" * 156
+    assert DIGITS["R"] == b"2" * 97 + b"001" + b"2" * 156
 
 
 def test_junctions():

@@ -20,7 +20,6 @@ from trigasket.metric import (
     _oracle_num,
     _JUNCTION_AT,
     _padded,
-    _prefixed,
     _tensor_num,
 )
 from trigasket.words import (
@@ -35,6 +34,7 @@ from trigasket.words import (
     iter_words,
     parse_word,
     prepend,
+    _prefixed,
 )
 
 

@@ -127,3 +127,32 @@ def test_no_fraction_over_a_shift_in_the_package():
         and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.LShift) for a in node.args)
     ]
     assert found == []
+
+
+def _functions(module: str) -> dict:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_plane_and_delta_maps_build_no_fraction_by_constructor():
+    # each step of sigma, sigma_inv and delta_step builds its result with
+    # numerics.ratio; Fraction(...) would run the constructor's type checks
+    # and gcd on every step
+    maps = [("geometry", "sigma"), ("geometry", "sigma_inv"), ("counterexamples", "delta_step")]
+    found = [
+        f"{mod}.{name}:{node.lineno}"
+        for mod, name in maps
+        for node in ast.walk(_functions(mod)[name])
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"
+    ]
+    assert found == []
+
+
+def test_words_compiles_no_regex():
+    # the label check is corner_digits's readout; no pattern reads a label twice
+    tree = ast.parse((PACKAGE / "words.py").read_text(encoding="utf-8"))
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+                for a in n.names}
+    modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "re" not in imported and "re" not in modules
+    assert "compile" not in _names(tree)

@@ -16,6 +16,7 @@ from trigasket.words import (
     iter_words,
     parse_word,
     prepend,
+    _word,
 )
 
 words = st.builds(
@@ -53,6 +54,24 @@ def test_label_validation(s):
         assert str(err.value) == f"bad label in {s!r}"
     else:
         assert AddressWord(s, "T").labels == s
+
+
+# characters int(., 2) would accept if one byte slipped through the readout's
+# table: separators, signs, whitespace, digits
+@pytest.mark.parametrize("labels", ["a_b", "a b", "+ab", "-ab", "ab\n", "01", "x", " ab", "0b1"])
+def test_label_check_rejects_what_int_would_read(labels):
+    with pytest.raises(ValueError) as err:
+        AddressWord(labels, "T")
+    assert str(err.value) == f"bad label in {labels!r}"
+    with pytest.raises(ValueError) as err:
+        corner_digits(labels)
+    assert str(err.value) == f"bad label in {labels!r}"
+
+
+@pytest.mark.parametrize("labels", [b"ab", 3, None, ["a"]])
+def test_labels_that_are_not_a_str_are_a_type_error(labels):
+    with pytest.raises(TypeError):
+        AddressWord(labels, "T")
 
 
 def test_canonicalize_long_pad_run():
@@ -197,8 +216,10 @@ def _base3(k: int) -> str:
 @settings(deadline=None, max_examples=300)
 @given(deep_labels, st.sampled_from("TLR"))
 def test_toward_digits(labels, d):
+    # a validated word reads its digits when it is built: that readout is
+    # its label check
     w = AddressWord(labels, d)
-    assert "toward" not in vars(w)
+    assert "toward" in vars(w)
     digits = w.toward
     # reference: the labels read as binary digits, 1 where the label is PAD[c],
     # one readout per corner in the order (T, L, R)
@@ -211,9 +232,12 @@ def test_toward_digits(labels, d):
     assert sum(digits) == (1 << len(labels)) - 1
     # kept on the word; equality, hashing and order still see only the fields
     assert w.toward is digits
-    fresh = AddressWord(labels, d)
-    assert w == fresh and hash(w) == hash(fresh) and not w < fresh and not fresh < w
-    assert "toward" not in vars(fresh)
+    # a word the library derives with `_word` reads them on first use
+    lazy = _word(labels, d)
+    assert "toward" not in vars(lazy)
+    assert lazy == w and hash(lazy) == hash(w) and not w < lazy and not lazy < w
+    assert lazy.toward == digits
+    assert "toward" in vars(lazy)
 
 
 # ------------------------------------------------- the validation boundary
@@ -259,3 +283,42 @@ def test_outside_input_is_validated():
         AddressWord("abx", "T")
     with pytest.raises(ValueError, match="^bad terminal 'Q'$"):
         parse_word("ab.Q")
+
+
+def _assert_digits_carried(w: AddressWord) -> None:
+    c = canonicalize(w).word
+    assert c.toward == corner_digits(c.labels)
+
+
+@settings(deadline=None, max_examples=300)
+@given(leveled_words())
+def test_canonical_word_carries_its_digits(w):
+    # parsed words carry digits from construction; canonicalize derives the
+    # canonical word's from them, shifting out the padding and moving a
+    # rewritten label's digit
+    _assert_digits_carried(w)
+    # a derived word, built unchecked, reads its own first
+    _assert_digits_carried(_word(w.labels, w.terminal))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        ".T", ".L", ".R",  # level 0
+        "aaa.T", "bb.L", "c.R",  # all padding
+        "b.T", "c.T", "c.L", "ab.T", "acc.T", "bcc.L", "cbbbb.L", "bcaaa.T",  # rewrite tails
+        "b" + "a" * 20000 + ".T",  # the long pad run
+        "abcabc" + "c" * 300 + ".R",
+    ],
+)
+def test_canonical_word_carries_its_digits_cases(text):
+    _assert_digits_carried(parse_word(text))
+    w = parse_word(text)
+    _assert_digits_carried(_word(w.labels, w.terminal))
+
+
+@settings(deadline=None, max_examples=300)
+@given(leveled_words(), st.sampled_from("abc"))
+def test_prepend_carries_its_digits(w, m):
+    c = prepend(m, canonicalize(w)).word
+    assert c.toward == corner_digits(c.labels)
