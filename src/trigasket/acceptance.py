@@ -22,7 +22,9 @@ from trigasket.words import (
     LABELS,
     AddressWord,
     CanonicalAddress,
+    canonical_at,
     canonicalize,
+    count_canonical,
     glue_partner,
     iter_canonical,
     iter_words,
@@ -31,9 +33,9 @@ from trigasket.words import (
 )
 from trigasket.metric import (
     _dist,
-    _dist_level_num,
     _padded,
     _tensor,
+    OracleTable,
     dist_G,
     oracle_table,
 )
@@ -75,8 +77,8 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     `a + _randbelow(b - a + 1)`, and `_randbelow` is this loop, so from one
     seed these are exactly their draws, without the three Python frames each
     of them passes through. Criteria 1 and 2 draw tens of thousands of times
-    and use it; criteria 3, 4 and 9 draw for under a millisecond and keep
-    `Random`'s methods.
+    through it; criteria 3, 4 and 9 draw canonical words by index through
+    it, so that they build only the words they draw (`canonical_at`).
     """
     k = n.bit_length()
     r = getrandbits(k)
@@ -85,33 +87,37 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
+def _read(level: int) -> tuple[list[AddressWord], list, list, list[int], OracleTable]:
+    """The level's words, their digits, terminals and oracle classes, and its table."""
+    ws = list(iter_words(level))
+    table = oracle_table(level)
+    cls = [table.class_of[w] for w in ws]
+    return ws, [w.toward for w in ws], [w.terminal for w in ws], cls, table
+
+
 def metric_matches_oracle() -> str:
     """Closed-form two-path kernel (dist_level) vs brute-force quotient-graph metric.
 
-    Each level's oracle table is taken once and each word's class read once,
-    so a pair costs one kernel call and one read of the table's numerator.
+    Each level's oracle table is taken once and each word's digits, terminal
+    and class read once, so a pair costs one kernel call on words of the
+    stated level and one read of the table's numerator.
     """
     checked = 0
     for level in range(4):
-        ws = list(iter_words(level))
-        table = oracle_table(level)
-        cls = [table.class_of[w] for w in ws]
-        for i, u in enumerate(ws):
-            row = table.dist[cls[i]]
+        ws, tw, dw, cls, table = _read(level)
+        for i in range(len(ws)):
+            tu, du, row = tw[i], dw[i], table.dist[cls[i]]
             for j in range(i + 1, len(ws)):
-                if _dist_level_num(u, ws[j], level) != row[cls[j]]:
-                    raise Fail(f"mismatch at level {level}: {u.text} / {ws[j].text}")
+                if _dist(tu, du, tw[j], dw[j], level) != row[cls[j]]:
+                    raise Fail(f"mismatch at level {level}: {ws[i].text} / {ws[j].text}")
                 checked += 1
     getrandbits = Random(1001).getrandbits
-    ws4 = list(iter_words(4))
-    table = oracle_table(4)
-    cls4 = [table.class_of[w] for w in ws4]
+    ws, tw, dw, cls, table = _read(4)
     for _ in range(10_000):
-        i = _below(getrandbits, len(ws4))
-        j = _below(getrandbits, len(ws4))
-        u, v = ws4[i], ws4[j]
-        if _dist_level_num(u, v, 4) != table.dist[cls4[i]][cls4[j]]:
-            raise Fail(f"mismatch at level 4: {u.text} / {v.text}")
+        i = _below(getrandbits, len(ws))
+        j = _below(getrandbits, len(ws))
+        if _dist(tw[i], dw[i], tw[j], dw[j], 4) != table.dist[cls[i]][cls[j]]:
+            raise Fail(f"mismatch at level 4: {ws[i].text} / {ws[j].text}")
         checked += 1
     return f"exact equality on {checked} pairs (levels 0-3 exhaustive, 10000 random at level 4)"
 
@@ -188,12 +194,12 @@ def prefix_diameter_bound() -> str:
 
 def gluing_step_isometry() -> str:
     """Prepending a label is an isometry from the glued tensor onto its image."""
-    rng = Random(1003)
-    canon = list(iter_canonical(8))
+    getrandbits = Random(1003).getrandbits
+    count = count_canonical(8)
     checked = 0
     for _ in range(1_000):
-        u = rng.choice(canon)
-        v = rng.choice(canon)
+        u = canonical_at(_below(getrandbits, count))
+        v = canonical_at(_below(getrandbits, count))
         pu = {m: prepend(m, u) for m in LABELS}
         pv = {m: prepend(m, v) for m in LABELS}
         # u and v padded once to their common level n, the six images once
@@ -224,10 +230,10 @@ def uniform_cauchy_modulus() -> str:
     once to level 14, where the distance's numerator is over 2^14.
     """
     rng = Random(1004)
-    canon6 = list(iter_canonical(6))
+    count = count_canonical(6)
     gasket_pts = [VERTEX["T"], VERTEX["L"], VERTEX["R"]]
     while len(gasket_pts) < 200:
-        gasket_pts.append(coords(rng.choice(canon6)))
+        gasket_pts.append(coords(canonical_at(_below(rng.getrandbits, count))))
     delta_pts = [APEX]
     while len(delta_pts) < 200:
         den = rng.randint(1, 4096)
@@ -336,10 +342,10 @@ def plane_embedding_roundtrip() -> str:
 def finality_square() -> str:
     """Unfold-then-anchor commutes with one coalgebra step; corruption must not."""
     rng = Random(1009)
-    canon5 = list(iter_canonical(5))
+    count = count_canonical(5)
     sample_g = [VERTEX["T"], VERTEX["L"], VERTEX["R"]]
     while len(sample_g) < 20:
-        sample_g.append(coords(rng.choice(canon5)))
+        sample_g.append(coords(canonical_at(_below(rng.getrandbits, count))))
     sample_d = [APEX, delta_point(Fraction(1, 3)), delta_point(Fraction(2, 7)),
                 delta_point(Fraction(1, 2)), delta_point(Fraction(5, 16))]
     while len(sample_d) < 20:

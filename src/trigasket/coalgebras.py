@@ -16,7 +16,15 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .metric import _dist_G_num
 from .numerics import dyadic
 from .spaces import Point, TriPointedSpace, ValidationError
-from .words import ANCHOR, AddressWord, CanonicalAddress, canonicalize, prepend
+from .words import (
+    ANCHOR,
+    AddressWord,
+    CanonicalAddress,
+    _word_with,
+    canonicalize,
+    corner_digits,
+    prepend,
+)
 
 
 class Coalgebra(NamedTuple):
@@ -73,10 +81,28 @@ def theta(co: Coalgebra, x: Point, n: int) -> CanonicalAddress:
 
 
 def thetas(co: Coalgebra, x: Point, n: int) -> list[CanonicalAddress]:
-    """theta(co, x, k) for k = 1..n from one unfold: anchored prefixes of one trace."""
+    """theta(co, x, k) for k = 1..n from one unfold: anchored prefixes of one trace.
+
+    The trace's digits are read, and so its labels checked, once: prefix k's
+    digits are the top k of the trace's n. A trace the readout rejects, or
+    one whose length is not n (a structure map gave a label that is not one
+    character), goes through `_anchored` prefix by prefix, as `theta` does.
+    """
     if n < 1:
         raise ValueError("theta needs depth >= 1")
     labels, _ = unfold(co, x, n)
+    if len(labels) == n:
+        try:
+            t, l, r = corner_digits(labels)
+        except ValueError:
+            pass
+        else:
+            return [
+                canonicalize(
+                    _word_with(labels[:k], ANCHOR[labels[k - 1]], (t >> n - k, l >> n - k, r >> n - k))
+                )
+                for k in range(1, n + 1)
+            ]
     return [_anchored(labels[:k]) for k in range(1, n + 1)]
 
 

@@ -34,9 +34,10 @@ compare the numerators themselves, through `_dist_level_num`,
 (equivalence classes + Floyd-Warshall on min-over-representative edge
 weights), so exact agreement between the two is a real check, not a
 tautology. The oracle too stores and relaxes integer numerators over 2^n.
-It relaxes only through the three junction classes of each level, the
-ones its own union relations merge across copies, which is exact (see
-`_oracle_table`) and builds level 6 in a fifth of a second.
+It weighs its edges a copy at a time and relaxes only through the three
+junction classes of each level, the ones its own union relations merge
+across copies, over half the table, which is exact (see `_oracle_table`)
+and builds level 6 in about a tenth of a second.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ from .words import (
 )
 
 # level n has (3^(n+1) + 3) / 2 classes; measured on CPython 3.11.7 on one
-# core, levels 4, 5 and 6 (1095 classes) build in 3 ms, 18 ms and 0.17 s, and
-# building level 6 raises peak RSS by about 10 MB. Level 7 (3282 classes)
-# would hold a distance table nine times as large.
+# core of a shared two-CPU machine, levels 4, 5 and 6 (1095 classes) build in
+# 1.5 ms, 11 ms and 0.1 s, and building level 6 raises peak RSS by about
+# 10 MB. Level 7 (3282 classes) would hold a distance table nine times as
+# large.
 ORACLE_MAX_LEVEL = 6
 
 # Junction crossings, keyed by ordered copy pair (m, m'):
@@ -229,6 +231,33 @@ class OracleTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _oracle_table(level: int) -> OracleTable:
+    """The level-n quotient built from level n-1's: three copies of its
+    classes, merged by the three union relations, weighted by the previous
+    table and relaxed through the merged classes.
+
+    Edge weights over 2^level are the min over representatives of the
+    pre-quotient step metric. Inside one copy it is half the inner distance,
+    and half of k/2^(level-1) is k/2^level, so the inner numerator carries
+    over as is; across copies it is 1, numerator `one`. Each proto-node is
+    in at most one union relation, so a class has at most one member per
+    copy: copy m's proto-nodes lie in distinct classes, `at[c]` the class of
+    (m, c), and taking the min of prev.dist[c1][c2] into
+    dist[at[c1]][at[c2]], copy by copy, visits exactly the pairs of members
+    that share a copy. The diagonal comes from prev.dist[c][c] = 0.
+
+    Floyd-Warshall then runs through the bridge classes only: the classes
+    whose members lie in two different copies, three at every level >= 1.
+    Any other class is one proto-node in one copy. The previous level's dist
+    is a shortest-path metric, so any run of hops inside one copy shortens
+    to one hop, and a weight-`one` edge never beats the initial cap of
+    `one`. So a shortest path changes copy only at a bridge class, and
+    relaxing through the three bridges finds it: O(3 n^2) in place of
+    O(n^3). The weights are symmetric, and relaxing through k leaves row
+    and column k as they are (dist[k][k] = 0), so each pass keeps the table
+    symmetric: it visits j > i only and writes dist[j][i] alongside
+    dist[i][j]. An intermediate at distance `one` can never shorten a path,
+    so its row is skipped.
+    """
     if level == 0:
         words = list(iter_words(0))
         class_of = {w: i for i, w in enumerate(words)}
@@ -247,64 +276,46 @@ def _oracle_table(level: int) -> OracleTable:
         "R": prev.class_of[cr],
     }
     # the gluing relations of one step: b.T~a.L, a.R~c.T, c.L~b.R
-    uf.union(index[("b", corner["T"])], index[("a", corner["L"])])
-    uf.union(index[("a", corner["R"])], index[("c", corner["T"])])
-    uf.union(index[("c", corner["L"])], index[("b", corner["R"])])
+    glued = (
+        (("b", corner["T"]), ("a", corner["L"])),
+        (("a", corner["R"]), ("c", corner["T"])),
+        (("c", corner["L"]), ("b", corner["R"])),
+    )
+    for p, q in glued:
+        uf.union(index[p], index[q])
 
     roots = sorted({uf.find(i) for i in range(len(proto))})
     cid = {root: i for i, root in enumerate(roots)}
     n = len(roots)
+    at = {m: [cid[uf.find(index[(m, c)])] for c in range(len(prev.dist))] for m in "abc"}
 
-    # edge weights over 2^level: min over representatives of the pre-quotient
-    # step metric. Inside one copy it is half the inner distance, and half of
-    # k/2^(level-1) is k/2^level, so the inner numerator carries over as is;
-    # across copies it is 1, numerator `one`.
     one = 2**level
     dist = [[one] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-    members: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    for pc, i in index.items():
-        members[cid[uf.find(i)]].append(pc)
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = one
-            for m1, c1 in members[i]:
-                for m2, c2 in members[j]:
-                    if m1 == m2:
-                        w = prev.dist[c1][c2]
-                        if w < best:
-                            best = w
-            dist[i][j] = best
-            dist[j][i] = best
+    for cls in at.values():
+        for c1, prow in enumerate(prev.dist):
+            row = dist[cls[c1]]
+            for j, w in zip(cls, prow):
+                if w < row[j]:
+                    row[j] = w
 
-    # Floyd-Warshall through the bridge classes only: the classes whose
-    # members lie in two different copies, three at every level >= 1. Each
-    # proto-node is in at most one of the three union relations, so a class
-    # has at most one member per copy, and any other class is one proto-node
-    # in one copy. The previous level's dist is a shortest-path metric, so any
-    # run of hops inside one copy shortens to one hop, and a weight-`one`
-    # edge never beats the initial cap of `one`. So a shortest path changes
-    # copy only at a bridge class, and relaxing through the three bridges
-    # finds it: O(3 n^2) in place of O(n^3). An intermediate at distance
-    # `one` can never shorten a path, so its row is skipped.
-    bridges = [i for i in range(n) if len({m for m, _ in members[i]}) > 1]
+    bridges = sorted(cid[uf.find(index[p])] for p, _ in glued)
     for k in bridges:
         dk = dist[k]
         for i in range(n):
-            dik = dist[i][k]
+            dik = dk[i]
             if dik >= one:
                 continue
             di = dist[i]
-            for j in range(n):
+            for j in range(i + 1, n):
                 alt = dik + dk[j]
                 if alt < di[j]:
                     di[j] = alt
+                    dist[j][i] = alt
 
     class_of: dict[AddressWord, int] = {}
-    for w in iter_words(level):
-        inner = prev.class_of[_word(w.labels[1:], w.terminal)]
-        class_of[w] = cid[uf.find(index[(w.labels[0], inner)])]
+    for m, cls in at.items():
+        for w, c in prev.class_of.items():
+            class_of[_word(m + w.labels, w.terminal)] = cls[c]
     return OracleTable(class_of, dist)
 
 

@@ -29,9 +29,10 @@ its digits on first use, and a canonical form is wrapped by `_canonical`,
 which skips `CanonicalAddress`'s. `canonicalize` hands back its argument's
 own word when that is already canonical, and otherwise derives the
 canonical word's digits from its argument's, as `prepend` derives the
-glued word's, so no label string is read twice. `coalgebras._anchored`
-keeps validating: its labels come from a structure map a user may have
-written.
+glued word's, so no label string is read twice. `coalgebras.theta` and
+`thetas` keep validating, since their labels come from a structure map a
+user may have written: `thetas` reads its trace's digits once, which checks
+every label, and gives each anchored prefix the top digits of the trace.
 """
 
 from __future__ import annotations
@@ -369,3 +370,28 @@ def iter_canonical(max_level: int) -> Iterator[CanonicalAddress]:
 
 def count_canonical(max_level: int) -> int:
     return (3 ** (max_level + 1) + 3) // 2
+
+
+def canonical_at(i: int) -> CanonicalAddress:
+    """The i-th address of `iter_canonical`'s order, built alone, so a draw
+    from the first count_canonical(L) indices is a draw from
+    iter_canonical(L) without listing it.
+
+    Level n >= 1 starts at count_canonical(n - 1), and its i-th address is
+    prefix i // 3 in base 3 (n - 1 digits, a b c for 0 1 2, most
+    significant first) followed by tail i % 3 of `_CANONICAL_TAILS`.
+    """
+    if i < 0:
+        raise ValueError(f"no canonical address at index {i}")
+    if i < 3:
+        return _canonical(_word("", TERMINALS[i]))
+    n = 1
+    while count_canonical(n) <= i:
+        n += 1
+    p, tail = divmod(i - count_canonical(n - 1), 3)
+    prefix = []
+    for _ in range(n - 1):
+        p, r = divmod(p, 3)
+        prefix.append(LABELS[r])
+    m, d = _CANONICAL_TAILS[tail]
+    return _canonical(_word("".join(reversed(prefix)) + m, d))

@@ -196,18 +196,21 @@ def test_below_draws_what_choice_and_randint_draw(seed, draws):
 
 
 def metric_matches_oracle_inputs():
-    """Criterion 1's kernel inputs in order, its level-4 pairs drawn by
-    `Random.choice`."""
+    """Criterion 1's kernel inputs in order, on the digits and terminals of
+    its word pairs, the level-4 pairs drawn by `Random.choice`."""
+    def pair(u, v, level):
+        return u.toward, u.terminal, v.toward, v.terminal, level
+
     inputs = []
     for level in range(4):
         ws = list(iter_words(level))
-        inputs += [(ws[i], ws[j], level) for i in range(len(ws)) for j in range(i + 1, len(ws))]
+        inputs += [pair(ws[i], ws[j], level) for i in range(len(ws)) for j in range(i + 1, len(ws))]
     rng = Random(1001)
     ws4 = list(iter_words(4))
     for _ in range(10_000):
         u = rng.choice(ws4)
         v = rng.choice(ws4)
-        inputs.append((u, v, 4))
+        inputs.append(pair(u, v, 4))
     return inputs
 
 
@@ -236,7 +239,7 @@ def prefix_diameter_bound_inputs():
 
 @pytest.mark.parametrize(
     "number, kernel, reference",
-    [(1, "_dist_level_num", metric_matches_oracle_inputs),
+    [(1, "_dist", metric_matches_oracle_inputs),
      (2, "_dist", prefix_diameter_bound_inputs)],
 )
 def test_criterion_feeds_the_kernel_what_random_draws_give(monkeypatch, number, kernel, reference):

@@ -181,6 +181,41 @@ def test_change_is_the_checkout_or_an_exported_revision(tmp_path, change):
     assert {p["change"]["metrics"]["ops_per_s"] for p in pairs} == {10.0 + int(want[-2])}
 
 
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+@pytest.mark.parametrize("change", [None, "HEAD"])
+def test_bytecode_of_the_temporary_trees_is_removed(tmp_path, monkeypatch, change):
+    repo, _, _ = committed_repo(tmp_path, "A = 1\n", "A = 2\n")
+    pycache = tmp_path / "pycache"
+    monkeypatch.setattr(bench_pairs, "PYCACHE", pycache)
+    other = pycache / "elsewhere" / "m.pyc"
+    other.parent.mkdir(parents=True)
+    other.write_bytes(b"")
+    trees = set()
+
+    def run(tree, workload, seed, seconds):
+        # what a worker leaves under PYTHONPYCACHEPREFIX, keyed by its real path
+        real = tree.resolve()
+        pyc = pycache / real.relative_to(real.anchor) / "src" / "trigasket" / "m.pyc"
+        pyc.parent.mkdir(parents=True, exist_ok=True)
+        pyc.write_bytes(b"")
+        trees.add(real)
+        return canned(10.0, 330.0)
+
+    argv = ["--parent", "HEAD~1", "--name", "t", "--workload", "verify",
+            "--pairs", "2", "--seed", "1", "--seconds", "1"]
+    argv += ["--change", change] if change else []
+    assert bench_pairs.main(argv, runner=run, repo=repo) == 0
+    temporary = {tree.parent for tree in trees if tree != repo.resolve()}
+    assert len(temporary) == 1
+    tmp = temporary.pop()
+    assert not (pycache / tmp.relative_to(tmp.anchor)).exists()
+    # the checkout's own bytecode, and anything else, stays
+    assert (pycache / tmp.parent.relative_to(tmp.anchor)).is_dir()
+    assert other.exists()
+    mine = pycache / repo.resolve().relative_to(repo.anchor) / "src" / "trigasket" / "m.pyc"
+    assert mine.exists() is (change is None)
+
+
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_bench_record_is_complete_and_its_verdicts_recompute(path):
     report = json.loads(path.read_text(encoding="utf-8"))

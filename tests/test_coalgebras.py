@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from trigasket.coalgebras import (
     Coalgebra,
@@ -16,7 +17,15 @@ from trigasket.counterexamples import APEX, delta_point
 from trigasket.geometry import VERTEX, coords
 from trigasket.metric import dist_G
 from trigasket.spaces import ValidationError, i_space
-from trigasket.words import AddressWord, canonicalize, iter_canonical, parse_word
+from trigasket.words import (
+    AddressWord,
+    canonical_at,
+    canonicalize,
+    corner_digits,
+    count_canonical,
+    iter_canonical,
+    parse_word,
+)
 
 
 def canon(text):
@@ -62,6 +71,21 @@ def test_theta_validates_the_trace_of_a_structure_map():
         theta(co, "L", 2)
     with pytest.raises(ValueError, match="^bad label in 'd'$"):
         theta(co, "L", 1)
+    # thetas anchors the prefixes in turn, so the first bad one is named
+    with pytest.raises(ValueError, match="^bad label in 'd'$"):
+        thetas(co, "L", 2)
+    late = Coalgebra(i_space(), lambda p: ("d", "R") if p == "L" else ("a", "L"), name="late")
+    with pytest.raises(ValueError, match="^bad label in 'ad'$"):
+        thetas(late, "T", 3)
+
+
+def test_thetas_anchors_character_prefixes_of_a_longer_trace():
+    # labels of two characters make a trace longer than the depth; its
+    # prefixes are read character by character, as theta would read them
+    co = Coalgebra(i_space(), lambda p: ("ab", p), name="long-label")
+    got = thetas(co, "L", 2)
+    assert got == [canon("a.T"), canon("ab.L")]
+    assert [t.word.toward for t in got] == [corner_digits(t.word.labels) for t in got]
 
 
 def test_theta_requires_positive_depth():
@@ -87,6 +111,27 @@ def test_thetas_matches_theta(name):
     co = get_coalgebra(name)
     for x in thetas_sample(name):
         assert thetas(co, x, 14) == [theta(co, x, k) for k in range(1, 15)]
+
+
+@st.composite
+def coalgebra_points(draw):
+    """A built-in coalgebra and a point of its space: the plane image of a
+    canonical address of level <= 8, or a rational on the fold's interval."""
+    if draw(st.booleans()):
+        i = draw(st.integers(0, count_canonical(8) - 1))
+        return "gasket-sigma", coords(canonical_at(i))
+    den = draw(st.integers(1, 4096))
+    return "delta", delta_point(Fraction(draw(st.integers(0, den)), den))
+
+
+@given(coalgebra_points(), st.integers(1, 16))
+def test_thetas_is_theta_at_each_depth(point, n):
+    name, x = point
+    co = get_coalgebra(name)
+    got = thetas(co, x, n)
+    assert got == [theta(co, x, k) for k in range(1, n + 1)]
+    # each word carries the digits of its own labels
+    assert [t.word.toward for t in got] == [corner_digits(t.word.labels) for t in got]
 
 
 def test_thetas_requires_positive_depth():

@@ -118,14 +118,17 @@ def test_oracle_agrees_at_level_6():
 
 
 @lru_cache(maxsize=None)
-def _full_floyd_warshall(level):
-    """The oracle's quotient at a level with Floyd-Warshall relaxed through
-    every class: the reference for its relaxation through the junction
-    classes alone. Returns (class_of, dist) like an OracleTable."""
+def _reference_oracle(level, through_bridges):
+    """The oracle's quotient at a level from edges taken pair by pair over
+    the members of two classes, with Floyd-Warshall relaxed through every
+    class, or only through the classes with members in two copies, row by
+    full row: the references for its build by copy blocks and its
+    relaxation through the junction classes over half the table. Returns
+    (class_of, dist) like an OracleTable."""
     if level == 0:
         dist = [[int(i != j) for j in range(3)] for i in range(3)]
         return {w: i for i, w in enumerate(iter_words(0))}, dist
-    prev_class, prev_dist = _full_floyd_warshall(level - 1)
+    prev_class, prev_dist = _reference_oracle(level - 1, through_bridges)
     proto = [(m, c) for m in "abc" for c in range(len(prev_dist))]
     index = {pc: i for i, pc in enumerate(proto)}
     uf = _UnionFind(len(proto))
@@ -145,6 +148,8 @@ def _full_floyd_warshall(level):
     ]
     n = len(members)
     for k in range(n):
+        if through_bridges and len({m for m, _ in members[k]}) < 2:
+            continue
         for i in range(n):
             for j in range(n):
                 dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
@@ -158,7 +163,15 @@ def _full_floyd_warshall(level):
 @pytest.mark.parametrize("level", range(5))
 def test_oracle_matches_full_floyd_warshall(level):
     table = oracle_table(level)
-    assert (table.class_of, table.dist) == _full_floyd_warshall(level)
+    assert (table.class_of, table.dist) == _reference_oracle(level, False)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_oracle_matches_member_pair_edges_and_full_rows(level):
+    table = oracle_table(level)
+    class_of, dist = _reference_oracle(level, True)
+    assert list(table.class_of.items()) == list(class_of.items())
+    assert table.dist == dist
 
 
 def test_oracle_level_guard():

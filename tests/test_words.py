@@ -6,6 +6,7 @@ from trigasket.words import (
     REWRITE,
     AddressWord,
     CanonicalAddress,
+    canonical_at,
     canonicalize,
     corner_digits,
     count_canonical,
@@ -189,6 +190,15 @@ def test_counts():
 def test_iter_words_count():
     assert len(list(iter_words(3))) == 81
     assert len(set(iter_words(3))) == 81
+
+
+def test_canonical_at_is_iter_canonical_by_index():
+    # every canonical address of level <= 8, then the first of level 9
+    canon = list(iter_canonical(8))
+    assert [canonical_at(i) for i in range(len(canon))] == canon
+    assert canonical_at(len(canon)) == next(c for c in iter_canonical(9) if c.level == 9)
+    with pytest.raises(ValueError, match="^no canonical address at index -1$"):
+        canonical_at(-1)
 
 
 def test_iter_canonical_is_canonical_and_unique():

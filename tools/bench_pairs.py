@@ -10,7 +10,10 @@ The change is this checkout, or with `--change REV` a committed revision,
 so that both sides of a pair can be past commits. Each revision is exported
 with `git archive` into a temporary directory, which is removed afterwards,
 so the repository itself is left as it was; `perfbench/out` is created
-there, since the `cli` workload's renders write into it. This checkout's
+there, since the `cli` workload's renders write into it. The workers write
+their bytecode under this checkout's `perfbench/out/pycache`, by source
+path, so the trees compiled from the temporary directory are removed with
+it. This checkout's
 `perfbench/run.py` then runs on both trees in turn, with the working
 directory set to each tree, so that one harness measures both. Pair i uses
 seed SEED + i and alternates which tree runs first. The result goes to
@@ -35,6 +38,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +48,8 @@ from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_PY = ROOT / "perfbench" / "run.py"
+# run.py's PYTHONPYCACHEPREFIX: the bytecode of /x/y.py goes under PYCACHE/x
+PYCACHE = RUN_PY.parent / "out" / "pycache"
 
 # the fewest pairs on which a gain is claimed
 MIN_PAIRS_FOR_GAIN = 10
@@ -201,16 +207,21 @@ def main(argv: "list[str] | None" = None, runner: Runner = run_harness,
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": repo}
-        commits = {"parent": export_tree(args.parent, trees["parent"], repo)}
-        if args.change is None:
-            commits["change"] = _git("rev-parse", "HEAD", cwd=repo)
-            uncommitted = bool(_git("status", "--porcelain", "--untracked-files=no", cwd=repo))
-        else:
-            trees["change"] = Path(tmp) / "change"
-            commits["change"] = export_tree(args.change, trees["change"], repo)
-            uncommitted = False
-        report = measure(args, trees, commits, uncommitted, runner)
+        try:
+            trees = {"parent": Path(tmp) / "parent", "change": repo}
+            commits = {"parent": export_tree(args.parent, trees["parent"], repo)}
+            if args.change is None:
+                commits["change"] = _git("rev-parse", "HEAD", cwd=repo)
+                uncommitted = bool(_git("status", "--porcelain", "--untracked-files=no", cwd=repo))
+            else:
+                trees["change"] = Path(tmp) / "change"
+                commits["change"] = export_tree(args.change, trees["change"], repo)
+                uncommitted = False
+            report = measure(args, trees, commits, uncommitted, runner)
+        finally:
+            # the workers saw the directory as their working directory, by its real path
+            real = Path(tmp).resolve()
+            shutil.rmtree(PYCACHE / real.relative_to(real.anchor), ignore_errors=True)
     out = repo / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, entry in report["workloads"].items():
