@@ -18,6 +18,7 @@ from .numerics import dyadic
 from .spaces import Point, TriPointedSpace, ValidationError
 from .words import (
     ANCHOR,
+    LABELS,
     AddressWord,
     CanonicalAddress,
     _word_with,
@@ -25,6 +26,8 @@ from .words import (
     corner_digits,
     prepend,
 )
+
+_LABELS = tuple(LABELS)
 
 
 class Coalgebra(NamedTuple):
@@ -49,8 +52,9 @@ def validate_coalgebra(co: Coalgebra) -> None:
 def unfold(co: Coalgebra, x: Point, n: int) -> tuple[str, Point]:
     """Iterate the structure map n times: the label trace and the final point.
 
-    A ValueError from the structure map is re-raised naming the coalgebra,
-    the starting point x and the step that failed.
+    A ValueError from the structure map, or a label it returns that is not
+    one of a, b, c, is raised naming the coalgebra, the starting point x and
+    the step that failed; so the trace is n labels long.
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
@@ -61,15 +65,11 @@ def unfold(co: Coalgebra, x: Point, n: int) -> tuple[str, Point]:
             m, p = co.e(p)
         except ValueError as exc:
             raise ValueError(f"{co.name}: unfolding {x} failed at step {step}: {exc}") from exc
+        # compared, not hashed, so a label of any type is reported
+        if m not in _LABELS:
+            raise ValueError(f"{co.name}: unfolding {x} failed at step {step}: bad label {m!r}")
         labels.append(m)
     return "".join(labels), p
-
-
-def _anchored(labels: str) -> CanonicalAddress:
-    """A label trace anchored at the corner its last label fixes. A last
-    label outside a, b, c fixes none, and the word's own label check, made
-    before its terminal is read, rejects the trace as for any other label."""
-    return canonicalize(AddressWord(labels, ANCHOR.get(labels[-1])))
 
 
 def theta(co: Coalgebra, x: Point, n: int) -> CanonicalAddress:
@@ -77,33 +77,32 @@ def theta(co: Coalgebra, x: Point, n: int) -> CanonicalAddress:
     if n < 1:
         raise ValueError("theta needs depth >= 1")
     labels, _ = unfold(co, x, n)
-    return _anchored(labels)
+    return canonicalize(AddressWord(labels, ANCHOR[labels[-1]]))
 
 
 def thetas(co: Coalgebra, x: Point, n: int) -> list[CanonicalAddress]:
     """theta(co, x, k) for k = 1..n from one unfold: anchored prefixes of one trace.
 
-    The trace's digits are read, and so its labels checked, once: prefix k's
-    digits are the top k of the trace's n. A trace the readout rejects, or
-    one whose length is not n (a structure map gave a label that is not one
-    character), goes through `_anchored` prefix by prefix, as `theta` does.
+    Prefix k anchors at the corner its last label m keeps, whose pad label
+    is m, so canonicalizing strips the whole run of m's that ends it: every
+    prefix inside one run labels[s:e] has the same canonical word, labels[:s]
+    anchored at ANCHOR[m] and rewritten if labels[s-1] makes it a rewrite
+    source. So one word is built per run, from the top digits of the
+    trace's, which are read once, and repeated along the run.
     """
     if n < 1:
         raise ValueError("theta needs depth >= 1")
     labels, _ = unfold(co, x, n)
-    if len(labels) == n:
-        try:
-            t, l, r = corner_digits(labels)
-        except ValueError:
-            pass
+    t, l, r = corner_digits(labels)
+    ths = []
+    for k in range(1, n + 1):
+        m = labels[k - 1]
+        if k > 1 and m == labels[k - 2]:
+            ths.append(ths[-1])
         else:
-            return [
-                canonicalize(
-                    _word_with(labels[:k], ANCHOR[labels[k - 1]], (t >> n - k, l >> n - k, r >> n - k))
-                )
-                for k in range(1, n + 1)
-            ]
-    return [_anchored(labels[:k]) for k in range(1, n + 1)]
+            sh = n - k
+            ths.append(canonicalize(_word_with(labels[:k], ANCHOR[m], (t >> sh, l >> sh, r >> sh))))
+    return ths
 
 
 def finality_check(

@@ -5,25 +5,27 @@ The three half-scale affine maps fix the triangle corners
     top (1/2, sqrt3/2)    left (0, 0)    right (1, 0)
 
 and every finitely-addressed point has a dyadic x and a y that is a dyadic
-multiple of sqrt 3 (the dyadic vertex sets V_n), so a point is stored as the
-two rationals (x, yc) with y = yc*sqrt3. Squared Euclidean distances
-dx^2 + 3*dyc^2 are plain rationals, and every geometric predicate (cell
-membership, junction ties, round trips) is a rational comparison, made on
-integer numerators over one common denominator. The maps compute on
-numerators too: `coords` builds its dyadic results with `numerics.dyadic`,
-and `sigma` and `sigma_inv`, which take any rational point, build theirs
-with `numerics.ratio`, each the Fraction its constructor would make. Square
-roots are never extracted except for display, where a coordinate is shown
-as u + v*sqrt3 with one of u, v zero.
+multiple of sqrt 3 (the dyadic vertex sets V_n). A point `Point2` is held as
+one integer triple (X, Y, den): x = X/den and y = yc*sqrt3 with yc = Y/den,
+den even and the triple in lowest terms, gcd(X, Y, den/2) = 1, so two
+points are equal exactly when their triples are. `x` and `yc` are read off
+as lowest-terms Fractions. Every geometric predicate (cell membership,
+junction ties, round trips) is an integer comparison over that one
+denominator, and the maps compute on the triple and build none of the
+Fractions: `coords` makes (A + 2C + 2*corner, A + 2*corner, 2^(n+1)),
+`sigma` and `sigma_inv` make the triple of a midpoint or a preimage, and
+each reduces it once (`_point`). Squared Euclidean distances
+dx^2 + 3*dyc^2 are plain rationals. Square roots are never extracted except
+for display, where a coordinate is shown as u + v*sqrt3 with one of u, v zero.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .numerics import _ratio_text, decimal_str, dyadic, ratio
+from .numerics import _ratio_text, decimal_str, ratio
 from .words import (
     ANCHOR,
     AddressWord,
@@ -55,11 +57,55 @@ def surd_decimal(u: "Fraction | int", v: "Fraction | int", places: int = 12) -> 
     return decimal_str(u + v * sqrt3, places)
 
 
-class Point2(NamedTuple):
-    """The plane point (x, yc*sqrt3)."""
+class Point2(tuple):
+    """The plane point (x, yc*sqrt3), held as its triple (X, Y, den).
 
-    x: Fraction
-    yc: Fraction
+    `Point2(x, yc)` takes any two rationals; `x` and `yc` are the
+    lowest-terms Fractions X/den and Y/den. Equality is the triple's, which
+    is the value's since the triple is in lowest terms; hash, order, repr and
+    str are those of the pair (x, yc).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x, yc) -> "Point2":
+        x, yc = Fraction(x), Fraction(yc)
+        xd, yd = x.denominator, yc.denominator
+        # the least even common denominator: already in lowest terms
+        den = math.lcm(xd, yd, 2)
+        return _new(cls, (x.numerator * (den // xd), yc.numerator * (den // yd), den))
+
+    @property
+    def x(self) -> Fraction:
+        return ratio(self[0], self[2])
+
+    @property
+    def yc(self) -> Fraction:
+        return ratio(self[1], self[2])
+
+    def _pair(self) -> tuple[Fraction, Fraction]:
+        return self.x, self.yc
+
+    def __hash__(self) -> int:
+        return hash(self._pair())
+
+    def __lt__(self, o):
+        return self._pair() < o._pair() if o.__class__ is Point2 else NotImplemented
+
+    def __le__(self, o):
+        return self._pair() <= o._pair() if o.__class__ is Point2 else NotImplemented
+
+    def __gt__(self, o):
+        return self._pair() > o._pair() if o.__class__ is Point2 else NotImplemented
+
+    def __ge__(self, o):
+        return self._pair() >= o._pair() if o.__class__ is Point2 else NotImplemented
+
+    def __getnewargs__(self) -> tuple[Fraction, Fraction]:
+        return self._pair()
+
+    def __repr__(self) -> str:
+        return f"Point2(x={self.x!r}, yc={self.yc!r})"
 
     def sq_dist(self, o: "Point2") -> Fraction:
         dx, dyc = self.x - o.x, self.yc - o.yc
@@ -67,6 +113,19 @@ class Point2(NamedTuple):
 
     def __str__(self) -> str:
         return f"({surd_text(self.x, 0)}, {surd_text(0, self.yc)})"
+
+
+_new = tuple.__new__
+
+
+def _point(X: int, Y: int, den: int) -> Point2:
+    """The point x = X/den, yc = Y/den for an even den > 0, without the
+    constructor's conversions: the triple over gcd(X, Y, den/2), which
+    leaves den even."""
+    g = math.gcd(X, Y, den >> 1)
+    if g != 1:
+        X, Y, den = X // g, Y // g, den // g
+    return _new(Point2, (X, Y, den))
 
 
 VERTEX = {
@@ -88,9 +147,9 @@ def sigma(m: str, p: Point2) -> Point2:
         vx, vy = _KEPT2[m]
     except KeyError:
         raise ValueError(f"bad label {m!r}") from None
-    xn, xd = p.x.numerator, p.x.denominator
-    yn, yd = p.yc.numerator, p.yc.denominator
-    return Point2(ratio(2 * xn + vx * xd, 4 * xd), ratio(2 * yn + vy * yd, 4 * yd))
+    X, Y, den = p
+    h = den >> 1
+    return _point(X + vx * h, Y + vy * h, den << 1)
 
 
 def coords(addr: "AddressWord | CanonicalAddress") -> Point2:
@@ -104,20 +163,12 @@ def coords(addr: "AddressWord | CanonicalAddress") -> Point2:
     w = addr.word if isinstance(addr, CanonicalAddress) else addr
     a, _, c = w.toward
     vx, vy = _VERTEX2[w.terminal]
-    k = len(w.labels) + 1
-    return Point2(dyadic(a + 2 * c + vx, k), dyadic(a + vy, k))
+    return _point(a + 2 * c + vx, a + vy, 2 << len(w.labels))
 
 
-# sigma_inv and address_of peel integer numerators: x = X/den, yc = Y/den with
-# den even, so each preimage 2p - corner (corners' x and yc are halves) has
-# integer numerators over the same den, and den never changes.
-
-
-def _scaled(p: Point2) -> tuple[int, int, int]:
-    """(X, Y, den) with x = X/den, yc = Y/den and den even."""
-    xd, yd = p.x.denominator, p.yc.denominator
-    den = math.lcm(xd, yd, 2)
-    return p.x.numerator * (den // xd), p.yc.numerator * (den // yd), den
+# sigma_inv and address_of peel a point's triple: den is even, so each
+# preimage 2p - corner (corners' x and yc are halves) has integer numerators
+# over the same den, and den never changes.
 
 
 def _inside(X: int, Y: int, den: int) -> bool:
@@ -144,17 +195,16 @@ def _peel(X: int, Y: int, den: int) -> tuple[str, int, int] | None:
 
 def in_triangle(p: Point2) -> bool:
     """Closed unit triangle: y >= 0, y <= sqrt3*x and y <= sqrt3*(1-x)."""
-    return _inside(*_scaled(p))
+    return _inside(*p)
 
 
 def sigma_inv(p: Point2) -> tuple[str, Point2]:
     """Which copy holds p, and p's preimage there (ties: a over b over c)."""
-    X, Y, den = _scaled(p)
-    step = _peel(X, Y, den)
+    step = _peel(*p)
     if step is None:
         raise ValueError(f"point outside the closed triangle: {p}")
     m, X, Y = step
-    return m, Point2(ratio(X, den), ratio(Y, den))
+    return m, _point(X, Y, p[2])
 
 
 def address_of(p: Point2, depth: int) -> AddressWord:
@@ -163,7 +213,7 @@ def address_of(p: Point2, depth: int) -> AddressWord:
     Only finitely-addressed points resolve; anything else (including plane
     points outside the gasket, which eventually leave the triangle) errors.
     """
-    X, Y, den = _scaled(p)
+    X, Y, den = p
     labels = []
     for _ in range(depth + 1):
         # the corners L (0, 0), R (1, 0) and T (1/2, 1/2)
@@ -175,9 +225,8 @@ def address_of(p: Point2, depth: int) -> AddressWord:
             break
         step = _peel(X, Y, den)
         if step is None:
-            rest = Point2(Fraction(X, den), Fraction(Y, den))
             raise ValueError(
-                f"{p} is not on the gasket: remainder {rest} left the "
+                f"{p} is not on the gasket: remainder {_point(X, Y, den)} left the "
                 f"triangle at step {len(labels) + 1}"
             )
         m, X, Y = step
@@ -241,16 +290,18 @@ def _svg_rows(depth: int) -> Iterator[str]:
         f'viewBox="0 0 {size + 2 * pad:.1f} {height + 2 * pad:.1f}">\n'
     )
     yield '<rect width="100%" height="100%" fill="white"/>\n'
-    for p in map(coords, iter_canonical(depth)):
-        cx = pad + float(p.x) * size
-        cy = pad + height - float(p.yc) * math.sqrt(3.0) * size  # flip: SVG y grows downward
+    # int / int is correctly rounded, as float(Fraction) is
+    for X, Y, den in map(coords, iter_canonical(depth)):
+        cx = pad + X / den * size
+        cy = pad + height - Y / den * math.sqrt(3.0) * size  # flip: SVG y grows downward
         yield f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{r:.3f}" fill="black"/>\n'
     yield "</svg>\n"
 
 
 def _point_rows(depth: int) -> Iterator[str]:
     for p in map(coords, iter_canonical(depth)):
-        yield f"{p.x.numerator}/{p.x.denominator} 0/1 0/1 {p.yc.numerator}/{p.yc.denominator}\n"
+        x, yc = p.x, p.yc
+        yield f"{x.numerator}/{x.denominator} 0/1 0/1 {yc.numerator}/{yc.denominator}\n"
 
 
 _ROWS = {"svg": _svg_rows, "points": _point_rows}

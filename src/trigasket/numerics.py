@@ -6,14 +6,13 @@ sums of at most two square roots of rationals (triangle-with-apex distances).
 `RadicalSum` decides signs of those sums by recursive squaring and has no
 floating-point form: nothing here is ever evaluated in floating point.
 
-Every distance the metric returns and every coordinate `coords` returns is
-an integer numerator over a power of two, and `dyadic(num, k)` builds that
-value as `Fraction(num, 2**k)` would, in lowest terms, without a gcd: the
-only common factor of num and 2^k is a power of two. The plane maps
-`sigma` and `sigma_inv` and the triangle-outline step `delta_step` compute
-on numerators over any positive denominator, and `ratio(num, den)` builds
-their results as `Fraction(num, den)` would, with the same gcd and without
-the constructor's type dispatch. Both fill Fraction's two slots with a
+Every distance the metric returns is an integer numerator over a power of
+two, and `dyadic(num, k)` builds that value as `Fraction(num, 2**k)` would,
+in lowest terms, without a gcd: the only common factor of num and 2^k is a
+power of two. The triangle-outline step `delta_step` computes on numerators
+over any positive denominator, and `ratio(num, den)` builds its results, and
+a plane point's `x` and `yc`, as `Fraction(num, den)` would, with the same
+gcd and without the constructor's type dispatch. Both fill Fraction's two slots with a
 coprime pair whose denominator is positive, which is the normal form
 Fraction's own constructor makes, so either value is that Fraction.
 """

@@ -7,6 +7,7 @@ file for the full gate:
     pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
 import json
 from pathlib import Path
 from random import Random
@@ -246,3 +247,30 @@ def test_criterion_feeds_the_kernel_what_random_draws_give(monkeypatch, number, 
     calls = _count_calls(monkeypatch, kernel)
     assert run_criterion(number).passed
     assert calls == reference()
+
+
+# sha256 over repr((args, result)) of each kernel call in order, for the
+# criteria whose PASS lines show only counts: a change in which words they
+# draw, or in what the kernel returns on them, shows here
+KERNEL_DIGESTS = {
+    3: "514428a44c5678fb14835e69a63c9aa26d0c4a68ea3a67bc3fcdcdb61e049bec",
+    4: "33cbd8757c8e18dff146a1459a49dcf0beec16afc152b3b4b56ec40575199ed4",
+    9: "9813b2d46202aae161cff03c188d2ae36035e91c82e72d1263321e6e13096589",
+}
+
+
+@pytest.mark.parametrize("number", sorted(KERNEL_DIGESTS))
+def test_criterion_kernel_inputs_are_pinned(monkeypatch, number):
+    # wrapped in both modules, so the calls metric's own helpers make count too
+    digest = hashlib.sha256()
+    kernel = metric._dist
+
+    def hashed(*args):
+        result = kernel(*args)
+        digest.update(repr((args, result)).encode())
+        return result
+
+    monkeypatch.setattr(metric, "_dist", hashed)
+    monkeypatch.setattr(acceptance, "_dist", hashed)
+    assert run_criterion(number).passed
+    assert digest.hexdigest() == KERNEL_DIGESTS[number]

@@ -63,29 +63,33 @@ def test_unfold_rejects_negative_depth():
 
 
 def test_theta_validates_the_trace_of_a_structure_map():
-    # a user's structure map can emit any label: "d" then "a" anchors at
-    # ANCHOR["a"] and the word's own label check rejects the trace, while a
-    # trace ending in "d" has no anchor, and is rejected with the same message
+    # a user's structure map can emit any label: unfold rejects the first one
+    # that is not a, b or c, naming the coalgebra, the start and the step
     co = Coalgebra(i_space(), lambda p: ("d", "R") if p == "L" else ("a", p), name="bad-label")
-    with pytest.raises(ValueError, match="^bad label in 'da'$"):
+    first = "^bad-label: unfolding L failed at step 1: bad label 'd'$"
+    with pytest.raises(ValueError, match=first):
         theta(co, "L", 2)
-    with pytest.raises(ValueError, match="^bad label in 'd'$"):
+    with pytest.raises(ValueError, match=first):
         theta(co, "L", 1)
-    # thetas anchors the prefixes in turn, so the first bad one is named
-    with pytest.raises(ValueError, match="^bad label in 'd'$"):
+    with pytest.raises(ValueError, match=first):
         thetas(co, "L", 2)
     late = Coalgebra(i_space(), lambda p: ("d", "R") if p == "L" else ("a", "L"), name="late")
-    with pytest.raises(ValueError, match="^bad label in 'ad'$"):
+    with pytest.raises(ValueError, match="^late: unfolding T failed at step 2: bad label 'd'$"):
         thetas(late, "T", 3)
+    # a label of another type is compared, not hashed
+    listed = Coalgebra(i_space(), lambda p: (["a"], p), name="listed")
+    with pytest.raises(ValueError, match=r"^listed: unfolding T failed at step 1: bad label \['a'\]$"):
+        unfold(listed, "T", 1)
 
 
 def test_thetas_anchors_character_prefixes_of_a_longer_trace():
-    # labels of two characters make a trace longer than the depth; its
-    # prefixes are read character by character, as theta would read them
+    # a label of two characters would make a trace longer than the depth;
+    # unfold rejects it at the step that returned it
     co = Coalgebra(i_space(), lambda p: ("ab", p), name="long-label")
-    got = thetas(co, "L", 2)
-    assert got == [canon("a.T"), canon("ab.L")]
-    assert [t.word.toward for t in got] == [corner_digits(t.word.labels) for t in got]
+    with pytest.raises(ValueError, match="^long-label: unfolding L failed at step 1: bad label 'ab'$"):
+        thetas(co, "L", 2)
+    with pytest.raises(ValueError, match="^long-label: unfolding L failed at step 1: bad label 'ab'$"):
+        unfold(co, "L", 1)
 
 
 def test_theta_requires_positive_depth():

@@ -2,11 +2,12 @@
 
 import hashlib
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trigasket.geometry import (
@@ -70,6 +71,8 @@ def test_vertices():
     assert VERTEX["T"] == pt(Fraction(1, 2), Fraction(1, 2))
     assert VERTEX["L"] == pt(0, 0)
     assert VERTEX["R"] == pt(1, 0)
+    # the constructor takes ints too
+    assert Point2(1, 0) == VERTEX["R"] and Point2(x=0, yc=0) == VERTEX["L"]
     # pairwise Euclidean distance 1, squared
     for d1 in "TLR":
         for d2 in "TLR":
@@ -212,6 +215,94 @@ def test_plane_predicates(x, yc):
         assert m == "a"
     if x == Fraction(1, 2) and yc < Fraction(1, 4):
         assert m == "b"
+
+
+# ---------------------------------------------------------------------------
+# Point2 against its two Fractions, and the maps against Fraction formulas
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.one_of(
+    st.builds(lambda n, k: Fraction(n, 2**k), st.integers(-(2**24), 2**24), st.integers(0, 24)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+    st.sampled_from([Fraction(k, 12) for k in range(-12, 25)]),
+)
+
+# a free pair (often outside the triangle), or one inside the closed triangle
+PAIRS = st.one_of(
+    st.tuples(RATIONALS, RATIONALS),
+    st.builds(
+        lambda x, u: (x, u * min(x, 1 - x)),
+        st.fractions(min_value=0, max_value=1, max_denominator=1 << 20),
+        st.fractions(min_value=0, max_value=1, max_denominator=1 << 20),
+    ),
+)
+
+# the corner each copy keeps, as (x, yc)
+KEPT = {"a": (Fraction(1, 2), Fraction(1, 2)), "b": (Fraction(0), Fraction(0)),
+        "c": (Fraction(1), Fraction(0))}
+
+
+def formula_sigma(m, x, yc):
+    """(p + corner) / 2."""
+    cx, cy = KEPT[m]
+    return (x + cx) / 2, (yc + cy) / 2
+
+
+def formula_sigma_inv(x, yc):
+    """The copy (ties: a over b over c) and 2p - corner, or the error text."""
+    if not (0 <= yc <= x and yc <= 1 - x):
+        return f"point outside the closed triangle: ({surd_text(x, 0)}, {surd_text(0, yc)})"
+    m = "a" if yc >= Fraction(1, 4) else "b" if x <= Fraction(1, 2) else "c"
+    cx, cy = KEPT[m]
+    return m, (2 * x - cx, 2 * yc - cy)
+
+
+def lowest_triple(p):
+    """The point's triple is (X, Y, den) with den even and gcd(X, Y, den/2) = 1."""
+    X, Y, den = p
+    return den > 0 and den % 2 == 0 and math.gcd(X, Y, den // 2) == 1
+
+
+def pair(p):
+    """The point's (x, yc), each checked to be a Fraction in lowest terms."""
+    for f in (p.x, p.yc):
+        assert type(f) is Fraction and math.gcd(f.numerator, f.denominator) == 1
+    return p.x, p.yc
+
+
+@given(a=PAIRS, b=PAIRS)
+@example(a=(Fraction(1, 3), Fraction(0)), b=(Fraction(-1, 2), Fraction(7, 5)))
+@settings(deadline=None, max_examples=400)
+def test_point2_is_its_pair_of_fractions(a, b):
+    p, q = Point2(*a), Point2(x=b[0], yc=b[1])
+    assert lowest_triple(p) and lowest_triple(q)
+    assert pair(p) == a and pair(q) == b
+    assert Point2(p.x, p.yc) == p
+    assert hash(p) == hash(a)
+    assert repr(p) == f"Point2(x={a[0]!r}, yc={a[1]!r})"
+    assert str(p) == f"({surd_text(a[0], 0)}, {surd_text(0, a[1])})"
+    assert (p == q, p != q) == (a == b, a != b)
+    assert (p < q, p <= q, p > q, p >= q) == (a < b, a <= b, a > b, a >= b)
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+@given(a=PAIRS, m=st.sampled_from("abc"))
+@example(a=(Fraction(1, 3), Fraction(0)), m="a")
+@example(a=(Fraction(-1, 3), Fraction(0)), m="b")
+@example(a=(Fraction(1, 2), Fraction(1, 4)), m="c")
+@settings(deadline=None, max_examples=600)
+def test_sigma_and_sigma_inv_are_the_fraction_formulas(a, m):
+    p = Point2(*a)
+    image = sigma(m, p)
+    assert lowest_triple(image) and pair(image) == formula_sigma(m, *a)
+    want = formula_sigma_inv(*a)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            sigma_inv(p)
+        assert str(err.value) == want
+    else:
+        m2, pre = sigma_inv(p)
+        assert lowest_triple(pre) and (m2, pair(pre)) == want
 
 
 def test_sigma_inv_rejects_outside():

@@ -148,6 +148,22 @@ def test_plane_and_delta_maps_build_no_fraction_by_constructor():
     assert found == []
 
 
+def test_plane_maps_build_no_fraction():
+    # the maps and the peel compute on a point's integer triple; a Fraction,
+    # a ratio or dyadic value, an lcm, or a Point2 by its converting
+    # constructor would rebuild the triple or its Fractions on every call
+    banned = {"Fraction", "ratio", "dyadic", "lcm", "Point2"}
+    functions = _functions("geometry")
+    found = [
+        f"geometry.{name}:{node.lineno}"
+        for name in ("sigma", "sigma_inv", "coords", "address_of", "_peel")
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in banned or getattr(node.func, "attr", None) in banned)
+    ]
+    assert found == []
+
+
 def test_words_compiles_no_regex():
     # the label check is corner_digits's readout; no pattern reads a label twice
     tree = ast.parse((PACKAGE / "words.py").read_text(encoding="utf-8"))
