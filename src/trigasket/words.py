@@ -29,10 +29,11 @@ its digits on first use, and a canonical form is wrapped by `_canonical`,
 which skips `CanonicalAddress`'s. `canonicalize` hands back its argument's
 own word when that is already canonical, and otherwise derives the
 canonical word's digits from its argument's, as `prepend` derives the
-glued word's, so no label string is read twice. `coalgebras.theta` and
-`thetas` keep validating, since their labels come from a structure map a
-user may have written: `thetas` reads its trace's digits once, which checks
-every label, and gives each anchored prefix the top digits of the trace.
+glued word's, so no label string is read twice. Labels that come from a
+structure map a user may have written are checked where they enter:
+`coalgebras.unfold` rejects any label but a, b, c, and `thetas` reads the
+trace's digits once and gives each anchored prefix the top digits of the
+trace.
 """
 
 from __future__ import annotations

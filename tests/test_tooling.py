@@ -135,9 +135,10 @@ def _functions(module: str) -> dict:
 
 
 def test_plane_and_delta_maps_build_no_fraction_by_constructor():
-    # each step of sigma, sigma_inv and delta_step builds its result with
-    # numerics.ratio; Fraction(...) would run the constructor's type checks
-    # and gcd on every step
+    # sigma and sigma_inv compute on a point's integer triple (the stricter
+    # guard below), and delta_step builds its result with numerics.ratio;
+    # Fraction(...) would run the constructor's type checks and gcd on
+    # every step
     maps = [("geometry", "sigma"), ("geometry", "sigma_inv"), ("counterexamples", "delta_step")]
     found = [
         f"{mod}.{name}:{node.lineno}"
