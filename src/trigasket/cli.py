@@ -9,6 +9,7 @@ errors (argparse's default).
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from fractions import Fraction
@@ -205,5 +206,21 @@ def main(argv: "list[str] | None" = None) -> int:
         return 1
 
 
+def entry() -> int:
+    """The process entry of `trigasket` and `python -m trigasket.cli`:
+    `main()` on the process's own argv, then `gc.freeze()` as it exits.
+
+    Freezing moves every live object into the permanent generation, so the
+    collections the interpreter runs at exit have nothing to traverse.
+    atexit handlers, stdio flushing and module teardown still run, as they
+    would not after `os._exit`. `main()` itself never freezes, so library
+    callers and tests keep normal collection.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

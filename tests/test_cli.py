@@ -1,8 +1,13 @@
 """Command line surface: frozen output lines, exit codes, determinism."""
 
 import argparse
+import gc
 import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -10,13 +15,14 @@ from random import Random
 import pytest
 
 from trigasket.argv import attach_negatives
-from trigasket.cli import _fraction, main
+from trigasket.cli import _fraction, entry, main
 from trigasket.geometry import coords, surd_decimal
 from trigasket.metric import dist_G
 from trigasket.numerics import decimal_str
 from trigasket.words import canonicalize, count_canonical, parse_word
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden.json"
 
 
 def run(capsys, *argv):
@@ -442,3 +448,89 @@ def test_golden_invocations_are_byte_identical(capsys, tmp_path, monkeypatch):
             out = tmp_path / argv[argv.index("--out") + 1]
             assert sha(out.read_bytes()) == entry["file_sha256"], argv
     assert (len(golden["light"]), len(golden["render"])) == (168, 2)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _process_cases():
+    """One golden invocation of each light kind, both golden renders, and an
+    invocation for each other exit code."""
+    golden = json.loads(GOLDEN.read_text())["cli"]
+    kinds = {}
+    for entry in golden["light"]:
+        kinds.setdefault(entry["kind"], entry)
+    cases = [pytest.param(e["argv"], 0, e, id=e["kind"]) for e in kinds.values()]
+    cases += [pytest.param(e["argv"], 0, e, id="render-" + e["argv"][-1]) for e in golden["render"]]
+    return cases + [
+        pytest.param(["--help"], 0, None, id="help"),
+        pytest.param(["gdist", "ab.T"], 2, None, id="usage-error"),
+        pytest.param(["coords", ".X"], 1, None, id="bad-word"),
+    ]
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code, golden", _process_cases())
+def test_the_process_entry_behaves_like_main(capsys, tmp_path, monkeypatch, argv, code, golden):
+    # renders write to the recorded relative path, here under tmp_path; the
+    # help text wraps at the terminal's width, so both sides get the same one
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    (tmp_path / "perfbench" / "out").mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "trigasket.cli", *argv],
+        env=env, capture_output=True, encoding="utf-8", timeout=120,
+    )
+    if golden is not None:
+        assert _sha(proc.stdout.encode()) == golden["stdout_sha256"]
+        if "file_sha256" in golden:
+            out = tmp_path / argv[argv.index("--out") + 1]
+            assert _sha(out.read_bytes()) == golden["file_sha256"]
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capsys, argv)
+    assert proc.returncode == code
+
+
+def test_python_m_freezes_before_the_atexit_hooks_run():
+    # runpy runs the module's __main__ block, as `python -m trigasket.cli`
+    # does; the hook runs after the process entry returns, sees the frozen
+    # objects, and its line still reaches stdout after the command's own
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv[1:] = ['normalize', 'bbb.L']\n"
+        "runpy.run_module('trigasket.cli', run_name='__main__')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, ".L\nfrozen True\n", "")
+
+
+def test_main_never_freezes(capsys):
+    # only the process entry freezes: tests, library callers and the traced
+    # benchmark worker run main() and keep normal collection
+    before = gc.get_freeze_count()
+    assert main(["normalize", "bbb.L"]) == 0
+    assert main(["coords", ".X"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["gdist", "ab.T"])
+    assert exc.value.code == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["trigasket"].partition(":")
+    assert getattr(importlib.import_module(module), name) is entry
