@@ -26,9 +26,17 @@ GOLDEN = ROOT / "perfbench" / "golden.json"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """main's exit code, stdout and stderr; argparse's exits give their code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_normalize(capsys):
@@ -432,10 +440,6 @@ def test_output_is_deterministic(capsys, tmp_path):
 
 def test_golden_invocations_are_byte_identical(capsys, tmp_path, monkeypatch):
     """Every light invocation and both renders of the benchmark's golden record."""
-
-    def sha(data):
-        return hashlib.sha256(data).hexdigest()
-
     golden = json.loads(GOLDEN.read_text())["cli"]
     # renders write to the recorded relative path, here under tmp_path
     monkeypatch.chdir(tmp_path)
@@ -448,10 +452,6 @@ def test_golden_invocations_are_byte_identical(capsys, tmp_path, monkeypatch):
             out = tmp_path / argv[argv.index("--out") + 1]
             assert sha(out.read_bytes()) == entry["file_sha256"], argv
     assert (len(golden["light"]), len(golden["render"])) == (168, 2)
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _process_cases():
@@ -470,15 +470,6 @@ def _process_cases():
     ]
 
 
-def _in_process(capsys, argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("argv, code, golden", _process_cases())
 def test_the_process_entry_behaves_like_main(capsys, tmp_path, monkeypatch, argv, code, golden):
     # renders write to the recorded relative path, here under tmp_path; the
@@ -492,11 +483,11 @@ def test_the_process_entry_behaves_like_main(capsys, tmp_path, monkeypatch, argv
         env=env, capture_output=True, encoding="utf-8", timeout=120,
     )
     if golden is not None:
-        assert _sha(proc.stdout.encode()) == golden["stdout_sha256"]
+        assert sha(proc.stdout.encode()) == golden["stdout_sha256"]
         if "file_sha256" in golden:
             out = tmp_path / argv[argv.index("--out") + 1]
-            assert _sha(out.read_bytes()) == golden["file_sha256"]
-    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capsys, argv)
+            assert sha(out.read_bytes()) == golden["file_sha256"]
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
     assert proc.returncode == code
 
 
@@ -521,11 +512,8 @@ def test_main_never_freezes(capsys):
     # only the process entry freezes: tests, library callers and the traced
     # benchmark worker run main() and keep normal collection
     before = gc.get_freeze_count()
-    assert main(["normalize", "bbb.L"]) == 0
-    assert main(["coords", ".X"]) == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["gdist", "ab.T"])
-    assert exc.value.code == 2
+    calls = (["normalize", "bbb.L"], ["coords", ".X"], ["gdist", "ab.T"])
+    assert [run(capsys, *argv)[0] for argv in calls] == [0, 1, 2]
     assert gc.get_freeze_count() == before
 
 

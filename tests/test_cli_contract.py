@@ -14,9 +14,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from trigasket.cli import main
 
-LABELS = "abc"
-TERMINALS = "TLR"
-
 
 def _mostly(good, near_miss):
     """good three times in four, else a near miss."""
@@ -25,11 +22,15 @@ def _mostly(good, near_miss):
 
 # words: the grammar, then bad labels and terminals, a missing or doubled
 # dot, spaces, case and the empty string
-_labels = st.text(LABELS, max_size=40) | st.text(LABELS, min_size=200, max_size=400)
+_labels = st.text("abc", max_size=40) | st.text("abc", min_size=200, max_size=400)
 WORDS = _mostly(
-    st.builds(lambda ls, t: f"{ls}.{t}", _labels, st.sampled_from(TERMINALS)),
-    st.builds(lambda ls, t: f"{ls}.{t}", st.text("abcdA .", max_size=12), st.text("TLRXtl.", max_size=2))
-    | st.sampled_from(["", ".", "abc", "ab.", ".TL", "a..T", " a.T", "a.T ", "A.T", "-a.T", "ab.T.L"]),
+    st.builds(lambda ls, t: f"{ls}.{t}", _labels, st.sampled_from("TLR")),
+    st.builds(
+        lambda ls, t: f"{ls}.{t}", st.text("abcdA .", max_size=12), st.text("TLRXtl.", max_size=2)
+    )
+    | st.sampled_from(
+        ["", ".", "abc", "ab.", ".TL", "a..T", " a.T", "a.T ", "A.T", "-a.T", "ab.T.L"]
+    ),
 )
 
 # rationals: ratios, decimals and exponent forms with either sign, long
@@ -87,14 +88,14 @@ def _option(draw, name, values):
     return [spelled, value]
 
 
-def _points():
-    return st.one_of(
-        st.just("apex"),
-        RATIONALS,
-        ON_GASKET.map(",".join),
-        st.builds(lambda x, y: f"{x},{y}", RATIONALS, RATIONALS),
-        st.sampled_from(["1/2,", ",", "1,2,3", "Apex"]),
-    )
+# mediate's points: delta's, gasket-sigma's `x,ycoeff`, and near misses of both
+POINTS = st.one_of(
+    st.just("apex"),
+    RATIONALS,
+    ON_GASKET.map(",".join),
+    st.builds(lambda x, y: f"{x},{y}", RATIONALS, RATIONALS),
+    st.sampled_from(["1/2,", ",", "1,2,3", "Apex"]),
+)
 
 
 @st.composite
@@ -114,9 +115,10 @@ def _argv(draw, out_dir):
         options = [draw(_option("--x", st.just(x))), draw(_option("--y-coeff", st.just(yc))),
                    draw(_option("--depth", INTS))]
     elif command == "mediate":
-        coalgebra = _mostly(st.sampled_from(["delta", "gasket-sigma"]), st.sampled_from(["sigma", ""]))
+        coalgebra = _mostly(st.sampled_from(["delta", "gasket-sigma"]),
+                            st.sampled_from(["sigma", ""]))
         positionals = []
-        options = [draw(_option("--coalgebra", coalgebra)), draw(_option("--point", _points())),
+        options = [draw(_option("--coalgebra", coalgebra)), draw(_option("--point", POINTS)),
                    draw(_option("--depth", INTS))]
     elif command == "render":
         # depths past RENDER_MAX_DEPTH are refused before any work; the ones
@@ -132,7 +134,8 @@ def _argv(draw, out_dir):
     else:
         # the full suite takes about half a second; one small suite stands in
         positionals = []
-        options = [draw(_option("--suite", _mostly(st.just("counterexamples"), st.sampled_from(["nope", ""]))))]
+        suite = _mostly(st.just("counterexamples"), st.sampled_from(["nope", ""]))
+        options = [draw(_option("--suite", suite))]
 
     options = draw(st.permutations(options))
     if options and draw(st.integers(0, 9)) == 0:
@@ -143,7 +146,8 @@ def _argv(draw, out_dir):
     if edit == 0:
         argv[0] = draw(st.sampled_from(["norm", "Normalize", "", "help", "frobnicate"]))
     elif edit == 1:
-        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--", "-h", "--z", "-1/2", "x"])))
+        stray = draw(st.sampled_from(["--", "-h", "--z", "-1/2", "x"]))
+        argv.insert(draw(st.integers(1, len(argv))), stray)
     elif edit == 2 and len(argv) > 1:
         del argv[draw(st.integers(1, len(argv) - 1))]
     return argv
