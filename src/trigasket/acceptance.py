@@ -136,7 +136,7 @@ def prefix_diameter_bound() -> str:
     are 2^t and 2^(t+1). Each sample draws its prefix as digits: label r
     (a, b, c for r = 0, 1, 2) appends a 1 to the T readout if r = 0 and to
     the R readout if r = 2, and the L readout is the rest of 2^n - 1. The
-    prefix's digits shifted up by t, ORed with a tail's cached digits, are
+    prefix's digits shifted up by t, ORed with a tail's digits, are
     exactly the digits of the word prefix + tail, and the draws, made by
     `_below`, are the same draws `Random.choice` and `randint` give, in the
     same order as when each sample built its words, so the kernel gets the

@@ -9,8 +9,7 @@ one declaration of the gasket. The formula needs only each side's distances
 to corners, and on words these have a closed form: one minus the barycentric
 weight toward the corner, whose numerator reads the labels as binary digits
 (`AddressWord.toward`, the (T, L, R) tuple of `words.corner_digits`,
-read once per word, when a validated word is built or a derived one is
-first measured, and kept on it). `_crossing` evaluates the formula
+which every word holds from construction). `_crossing` evaluates the formula
 on those integers. The kernel `_dist` never reads a label string: a label
 is fixed by its T and R digits, so the first differing label is the highest
 bit where those readouts differ, and the two labels' codes 2*T + R at that
@@ -26,10 +25,11 @@ followed by a word from the prefix's digits and the word's. Each public
 function makes one kernel call and builds one Fraction from its numerator
 over 2^n with `numerics.dyadic`: the only common factor of the two is a
 power of two, so shifting it out gives the exact value in lowest terms
-without a gcd. The acceptance criteria and `coalgebras.finality_check`
-compare the numerators themselves, through `_dist_level_num`,
-`_dist_G_num` and `_oracle_num`, or on digits they padded once, through
-`_dist` and `_tensor`, the one-step formula that `_tensor_num` applies.
+without a gcd. `coalgebras.finality_check` compares the numerators
+themselves, through `_dist_G_num`, and the acceptance criteria compare them
+on digits they padded once, through `_dist` and `_tensor`, the one-step
+formula that `tensor_dist_G` applies; criterion 1 reads the oracle's
+numerators from its table.
 `dist_oracle` rebuilds the same metric with none of that structure
 (equivalence classes + Floyd-Warshall on min-over-representative edge
 weights), so exact agreement between the two is a real check, not a
@@ -145,17 +145,13 @@ def _padded(w: AddressWord, n: int) -> tuple[int, int, int]:
 
 
 def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
-    """Quotient metric between two words of the given common level."""
-    return dyadic(_dist_level_num(u, v, level), level)
-
-
-def _dist_level_num(u: AddressWord, v: AddressWord, level: int) -> int:
-    """2^level times dist_level(u, v, level); words of another level are rejected."""
+    """Quotient metric between two words of the given common level; words
+    of another level are rejected."""
     if len(u.labels) != level or len(v.labels) != level:
         raise ValueError(
             f"level mismatch: {u} is level {u.level}, {v} is level {v.level}, want {level}"
         )
-    return _dist(u.toward, u.terminal, v.toward, v.terminal, level)
+    return dyadic(_dist(u.toward, u.terminal, v.toward, v.terminal, level), level)
 
 
 def dist_G(u: CanonicalAddress, v: CanonicalAddress) -> Fraction:
@@ -176,18 +172,13 @@ def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) ->
 
     Label-prepending is an isometry, so this must equal
     dist_G(prepend(mu, u), prepend(mv, v)) exactly; the acceptance suite
-    checks that equality.
+    checks that equality. The result lies in 2^-(n+1) Z, n the deeper
+    word's level: the step halves distances in a copy.
     """
-    num, n = _tensor_num(mu, u, mv, v)
-    return dyadic(num, n)
-
-
-def _tensor_num(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> tuple[int, int]:
-    """tensor_dist_G(mu, u, mv, v) as (numerator, n) over 2^n, n one more
-    than the deeper word's level: the step halves distances in a copy."""
     wu, wv = u.word, v.word
     n = max(len(wu.labels), len(wv.labels))
-    return _tensor(mu, _padded(wu, n), wu.terminal, mv, _padded(wv, n), wv.terminal, n), n + 1
+    num = _tensor(mu, _padded(wu, n), wu.terminal, mv, _padded(wv, n), wv.terminal, n)
+    return dyadic(num, n + 1)
 
 
 def _tensor(mu: str, tu: tuple, du: str, mv: str, tv: tuple, dv: str, n: int) -> int:
@@ -328,12 +319,7 @@ def oracle_table(level: int) -> OracleTable:
 
 def dist_oracle(u: AddressWord, v: AddressWord, level: int) -> Fraction:
     """Brute-force quotient-graph distance; independent of dist_level."""
-    return dyadic(_oracle_num(u, v, level), level)
-
-
-def _oracle_num(u: AddressWord, v: AddressWord, level: int) -> int:
-    """2^level times dist_oracle(u, v, level): the table's own integer."""
     if u.level != level or v.level != level:
         raise ValueError("oracle arguments must both have the stated level")
     table = oracle_table(level)
-    return table.dist[table.class_of[u]][table.class_of[v]]
+    return dyadic(table.dist[table.class_of[u]][table.class_of[v]], level)

@@ -199,50 +199,3 @@ def discrete_space(name: str, t: Point, l: Point, r: Point) -> TriPointedSpace:
 def i_space() -> TriPointedSpace:
     """The three-corner space itself."""
     return discrete_space("I", "T", "L", "R")
-
-
-def load_space(text: str, name: str = "loaded") -> TriPointedSpace:
-    """Parse the plain-text finite-space table format.
-
-    Line 1: `points: p q r ...`
-    Line 2: `marked: T=p L=q R=r`
-    Then one matrix row per point: `p: 0 1/2 1 ...` (exact fractions, full
-    symmetric matrix in the order of line 1). '#' starts a comment.
-    """
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if len(lines) < 2 or not lines[0].startswith("points:") or not lines[1].startswith("marked:"):
-        raise ValidationError("space table needs 'points:' then 'marked:' lines")
-    pts = tuple(lines[0].split(":", 1)[1].split())
-    marks: dict[str, str] = {}
-    for item in lines[1].split(":", 1)[1].split():
-        key, _, val = item.partition("=")
-        marks[key] = val
-    if set(marks) != {"T", "L", "R"} or any(v not in pts for v in marks.values()):
-        raise ValidationError("marked line must name T=, L=, R= among the points")
-    index = {p: i for i, p in enumerate(pts)}
-    matrix: dict[str, list[Fraction]] = {}
-    for ln in lines[2:]:
-        pname, _, row = ln.partition(":")
-        pname = pname.strip()
-        if pname not in index:
-            raise ValidationError(f"matrix row for unknown point {pname!r}")
-        vals = [Fraction(tok) for tok in row.split()]
-        if len(vals) != len(pts):
-            raise ValidationError(f"row {pname!r} has {len(vals)} entries, want {len(pts)}")
-        matrix[pname] = vals
-    if set(matrix) != set(pts):
-        raise ValidationError("matrix rows must cover every point exactly once")
-
-    def dist(p: Point, q: Point) -> Fraction:
-        return matrix[p][index[q]]
-
-    space = TriPointedSpace(
-        name=name, dist=dist, T=marks["T"], L=marks["L"], R=marks["R"], points=pts
-    )
-    validate_space(space)
-    return space
-

@@ -17,19 +17,21 @@ identifications) is read off it, and so is every other table here, the
 metric's `JUNCTIONS`, the plane offsets in `geometry` and the structure-map
 checks in `algebras`, `coalgebras` and `spaces`.
 
-A word is validated once, where its text or labels enter from outside:
-`AddressWord(...)`, `parse_word` and `prepend`'s label check. The label
-check is the word's one readout of its labels: `corner_digits` reads them
-as binary digits toward each corner through a byte table that turns any
-other character into one `int` rejects, and the word keeps the digits
-(`toward`). A word the library derives from words it already holds (a
-canonical form, a junction partner, a padded or enumerated word, a peeled
-address) is built by the private `_word`, which skips the checks and reads
-its digits on first use, and a canonical form is wrapped by `_canonical`,
-which skips `CanonicalAddress`'s. `canonicalize` hands back its argument's
-own word when that is already canonical, and otherwise derives the
-canonical word's digits from its argument's, as `prepend` derives the
-glued word's, so no label string is read twice. Labels that come from a
+Every word holds its corner digits from construction (`toward`):
+`corner_digits` reads the labels as binary digits toward each corner
+through a byte table that turns any other character into one `int`
+rejects. A word is validated once, where its text or labels enter from
+outside: `AddressWord(...)`, `parse_word` and `prepend`'s label check, and
+the label check is that readout. A word the library derives from words it
+already holds (a junction partner, a padded or enumerated word, a peeled
+address) is built by the private `_word`, which skips the checks but still
+reads its digits, and a canonical form is wrapped by `_canonical`, which
+skips `CanonicalAddress`'s. `iter_words` reads each label string once for
+its three terminals, and `_word_with` builds a word whose digits are
+derived from another word's: `canonicalize` hands back its argument's own
+word when that is already canonical, and otherwise shifts the canonical
+word's digits out of its argument's, as `prepend` derives the glued
+word's, so no label string is read twice. Labels that come from a
 structure map a user may have written are checked where they enter:
 `coalgebras.unfold` rejects any label but a, b, c, and `thetas` reads the
 trace's digits once and gives each anchored prefix the top digits of the
@@ -84,29 +86,6 @@ def corner_digits(labels: str) -> tuple[int, int, int]:
     return t, (1 << len(labels)) - 1 - t - r, r
 
 
-class _CornerDigits:
-    """`AddressWord.toward`: the (T, L, R) tuple `corner_digits(labels)`.
-
-    Over 2^n, plus 2^-n if the terminal is c, the readout toward corner c
-    is the point's barycentric weight toward c; the digits of the last m
-    labels are its low m bits. A validated word stores the tuple when it is
-    built, since its label check is that readout, and so does a word
-    `canonicalize` or `prepend` derives from one whose digits it holds. A
-    word `_word` builds otherwise reads them here on first use. Either way
-    the tuple is an instance attribute, which shadows this (non-data)
-    descriptor, so later reads are plain attribute lookups; the word is
-    immutable, so they never go stale. (Writing `w.__dict__` instead would
-    build a dict per word out of CPython's inline attribute values.)
-    """
-
-    def __get__(self, w, owner=None):
-        if w is None:
-            return self
-        digits = corner_digits(w.labels)
-        object.__setattr__(w, "toward", digits)
-        return digits
-
-
 # junction tail rewrites toward the canonical member (lexicographic-least head)
 REWRITE = {max(pair): min(pair) for pair in GLUE}
 
@@ -122,10 +101,11 @@ class AddressWord:
     """Immutable word: label string plus terminal letter.
 
     Equality, hash and order are those of the tuple (labels, terminal),
-    between words only. It is a plain class, not a tuple, for the sake of
-    the `toward` cache (see `_CornerDigits`): CPython keeps a plain
-    instance's attributes as inline values, so caching adds no dict, while a
-    tuple subclass would build a `__dict__` for every word it caches on.
+    between words only. `toward` is the (T, L, R) tuple
+    `corner_digits(labels)`, set when the word is built. Over 2^n, plus
+    2^-n if the terminal is c, the readout toward corner c is the point's
+    barycentric weight toward c; the digits of the last m labels are its
+    low m bits.
     """
 
     def __init__(self, labels: str, terminal: str) -> None:
@@ -181,8 +161,6 @@ class AddressWord:
     def level(self) -> int:
         return len(self.labels)
 
-    toward = _CornerDigits()
-
     @property
     def text(self) -> str:
         return f"{self.labels}.{self.terminal}"
@@ -191,24 +169,20 @@ class AddressWord:
         return self.text
 
 
-# bound once: `_word` runs for every word the library derives
+# bound once: `_word_with` builds every word the library derives
 _new = object.__new__
 _set = object.__setattr__
 
 
 def _word(labels: str, terminal: str) -> AddressWord:
     """AddressWord(labels, terminal) without its checks, for labels and a
-    terminal taken from words that were already checked. Its digits are
-    read on first use."""
-    w = _new(AddressWord)
-    _set(w, "labels", labels)
-    _set(w, "terminal", terminal)
-    return w
+    terminal taken from words that were already checked."""
+    return _word_with(labels, terminal, corner_digits(labels))
 
 
 def _word_with(labels: str, terminal: str, toward: tuple[int, int, int]) -> AddressWord:
-    """`_word(labels, terminal)` carrying its digits, derived from those of
-    the word it was made from."""
+    """`_word(labels, terminal)` given its digits, derived from those of
+    the word it was made from or shared with its other terminals."""
     w = _new(AddressWord)
     _set(w, "labels", labels)
     _set(w, "terminal", terminal)
@@ -277,7 +251,7 @@ def canonicalize(w: AddressWord) -> CanonicalAddress:
     """Unique representative: strip the chain padding, then rewrite the junction tail.
 
     A word that is already canonical is its own representative: the result
-    holds w itself, with whatever `toward` digits w has cached. Otherwise
+    holds w itself, digits and all. Otherwise
     the result gets w's digits: the k stripped pad labels are the low k
     digits, so they shift out, and a rewrite moves the last label's digit
     to the corner of its new label.
@@ -351,8 +325,9 @@ _CANONICAL_TAILS = tuple(
 def iter_words(level: int) -> Iterator[AddressWord]:
     """All 3^n * 3 words of exactly this level."""
     for labels in map("".join, product(LABELS, repeat=level)):
+        toward = corner_digits(labels)
         for d in TERMINALS:
-            yield _word(labels, d)
+            yield _word_with(labels, d, toward)
 
 
 def iter_canonical(max_level: int) -> Iterator[CanonicalAddress]:

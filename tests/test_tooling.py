@@ -25,7 +25,6 @@ NO_CALLER_IN_PACKAGE = {
     "geometry.render_points": "named in perfbench/tracer.py TRACED (ROADMAP item 1)",
     "spaces.tensor": "the premise criterion of ROADMAP item 17 calls it",
     "spaces.certify": "the premise criterion of ROADMAP item 17 calls it",
-    "spaces.load_space": "the coalgebra-from-a-table input of ROADMAP item 5",
     "spaces.SHORT": "the 1-Lipschitz claim the README documents and tests certify with",
 }
 

@@ -1,6 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigasket.coalgebras import thetas
+from trigasket.counterexamples import delta_coalgebra, delta_point
+from trigasket.geometry import address_of, coords
+from trigasket.metric import oracle_table
 from trigasket.words import (
     PAD,
     REWRITE,
@@ -242,12 +246,33 @@ def test_toward_digits(labels, d):
     assert sum(digits) == (1 << len(labels)) - 1
     # kept on the word; equality, hashing and order still see only the fields
     assert w.toward is digits
-    # a word the library derives with `_word` reads them on first use
-    lazy = _word(labels, d)
-    assert "toward" not in vars(lazy)
-    assert lazy == w and hash(lazy) == hash(w) and not w < lazy and not lazy < w
-    assert lazy.toward == digits
-    assert "toward" in vars(lazy)
+    # a word the library derives with `_word` holds the same from construction
+    derived = _word(labels, d)
+    assert vars(derived) == vars(w)
+    assert derived == w and hash(derived) == hash(w) and not w < derived and not derived < w
+
+
+def test_every_word_holds_its_digits_from_construction():
+    # each way the library builds a word sets its digits as it builds it
+    w = parse_word("abcab.T")
+    co = delta_coalgebra()
+    built = [
+        w,
+        *iter_words(2),
+        *(c.word for c in iter_canonical(2)),
+        canonical_at(40).word,
+        *distinguished(3),
+        embed(w, 8),
+        glue_partner(parse_word("cab.R")),
+        canonicalize(parse_word("acbaa.T")).word,
+        canonicalize(parse_word("acb.T")).word,
+        prepend("c", canonicalize(w)).word,
+        address_of(coords(w), 5),
+        *(t.word for t in thetas(co, delta_point("1/3"), 6)),
+        *oracle_table(2).class_of,
+    ]
+    for x in built:
+        assert vars(x)["toward"] == corner_digits(x.labels), x
 
 
 # ------------------------------------------------- the validation boundary
@@ -283,7 +308,7 @@ def test_canonicalize_matches_the_validating_reference(w):
     got = canonicalize(w)
     assert type(got) is CanonicalAddress and got == want
     assert CanonicalAddress(got.word) == got
-    # an already canonical word is kept, cached digits and all
+    # an already canonical word is kept, digits and all
     assert (got.word is w) == (want.word == w)
 
 
@@ -307,7 +332,7 @@ def test_canonical_word_carries_its_digits(w):
     # canonical word's from them, shifting out the padding and moving a
     # rewritten label's digit
     _assert_digits_carried(w)
-    # a derived word, built unchecked, reads its own first
+    # a derived word, built unchecked, holds its own
     _assert_digits_carried(_word(w.labels, w.terminal))
 
 
