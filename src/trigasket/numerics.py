@@ -59,9 +59,10 @@ def ratio(num: int, den: int) -> Fraction:
     the value `Fraction.__new__` stores after the same gcd, stored here
     without its checks of the arguments' types and sign, as `dyadic` does.
     It pays on the plane maps: with `Fraction(num, den)` in its place,
-    `render(7, ..., "points")` took 16.5 ms against 13.9 ms, and 2,000
-    `coords(...).x` and `.yc` reads 8.0 ms against 6.3 ms (CPython 3.11.7,
-    15 alternating fresh processes).
+    `render(7, ..., "points")` took 15.3 ms against 13.0 ms, and reading
+    `.x` and `.yc` of `coords` for 2,000 words of levels 1-40 took 5.1 ms
+    against 3.6 ms (CPython 3.11.7 on a shared two-CPU machine, medians
+    of 15 alternating fresh processes).
     """
     g = math.gcd(num, den)
     value = object.__new__(Fraction)
