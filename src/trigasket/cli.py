@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Each subcommand is declared once, in `COMMANDS`: its handler and its
+arguments, each with its argparse keywords and its kind. `build_parser`
+and `main` read everything else off that table: which options take a
+rational, so that a spaced negative value is joined to them, and which
+take a count that must be nonnegative.
+
 Every subcommand validates before computing and prints exact values;
 identical argv always produces byte-identical stdout. Exit codes: 0 on
 success, 1 when validation or computation rejects the input, 2 for usage
@@ -35,15 +41,22 @@ from trigasket.words import canonicalize, parse_word
 # optional exponent (at least one digit); Fraction(text) refuses integers
 # longer than sys.get_int_max_str_digits() digits, so these are read in
 # chunks, and every other form Fraction accepts goes to Fraction. The
-# exponent is read whole, as Fraction reads it. The patterns here are
-# compiled on first use, through `re`'s own cache, so that importing the
-# CLI compiles none of them.
+# exponent is read whole, as Fraction reads it, and refused past
+# ±MAX_EXPONENT before any power is taken, in every form: Linux caps one
+# argument at 131,072 bytes, so the cap admits every value one argument can
+# spell as a plain decimal. The patterns here are compiled on first use,
+# through `re`'s own cache, so that importing the CLI compiles none of them.
+MAX_EXPONENT = 131_072
 _RATIO = r"\s*([-+]?)(\d+)(?:/(\d+))?\s*"
 _DECIMAL = r"\s*([-+]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*"
+_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
 
 
 def _fraction(text: str) -> Fraction:
     try:
+        exponent = re.search(_EXPONENT, text)
+        if exponent is not None and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise ValueError(f"exponent {exponent[1]} is outside ±{MAX_EXPONENT}")
         ratio = re.fullmatch(_RATIO, text)
         if ratio is not None:
             sign, num, den = ratio.groups()
@@ -135,71 +148,106 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # imported here, not at the top, so that importing the CLI defines no
-    # parser class: the benchmark's dist-matrix worker imports the CLI, and
-    # a few more GC-tracked objects at import move a gen-0 collection into
-    # its first timed row (ROADMAP item 1)
-    from trigasket.argv import Parser
+# Each command once: its name, help, handler and arguments. An argument is
+# its flag or positional name, its argparse keywords and its kind: a
+# "rational" option takes a value `_fraction` reads, which may be a spaced
+# negative (see attach_negatives); a "count" option takes a nonnegative int.
+COMMANDS = (
+    ("normalize", "canonical form of an address word", _cmd_normalize, (
+        ("word", {"help": "address word, e.g. 'bbb.L'"}, None),
+    )),
+    ("dist", "quotient distance between two same-level words", _cmd_dist, (
+        ("--level", {"required": True}, "count"),
+        ("words", {"nargs": 2, "metavar": "WORD"}, None),
+    )),
+    ("gdist", "distance between two address classes", _cmd_gdist, (
+        ("words", {"nargs": 2, "metavar": "WORD"}, None),
+    )),
+    ("coords", "planar coordinates of an address word", _cmd_coords, (
+        ("word", {}, None),
+    )),
+    ("address", "address of a planar point (x, ycoeff*sqrt(3))", _cmd_address, (
+        ("--x", {"required": True, "help": "rational x coordinate, e.g. 3/4"}, "rational"),
+        ("--y-coeff", {"required": True, "help": "rational sqrt(3)-coefficient of y"},
+         "rational"),
+        ("--depth", {"required": True}, "count"),
+    )),
+    ("mediate", "depth-n address approximant of a point's limit", _cmd_mediate, (
+        ("--coalgebra", {"required": True, "choices": ("gasket-sigma", "delta")}, None),
+        ("--point", {"required": True,
+                     "help": "delta: 'apex' or a rational; gasket-sigma: 'x,ycoeff'"},
+         "rational"),
+        ("--depth", {"required": True}, "count"),
+    )),
+    ("render", "write a point-cloud rendering", _cmd_render, (
+        ("--depth", {"required": True, "help": f"0..{RENDER_MAX_DEPTH}"}, "count"),
+        ("--out", {"required": True}, None),
+        ("--format", {"choices": ("svg", "points"), "default": "svg"}, None),
+    )),
+    ("verify", "run the acceptance criteria", _cmd_verify, (
+        ("--suite", {"choices": sorted(SUITES), "default": "all"}, None),
+    )),
+)
 
-    parser = Parser(
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="trigasket",
         description="Exact address arithmetic on the Sierpinski gasket.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", help="canonical form of an address word")
-    p.add_argument("word", help="address word, e.g. 'bbb.L'")
-    p.set_defaults(fn=_cmd_normalize)
-
-    p = sub.add_parser("dist", help="quotient distance between two same-level words")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("words", nargs=2, metavar="WORD")
-    p.set_defaults(fn=_cmd_dist)
-
-    p = sub.add_parser("gdist", help="distance between two address classes")
-    p.add_argument("words", nargs=2, metavar="WORD")
-    p.set_defaults(fn=_cmd_gdist)
-
-    p = sub.add_parser("coords", help="planar coordinates of an address word")
-    p.add_argument("word")
-    p.set_defaults(fn=_cmd_coords)
-
-    p = sub.add_parser("address", help="address of a planar point (x, ycoeff*sqrt(3))")
-    p.add_argument("--x", required=True, help="rational x coordinate, e.g. 3/4")
-    p.add_argument("--y-coeff", required=True, help="rational sqrt(3)-coefficient of y")
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(fn=_cmd_address)
-
-    p = sub.add_parser("mediate", help="depth-n address approximant of a point's limit")
-    p.add_argument("--coalgebra", required=True, choices=("gasket-sigma", "delta"))
-    p.add_argument("--point", required=True,
-                   help="delta: 'apex' or a rational; gasket-sigma: 'x,ycoeff'")
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(fn=_cmd_mediate)
-
-    p = sub.add_parser("render", help="write a point-cloud rendering")
-    p.add_argument("--depth", type=int, required=True,
-                   help=f"0..{RENDER_MAX_DEPTH}")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("svg", "points"), default="svg")
-    p.set_defaults(fn=_cmd_render)
-
-    p = sub.add_parser("verify", help="run the acceptance criteria")
-    p.add_argument("--suite", choices=sorted(SUITES), default="all")
-    p.set_defaults(fn=_cmd_verify)
-
+    for name, summary, fn, arguments in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag, keywords, kind in arguments:
+            p.add_argument(flag, **({"type": int} if kind == "count" else {}), **keywords)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def attach_negatives(
+    argv: "list[str]", options: "tuple[str, ...]", rational: "tuple[str, ...]"
+) -> "list[str]":
+    """argv with each spaced negative value joined to its rational option.
+
+    argparse reads a separate "-1/2" as an option, not as a value (it takes
+    only "-1" and "-.5" for numbers), so "--x -1/2" becomes "--x=-1/2".
+    `options` are the option strings of the parser reading argv, and
+    `rational` those among them that take a rational. argparse reads an
+    argument as the option it names exactly, else as the only long option
+    it abbreviates; it reads no argument after "--" as an option.
+    """
+    out: list[str] = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[i:]
+        opt = out[-1] if out else ""
+        if opt not in options and opt.startswith("--"):
+            matches = [o for o in options if o.startswith(opt)]
+            opt = matches[0] if len(matches) == 1 else ""
+        if opt in rational and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    counts = ()
+    # the top-level parser knows only -h and --help, so a command it accepts
+    # is argv[0], and that command's parser reads the rest
+    for name, _, _, arguments in COMMANDS:
+        if argv[:1] == [name]:
+            flags = tuple(flag for flag, _, _ in arguments if flag.startswith("-"))
+            rational = tuple(flag for flag, _, kind in arguments if kind == "rational")
+            argv[1:] = attach_negatives(argv[1:], ("-h", "--help", *flags), rational)
+            counts = tuple(flag for flag, _, kind in arguments if kind == "count")
+    args = build_parser().parse_args(argv)
     try:
-        for flag in ("depth", "level"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 0:
-                raise ValueError(f"--{flag} must be nonnegative, got {value}")
+        for flag in counts:
+            value = getattr(args, flag[2:])
+            if value < 0:
+                raise ValueError(f"{flag} must be nonnegative, got {value}")
         return args.fn(args)
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,14 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from trigasket.argv import attach_negatives
-from trigasket.cli import _fraction, entry, main
+from trigasket.cli import MAX_EXPONENT, _fraction, attach_negatives, entry, main
 from trigasket.geometry import coords, surd_decimal
 from trigasket.metric import dist_G
 from trigasket.numerics import decimal_str
@@ -151,7 +151,7 @@ def test_address_reads_back_level_16000_coordinates(capsys):
     "text",
     [
         "3/8", "-3/8", "+12/18", " 7 ", "\t-0\n", "0/5", "1.5", "-2.5e-3", "1_000/3", "٣/٤",
-        "0.375", "-.25", "+5.", " 12.50 ", "-0.0", "1_0.5", "٣.٤", "2.5E3",
+        "0.375", "-.25", "+5.", " 12.50 ", "-0.0", "1_0.5", "٣.٤", "2.5E3", "1_0e-1_0",
     ],
 )
 def test_fraction_reads_short_text_as_fraction_does(text):
@@ -174,6 +174,28 @@ def test_fraction_reads_an_exponent_form_past_the_int_digit_limit(sign):
     for text, want in ((f"0.{'1' * 5000}e1", Fraction(repunit, 10**4999)),
                        (f"{'1' * 5000}e1", Fraction(10 * repunit))):
         assert _fraction(sign + text) == (-want if sign else want)
+
+
+@pytest.mark.parametrize("text", ["1e3000000", "1_0e1_000_000", "-2.5E-131073", "1e+131_073"])
+def test_fraction_refuses_an_exponent_past_the_cap_before_any_power(text):
+    # uncapped, "1e3000000" took over a second and built a 10-million-bit int
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^not a rational: .* is outside ±{MAX_EXPONENT}\\)$"):
+        _fraction(text)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_fraction_reads_the_exponents_at_the_cap(sign):
+    assert MAX_EXPONENT == 131_072
+    assert _fraction(f"1e{sign}{MAX_EXPONENT}") == Fraction(10) ** int(f"{sign}{MAX_EXPONENT}")
+
+
+def test_an_exponent_past_the_cap_is_an_error_line(capsys):
+    code, out, err = run(capsys, "address", "--x", "1e3000000", "--y-coeff", "0", "--depth", "4")
+    assert (code, out, err) == (
+        1, "", "error: not a rational: '1e3000000' (exponent 3000000 is outside ±131072)\n"
+    )
 
 
 def test_coords(capsys):
@@ -288,8 +310,9 @@ def test_an_ambiguous_abbreviation_keeps_its_value_apart(capsys):
     # no subcommand has two options sharing a prefix, so these stand in:
     # "--poi" could be --point or --pointer, and argparse refuses it
     options = ("-h", "--help", "--point", "--pointer")
-    assert attach_negatives(["--point", "-1/3"], options) == ["--point=-1/3"]
-    assert attach_negatives(["--poi", "-1/3"], options) == ["--poi", "-1/3"]
+    rational = ("--point", "--pointer")
+    assert attach_negatives(["--point", "-1/3"], options, rational) == ["--point=-1/3"]
+    assert attach_negatives(["--poi", "-1/3"], options, rational) == ["--poi", "-1/3"]
     parser = argparse.ArgumentParser(prog="p")
     parser.add_argument("--point")
     parser.add_argument("--pointer")
@@ -425,6 +448,33 @@ def test_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dist", "aa.T", "ab.L"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_sha256, stderr_sha256",
+    [
+        ("--help", 0, "3df81f57e89cfa7e48fcb78036200a38cb38e61495ae940f10c2a5be2e2a3d47", ""),
+        ("normalize --help", 0,
+         "86393b2e64fd6c51a2703a47c0d32d44f5dfdd823d5d481f4635a35f7b03dcba", ""),
+        ("dist --help", 0, "08c4cc2bb650eaaf5e5d33b919f738832a1f30f72bda954d43197bfbd9906dbf", ""),
+        ("gdist --help", 0, "a9f5bf37e18910c5023e47599470e76a5e2ee845d7a47ee59a75bf7248902a82", ""),
+        ("coords --help", 0, "1e87c2c91b2782983ee95f2fa22d6c4d20e58a49403f78e41d0567a3103d5104", ""),
+        ("address --help", 0, "3bcc2beb04fe03d46e541f53f810b87989f11ca58e25eb129cb667a850a2d5a7", ""),
+        ("mediate --help", 0, "627207a57e4f1c8db6017d0edb8146b368319fd7e9f3e8b8bd6f5d5f5f3fe0d2", ""),
+        ("render --help", 0, "4505977fd91cd54f28295670faaccf292b805e1258de42941f1ab1ce9b413e62", ""),
+        ("verify --help", 0, "89d6b4f5f07f7b19b8545e67fbf9aeaf43bd4efd734e6eb75b2e094cb6b0d9d0", ""),
+        ("frobnicate", 2, "", "9058608745aec301837084e1bffb1c979ee4a1747b988830f014cde59e94e7a3"),
+        ("dist aa.T ab.L", 2, "", "68208514cad5aba0cf507323b291b4b523c9084e55b8f642f62eef1e87fc6721"),
+    ],
+)
+def test_help_and_usage_errors_keep_their_bytes(
+    capsys, monkeypatch, argv, code, stdout_sha256, stderr_sha256
+):
+    # argparse wraps its text to COLUMNS; an empty stream is pinned as ""
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, out, err = run(capsys, *argv.split())
+    assert got_code == code
+    assert (out and sha(out.encode()), err and sha(err.encode())) == (stdout_sha256, stderr_sha256)
 
 
 def test_output_is_deterministic(capsys, tmp_path):

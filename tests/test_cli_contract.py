@@ -3,8 +3,11 @@ grammar and its near misses, every argv ends with exit code 0, 1 or 2,
 never with a traceback; exit 1 is exactly one `error:` line on stderr; and
 the same argv prints the same stdout again.
 
-Depths and exponents stay small, so that every case runs in milliseconds;
-the work caps that large ones need are not stated yet (ROADMAP item 21).
+The commands are those of `cli.COMMANDS`, and every long option it
+declares has its spellings here. Depths and exponents stay small, so that
+every case runs in milliseconds: the CLI refuses an exponent past
+`cli.MAX_EXPONENT` before computing, but the work caps that large depths
+and levels need are not stated yet (ROADMAP item 21).
 """
 
 import contextlib
@@ -12,7 +15,7 @@ import io
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from trigasket.cli import main
+from trigasket.cli import COMMANDS, main
 
 
 def _mostly(good, near_miss):
@@ -79,6 +82,12 @@ _SPELLINGS = {
 }
 
 
+def test_every_option_of_the_command_table_has_its_spellings():
+    long_options = {flag for *_, arguments in COMMANDS for flag, _, _ in arguments
+                    if flag.startswith("--")}
+    assert set(_SPELLINGS) == long_options
+
+
 @st.composite
 def _option(draw, name, values):
     spelled = draw(_mostly(st.just(name), st.sampled_from(_SPELLINGS[name])))
@@ -100,9 +109,7 @@ POINTS = st.one_of(
 
 @st.composite
 def _argv(draw, out_dir):
-    command = draw(st.sampled_from(
-        ["normalize", "dist", "gdist", "coords", "address", "mediate", "render", "verify"]
-    ))
+    command = draw(st.sampled_from([name for name, *_ in COMMANDS]))
     if command in ("normalize", "coords"):
         positionals, options = [draw(WORDS)], []
     elif command == "gdist":
@@ -131,11 +138,13 @@ def _argv(draw, out_dir):
         if draw(st.booleans()):
             formats = _mostly(st.sampled_from(["svg", "points"]), st.just("png"))
             options.append(draw(_option("--format", formats)))
-    else:
+    elif command == "verify":
         # the full suite takes about half a second; one small suite stands in
         positionals = []
         suite = _mostly(st.just("counterexamples"), st.sampled_from(["nope", ""]))
         options = [draw(_option("--suite", suite))]
+    else:
+        raise AssertionError(f"no grammar drawn for the command {command!r}")
 
     options = draw(st.permutations(options))
     if options and draw(st.integers(0, 9)) == 0:
@@ -172,6 +181,7 @@ def test_every_argv_exits_0_1_or_2_with_one_error_line(tmp_path_factory):
     @example(["render", "--depth", "1", "--out", str(out_dir / "no-dir" / "g.svg")])
     @example(["address", "--x", "1/2", "--y", "-1/100", "--depth", "10"])
     @example(["mediate", "--coalgebra", "delta", "--point", "1" * 5000 + "/3", "--depth", "3"])
+    @example(["address", "--x", "1e3000000", "--y-coeff", "0", "--depth", "3"])
     @example(["--help"])
     @example(["gdist", "ab.T"])
     def check(argv):
