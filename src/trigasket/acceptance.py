@@ -91,8 +91,7 @@ def _read(level: int) -> tuple[list[AddressWord], list, list, list[int], OracleT
     """The level's words, their digits, terminals and oracle classes, and its table."""
     ws = list(iter_words(level))
     table = oracle_table(level)
-    cls = [table.class_of[w] for w in ws]
-    return ws, [w.toward for w in ws], [w.terminal for w in ws], cls, table
+    return ws, [w.toward for w in ws], [w.terminal for w in ws], table.class_of, table
 
 
 def metric_matches_oracle() -> str:
@@ -381,8 +380,8 @@ def canonicalization_complete() -> str:
     for level in range(5):
         table = oracle_table(level)
         by_class: dict[int, set[CanonicalAddress]] = {}
-        for w in iter_words(level):
-            by_class.setdefault(table.class_of[w], set()).add(canonicalize(w))
+        for w, c in zip(iter_words(level), table.class_of):
+            by_class.setdefault(c, set()).add(canonicalize(w))
             total += 1
         if len(by_class) != expected[level]:
             raise Fail(f"level {level}: {len(by_class)} classes, want {expected[level]}")

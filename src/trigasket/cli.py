@@ -37,37 +37,40 @@ from trigasket.numerics import _ratio_text, _text_int, dyadic, format_dist
 from trigasket.words import canonicalize, parse_word
 
 
-# a ratio of integers, the form `coords` prints, and a decimal with an
-# optional exponent (at least one digit); Fraction(text) refuses integers
-# longer than sys.get_int_max_str_digits() digits, so these are read in
-# chunks, and every other form Fraction accepts goes to Fraction. The
-# exponent is read whole, as Fraction reads it, and refused past
-# ±MAX_EXPONENT before any power is taken, in every form: Linux caps one
-# argument at 131,072 bytes, so the cap admits every value one argument can
-# spell as a plain decimal. The patterns here are compiled on first use,
-# through `re`'s own cache, so that importing the CLI compiles none of them.
+# One grammar on every interpreter, CPython 3.11's Fraction(str): a sign,
+# digits with optional "_" groups, then "/" and a denominator, or a
+# fractional part and an optional exponent; no space around "/". The digits
+# are read in chunks, past sys.get_int_max_str_digits(), and the exponent is
+# refused past ±MAX_EXPONENT by its significant digits before any power is
+# taken: Linux caps one argument at 131,072 bytes, so the cap admits every
+# value one argument can spell as a plain decimal. `re` compiles the pattern
+# on first use, so importing the CLI compiles none.
 MAX_EXPONENT = 131_072
-_RATIO = r"\s*([-+]?)(\d+)(?:/(\d+))?\s*"
-_DECIMAL = r"\s*([-+]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*"
-_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = (
+    rf"\s*([-+]?)(?=\.?\d)(\d*|{_DIGITS})"
+    rf"(?:/({_DIGITS})|(?:\.(\d*|{_DIGITS}))?(?:[eE]([-+]?)({_DIGITS}))?)\s*"
+)
 
 
 def _fraction(text: str) -> Fraction:
     try:
-        exponent = re.search(_EXPONENT, text)
-        if exponent is not None and abs(int(exponent[1])) > MAX_EXPONENT:
-            raise ValueError(f"exponent {exponent[1]} is outside ±{MAX_EXPONENT}")
-        ratio = re.fullmatch(_RATIO, text)
-        if ratio is not None:
-            sign, num, den = ratio.groups()
-            value = Fraction(_text_int(num), _text_int(den or "1"))
+        match = re.fullmatch(_RATIONAL, text)
+        if match is None:
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        sign, num, den, frac, esign, exp = match.groups()
+        num = num.replace("_", "")
+        if den is not None:
+            value = Fraction(_text_int(num), _text_int(den.replace("_", "")))
         else:
-            decimal = re.fullmatch(_DECIMAL, text)
-            if decimal is None:
-                return Fraction(text)
-            sign, whole, frac, exp = decimal.groups()
-            frac = frac or ""
-            value = _text_int(whole + frac) * Fraction(10) ** (int(exp or 0) - len(frac))
+            frac = (frac or "").replace("_", "")
+            # leading zeros, in any script's digits, count for nothing
+            digits = (exp or "0").replace("_", "")
+            digits = digits[next((i for i, c in enumerate(digits) if int(c)), -1) :]
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ValueError(f"exponent {esign}{exp} is outside ±{MAX_EXPONENT}")
+            shift = (-int(digits) if esign == "-" else int(digits)) - len(frac)
+            value = _text_int(num + frac) * Fraction(10) ** shift
         return -value if sign == "-" else value
     except ZeroDivisionError:
         raise ValueError(f"not a rational: {text!r} (zero denominator)") from None

@@ -30,7 +30,6 @@ from .words import (
     ANCHOR,
     AddressWord,
     CanonicalAddress,
-    _word,
     canonicalize,
     count_canonical,
     iter_canonical,
@@ -218,9 +217,9 @@ def address_of(p: Point2, depth: int) -> AddressWord:
     for _ in range(depth + 1):
         # the corners L (0, 0), R (1, 0) and T (1/2, 1/2)
         if Y == 0 and (X == 0 or X == den):
-            return _word("".join(labels), "L" if X == 0 else "R")
+            return AddressWord("".join(labels), "L" if X == 0 else "R")
         if 2 * Y == den and 2 * X == den:
-            return _word("".join(labels), "T")
+            return AddressWord("".join(labels), "T")
         if len(labels) == depth:
             break
         step = _peel(X, Y, den)

@@ -34,10 +34,11 @@ numerators from its table.
 (equivalence classes + Floyd-Warshall on min-over-representative edge
 weights), so exact agreement between the two is a real check, not a
 tautology. The oracle too stores and relaxes integer numerators over 2^n.
-It weighs its edges a copy at a time and relaxes only through the three
-junction classes of each level, the ones its own union relations merge
-across copies, over half the table, which is exact (see `_oracle_table`)
-and builds level 6 in about a tenth of a second.
+It glues class ids, not words, listing each level's classes in
+`iter_words` order, weighs its edges a copy at a time and relaxes only
+through the three junction classes of each level, the ones its own union
+relations merge across copies, over half the table, which is exact (see
+`_oracle_table`) and builds level 6 in about a tenth of a second.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ from .words import (
     AddressWord,
     CanonicalAddress,
     PAD,
-    _word,
-    distinguished,
-    iter_words,
 )
 
 # level n has (3^(n+1) + 3) / 2 classes; measured on CPython 3.11.7 on one
@@ -213,10 +211,13 @@ class _UnionFind:
 class OracleTable(NamedTuple):
     """Level-n quotient space built from scratch: class ids and a distance matrix.
 
-    `dist` holds integer numerators over 2^n, one row per class.
+    `class_of` holds the class of each level-n word, in `iter_words(n)`
+    order: word (labels, d) is entry 3 * (labels read in base 3, a b c for
+    0 1 2) plus d's index in T L R. `dist` holds integer numerators over
+    2^n, one row per class.
     """
 
-    class_of: dict[AddressWord, int]
+    class_of: list[int]
     dist: list[list[int]]
 
 
@@ -224,7 +225,12 @@ class OracleTable(NamedTuple):
 def _oracle_table(level: int) -> OracleTable:
     """The level-n quotient built from level n-1's: three copies of its
     classes, merged by the three union relations, weighted by the previous
-    table and relaxed through the merged classes.
+    table and relaxed through the merged classes. It builds no word.
+
+    If w is word i of level n-1 in `iter_words` order, m + w is word
+    index(m) * 3^n + i of level n, so level n's `class_of` is copy a's
+    image of the previous list, then copy b's, then copy c's. The corners
+    a^k.T, b^k.L and c^k.R are the first, middle and last words of level k.
 
     Edge weights over 2^level are the min over representatives of the
     pre-quotient step metric. Inside one copy it is half the inner distance,
@@ -250,21 +256,18 @@ def _oracle_table(level: int) -> OracleTable:
     so its row is skipped.
     """
     if level == 0:
-        words = list(iter_words(0))
-        class_of = {w: i for i, w in enumerate(words)}
         dist = [[int(i != j) for j in range(3)] for i in range(3)]
-        return OracleTable(class_of, dist)
+        return OracleTable([0, 1, 2], dist)
 
     prev = _oracle_table(level - 1)
     # proto-nodes: (copy label, inner class); the three junction pairs merge
     proto = [(m, c) for m in "abc" for c in range(len(prev.dist))]
     index = {pc: i for i, pc in enumerate(proto)}
     uf = _UnionFind(len(proto))
-    ct, cl, cr = distinguished(level - 1)
     corner = {
-        "T": prev.class_of[ct],
-        "L": prev.class_of[cl],
-        "R": prev.class_of[cr],
+        "T": prev.class_of[0],
+        "L": prev.class_of[len(prev.class_of) // 2],
+        "R": prev.class_of[-1],
     }
     # the gluing relations of one step: b.T~a.L, a.R~c.T, c.L~b.R
     glued = (
@@ -303,11 +306,7 @@ def _oracle_table(level: int) -> OracleTable:
                     di[j] = alt
                     dist[j][i] = alt
 
-    class_of: dict[AddressWord, int] = {}
-    for m, cls in at.items():
-        for w, c in prev.class_of.items():
-            class_of[_word(m + w.labels, w.terminal)] = cls[c]
-    return OracleTable(class_of, dist)
+    return OracleTable([cls[c] for cls in at.values() for c in prev.class_of], dist)
 
 
 def oracle_table(level: int) -> OracleTable:
@@ -317,9 +316,17 @@ def oracle_table(level: int) -> OracleTable:
     return _oracle_table(level)
 
 
+# a word's labels read as base-3 digits, a b c for 0 1 2
+_BASE3 = str.maketrans("abc", "012")
+
+
 def dist_oracle(u: AddressWord, v: AddressWord, level: int) -> Fraction:
     """Brute-force quotient-graph distance; independent of dist_level."""
     if u.level != level or v.level != level:
         raise ValueError("oracle arguments must both have the stated level")
     table = oracle_table(level)
-    return dyadic(table.dist[table.class_of[u]][table.class_of[v]], level)
+    cu, cv = (
+        table.class_of[int(w.labels.translate(_BASE3) or "0", 3) * 3 + _CORNER[w.terminal]]
+        for w in (u, v)
+    )
+    return dyadic(table.dist[cu][cv], level)

@@ -20,22 +20,20 @@ checks in `algebras`, `coalgebras` and `spaces`.
 Every word holds its corner digits from construction (`toward`):
 `corner_digits` reads the labels as binary digits toward each corner
 through a byte table that turns any other character into one `int`
-rejects. A word is validated once, where its text or labels enter from
-outside: `AddressWord(...)`, `parse_word` and `prepend`'s label check, and
-the label check is that readout. A word the library derives from words it
-already holds (a junction partner, a padded or enumerated word, a peeled
-address) is built by the private `_word`, which skips the checks but still
-reads its digits, and a canonical form is wrapped by `_canonical`, which
-skips `CanonicalAddress`'s. `iter_words` reads each label string once for
-its three terminals, and `_word_with` builds a word whose digits are
-derived from another word's: `canonicalize` hands back its argument's own
-word when that is already canonical, and otherwise shifts the canonical
-word's digits out of its argument's, as `prepend` derives the glued
-word's, so no label string is read twice. Labels that come from a
-structure map a user may have written are checked where they enter:
-`coalgebras.unfold` rejects any label but a, b, c, and `thetas` reads the
-trace's digits once and gives each anchored prefix the top digits of the
-trace.
+rejects, so the readout is also the label check. A word is built in one
+of two ways. `AddressWord(...)` reads its labels, and so checks them:
+`parse_word`, a junction partner, a padded or enumerated canonical word
+and a peeled address are built so. The private `_word_with` takes digits
+derived from another word's and checks nothing: `iter_words` reads each
+label string once for its three terminals, `canonicalize` shifts the
+canonical word's digits out of its argument's (or hands back the argument
+itself when that is already canonical), and `prepend` puts the glued
+label's digit on top, so no label string is read twice. A canonical form
+is wrapped by `_canonical`, which skips `CanonicalAddress`'s checks.
+Labels that come from a structure map a user may have written are checked
+where they enter: `coalgebras.unfold` rejects any label but a, b, c, and
+`thetas` reads the trace's digits once and gives each anchored prefix the
+top digits of the trace.
 """
 
 from __future__ import annotations
@@ -169,20 +167,15 @@ class AddressWord:
         return self.text
 
 
-# bound once: `_word_with` builds every word the library derives
+# bound once: `_word_with` builds every word whose digits are derived
 _new = object.__new__
 _set = object.__setattr__
 
 
-def _word(labels: str, terminal: str) -> AddressWord:
-    """AddressWord(labels, terminal) without its checks, for labels and a
-    terminal taken from words that were already checked."""
-    return _word_with(labels, terminal, corner_digits(labels))
-
-
 def _word_with(labels: str, terminal: str, toward: tuple[int, int, int]) -> AddressWord:
-    """`_word(labels, terminal)` given its digits, derived from those of
-    the word it was made from or shared with its other terminals."""
+    """AddressWord(labels, terminal) without its checks, given its digits,
+    derived from those of the word it was made from or shared with its
+    other terminals."""
     w = _new(AddressWord)
     _set(w, "labels", labels)
     _set(w, "terminal", terminal)
@@ -244,7 +237,7 @@ def glue_partner(w: AddressWord) -> Optional[AddressWord]:
     if k == len(w.labels):
         return None
     head = w.labels[-1 - k]
-    return _word(w.labels[: -(k + 1)] + p + head * k, ANCHOR[head])
+    return AddressWord(w.labels[: -(k + 1)] + p + head * k, ANCHOR[head])
 
 
 def canonicalize(w: AddressWord) -> CanonicalAddress:
@@ -281,14 +274,7 @@ def embed(w: AddressWord, target_level: int) -> AddressWord:
     if target_level < w.level:
         raise ValueError(f"cannot embed level {w.level} word into level {target_level}")
     pad = PAD[w.terminal] * (target_level - w.level)
-    return _word(w.labels + pad, w.terminal)
-
-
-def distinguished(level: int) -> tuple[AddressWord, AddressWord, AddressWord]:
-    """The three corner words at a level: (a^n.T, b^n.L, c^n.R)."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    return tuple(_word(PAD[d] * level, d) for d in TERMINALS)
+    return AddressWord(w.labels + pad, w.terminal)
 
 
 def _prefixed(prefix: tuple, w: AddressWord) -> tuple[int, int, int]:
@@ -337,11 +323,11 @@ def iter_canonical(max_level: int) -> Iterator[CanonicalAddress]:
     three admissible tails), i.e. (3^(n+1) + 3)/2 cumulatively.
     """
     for d in TERMINALS:
-        yield _canonical(_word("", d))
+        yield _canonical(AddressWord("", d))
     for n in range(1, max_level + 1):
         for prefix in map("".join, product(LABELS, repeat=n - 1)):
             for m, d in _CANONICAL_TAILS:
-                yield _canonical(_word(prefix + m, d))
+                yield _canonical(AddressWord(prefix + m, d))
 
 
 def count_canonical(max_level: int) -> int:
@@ -360,7 +346,7 @@ def canonical_at(i: int) -> CanonicalAddress:
     if i < 0:
         raise ValueError(f"no canonical address at index {i}")
     if i < 3:
-        return _canonical(_word("", TERMINALS[i]))
+        return _canonical(AddressWord("", TERMINALS[i]))
     n = 1
     while count_canonical(n) <= i:
         n += 1
@@ -370,4 +356,4 @@ def canonical_at(i: int) -> CanonicalAddress:
         p, r = divmod(p, 3)
         prefix.append(LABELS[r])
     m, d = _CANONICAL_TAILS[tail]
-    return _canonical(_word("".join(reversed(prefix)) + m, d))
+    return _canonical(AddressWord("".join(reversed(prefix)) + m, d))

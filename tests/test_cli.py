@@ -191,6 +191,38 @@ def test_fraction_reads_the_exponents_at_the_cap(sign):
     assert _fraction(f"1e{sign}{MAX_EXPONENT}") == Fraction(10) ** int(f"{sign}{MAX_EXPONENT}")
 
 
+# The grammar is the CLI's own, so these hold on every interpreter: Fraction(str)
+# refuses "1_0/20" on 3.10, reads "1 / 2" from 3.12, and refuses "1.dd" on
+# 3.11 and 3.12 with int()'s message.
+@pytest.mark.parametrize(
+    "text", ["1 / 2", "1 /2", "1/ 2", "1.dd", "1__0", "_1", "1_", "1e", "1/2e3"]
+)
+def test_fraction_refuses_text_outside_its_grammar(text):
+    with pytest.raises(ValueError, match=r"^not a rational: .* \(Invalid literal for Fraction: "):
+        _fraction(text)
+
+
+def test_fraction_reads_underscored_digits_in_a_ratio():
+    assert _fraction("1_0/20") == Fraction(1, 2)
+    # 5,000 digits each side, past CPython's limit for reading one int
+    num, den = "1_" * 4999 + "1", "3" + "_0" * 4999
+    assert _fraction(f"-{num}/{den}") == -Fraction((10**5000 - 1) // 9, 3 * 10**4999)
+
+
+def test_fraction_reads_an_exponent_past_leading_zeros():
+    # 5,001 digits, of which one is significant
+    assert _fraction("1e" + "0" * 5000 + "5") == 10**5
+    assert _fraction("1e-" + "0_" * 2500 + "5") == Fraction(1, 10**5)
+
+
+def test_fraction_refuses_a_long_exponent_by_its_digit_count():
+    start = time.perf_counter()
+    exponent = "9" * 5000
+    with pytest.raises(ValueError, match=f"^not a rational: .* \\(exponent {exponent} is outside "):
+        _fraction("1e" + exponent)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_coords(capsys):
     code, out, _ = run(capsys, "coords", "ba.R")
     assert code == 0

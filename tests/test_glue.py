@@ -3,7 +3,7 @@ each must equal its literal, written out here by hand."""
 
 from trigasket import words
 from trigasket.metric import JUNCTIONS
-from trigasket.words import ANCHOR, DIGITS, REWRITE, distinguished
+from trigasket.words import ANCHOR, DIGITS, REWRITE
 
 
 def test_declaration():
@@ -20,15 +20,6 @@ def test_word_tables():
     assert ANCHOR == {"a": "T", "b": "L", "c": "R"}
     # order matters: it fixes iter_canonical's order, hence render's rows
     assert words._CANONICAL_TAILS == (("a", "L"), ("a", "R"), ("b", "R"))
-
-
-def test_distinguished():
-    for n in range(4):
-        assert distinguished(n) == (
-            words.AddressWord("a" * n, "T"),
-            words.AddressWord("b" * n, "L"),
-            words.AddressWord("c" * n, "R"),
-        )
 
 
 def test_digit_tables():

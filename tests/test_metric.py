@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigasket import metric, words
 from trigasket.geometry import coords
 from trigasket.metric import (
     JUNCTIONS,
@@ -26,7 +27,6 @@ from trigasket.words import (
     AddressWord,
     canonicalize,
     corner_digits,
-    distinguished,
     embed,
     glue_partner,
     iter_canonical,
@@ -65,9 +65,14 @@ def test_dist_level_rejects_level_mismatch():
         dist_level(parse_word("a.T"), parse_word("ab.T"), 2)
 
 
+def _corners(n):
+    """The three corner words at level n: a^n.T, b^n.L, c^n.R."""
+    return [AddressWord(PAD[d] * n, d) for d in "TLR"]
+
+
 def test_marked_points_pairwise_one():
     for n in range(8):
-        t, l, r = distinguished(n)
+        t, l, r = _corners(n)
         assert dist_level(t, l, n) == 1
         assert dist_level(l, r, n) == 1
         assert dist_level(r, t, n) == 1
@@ -87,9 +92,9 @@ def test_oracle_table_numerators_match_dist_oracle():
     for level in range(4):
         table = oracle_table(level)
         ws = list(iter_words(level))
-        for u in ws:
-            for v in ws:
-                num = table.dist[table.class_of[u]][table.class_of[v]]
+        for u, cu in zip(ws, table.class_of):
+            for v, cv in zip(ws, table.class_of):
+                num = table.dist[cu][cv]
                 assert type(num) is int
                 assert num == dist_oracle(u, v, level) * 2**level
 
@@ -98,7 +103,8 @@ def test_oracle_class_counts():
     # (3^(n+1) + 3) / 2 classes at level n
     for level, want in enumerate([3, 6, 15, 42, 123, 366]):
         table = oracle_table(level)
-        assert len(set(table.class_of.values())) == want == len(table.dist)
+        assert len(table.class_of) == 3 ** (level + 1)
+        assert len(set(table.class_of)) == want == len(table.dist)
 
 
 def test_oracle_agrees_at_level_5():
@@ -132,7 +138,7 @@ def _reference_oracle(level, through_bridges):
     proto = [(m, c) for m in "abc" for c in range(len(prev_dist))]
     index = {pc: i for i, pc in enumerate(proto)}
     uf = _UnionFind(len(proto))
-    corner = {w.terminal: prev_class[w] for w in distinguished(level - 1)}
+    corner = {w.terminal: prev_class[w] for w in _corners(level - 1)}
     # b.T~a.L, a.R~c.T, c.L~b.R
     for m1, d1, m2, d2 in ("bTaL", "aRcT", "cLbR"):
         uf.union(index[m1, corner[d1]], index[m2, corner[d2]])
@@ -163,15 +169,46 @@ def _reference_oracle(level, through_bridges):
 @pytest.mark.parametrize("level", range(5))
 def test_oracle_matches_full_floyd_warshall(level):
     table = oracle_table(level)
-    assert (table.class_of, table.dist) == _reference_oracle(level, False)
+    class_of, dist = _reference_oracle(level, False)
+    assert ([class_of[w] for w in iter_words(level)], dist) == (table.class_of, table.dist)
 
 
 @pytest.mark.parametrize("level", range(6))
 def test_oracle_matches_member_pair_edges_and_full_rows(level):
     table = oracle_table(level)
     class_of, dist = _reference_oracle(level, True)
-    assert list(table.class_of.items()) == list(class_of.items())
+    assert [class_of[w] for w in iter_words(level)] == table.class_of
     assert table.dist == dist
+
+
+def test_corners_stand_first_middle_and_last_in_iter_words_order():
+    # the oracle reads the corners of each level at these three positions
+    for n in range(5):
+        ws = list(iter_words(n))
+        assert [ws[0], ws[len(ws) // 2], ws[-1]] == _corners(n)
+
+
+def test_a_fresh_oracle_build_constructs_no_word(monkeypatch):
+    # the oracle glues class ids, not words: neither the validating
+    # constructor nor `_word_with` runs while levels 0-6 are built
+    built = []
+    init, unchecked = AddressWord.__init__, words._word_with
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_unchecked(*args):
+        built.append(args)
+        return unchecked(*args)
+
+    monkeypatch.setattr(AddressWord, "__init__", counted_init)
+    monkeypatch.setattr(words, "_word_with", counted_unchecked)
+    metric._oracle_table.cache_clear()
+    for level in range(ORACLE_MAX_LEVEL + 1):
+        oracle_table(level)
+    assert metric._oracle_table.cache_info().currsize == ORACLE_MAX_LEVEL + 1
+    assert built == []
 
 
 def test_oracle_level_guard():

@@ -76,12 +76,12 @@ CASES = [
         (SPACE, _act, "algebra"),
         f"Algebra(space={SPACE_REPR}, e={_act!r}, name='algebra')",
     ),
-    # a built table holds a dict and a list, which have no hash; stand-ins
-    # with a hash pin the record's own
+    # a built table holds two lists, which have no hash; stand-ins with a
+    # hash pin the record's own
     (
-        OracleTable(((AddressWord("", "T"), 0),), ((0,),)),
-        (((AddressWord("", "T"), 0),), ((0,),)),
-        "OracleTable(class_of=((AddressWord(labels='', terminal='T'), 0),), dist=((0,),))",
+        OracleTable((0,), ((0,),)),
+        ((0,), ((0,),)),
+        "OracleTable(class_of=(0,), dist=((0,),))",
     ),
     (
         MapWitness(_ident, SPACE, SPACE, ISOMETRIC),

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from trigasket.coalgebras import thetas
 from trigasket.counterexamples import delta_coalgebra, delta_point
 from trigasket.geometry import address_of, coords
-from trigasket.metric import oracle_table
 from trigasket.words import (
     PAD,
     REWRITE,
@@ -14,14 +13,12 @@ from trigasket.words import (
     canonicalize,
     corner_digits,
     count_canonical,
-    distinguished,
     embed,
     glue_partner,
     iter_canonical,
     iter_words,
     parse_word,
     prepend,
-    _word,
 )
 
 words = st.builds(
@@ -150,18 +147,6 @@ def test_embed_rejects_shrinking():
         embed(parse_word("ab.T"), 1)
 
 
-def test_distinguished():
-    assert [w.text for w in distinguished(0)] == [".T", ".L", ".R"]
-    assert [w.text for w in distinguished(2)] == ["aa.T", "bb.L", "cc.R"]
-    for w in distinguished(3):
-        assert canonicalize(w).word.level == 0
-
-
-def test_distinguished_rejects_negative_level():
-    with pytest.raises(ValueError, match="^level must be nonnegative$"):
-        distinguished(-1)
-
-
 def test_prepend_rejects_bad_label():
     with pytest.raises(ValueError, match="^bad label 'd'$"):
         prepend("d", canonicalize(parse_word("b.R")))
@@ -246,10 +231,6 @@ def test_toward_digits(labels, d):
     assert sum(digits) == (1 << len(labels)) - 1
     # kept on the word; equality, hashing and order still see only the fields
     assert w.toward is digits
-    # a word the library derives with `_word` holds the same from construction
-    derived = _word(labels, d)
-    assert vars(derived) == vars(w)
-    assert derived == w and hash(derived) == hash(w) and not w < derived and not derived < w
 
 
 def test_every_word_holds_its_digits_from_construction():
@@ -261,7 +242,6 @@ def test_every_word_holds_its_digits_from_construction():
         *iter_words(2),
         *(c.word for c in iter_canonical(2)),
         canonical_at(40).word,
-        *distinguished(3),
         embed(w, 8),
         glue_partner(parse_word("cab.R")),
         canonicalize(parse_word("acbaa.T")).word,
@@ -269,7 +249,6 @@ def test_every_word_holds_its_digits_from_construction():
         prepend("c", canonicalize(w)).word,
         address_of(coords(w), 5),
         *(t.word for t in thetas(co, delta_point("1/3"), 6)),
-        *oracle_table(2).class_of,
     ]
     for x in built:
         assert vars(x)["toward"] == corner_digits(x.labels), x
@@ -332,8 +311,6 @@ def test_canonical_word_carries_its_digits(w):
     # canonical word's from them, shifting out the padding and moving a
     # rewritten label's digit
     _assert_digits_carried(w)
-    # a derived word, built unchecked, holds its own
-    _assert_digits_carried(_word(w.labels, w.terminal))
 
 
 @pytest.mark.parametrize(
@@ -348,8 +325,6 @@ def test_canonical_word_carries_its_digits(w):
 )
 def test_canonical_word_carries_its_digits_cases(text):
     _assert_digits_carried(parse_word(text))
-    w = parse_word(text)
-    _assert_digits_carried(_word(w.labels, w.terminal))
 
 
 @settings(deadline=None, max_examples=300)
