@@ -13,10 +13,11 @@ which every word holds from construction). `_crossing` evaluates the formula
 on those integers. The kernel `_dist` never reads a label string: a label
 is fixed by its T and R digits, so the first differing label is the highest
 bit where those readouts differ, and the two labels' codes 2*T + R at that
-bit key `_JUNCTION_AT`, `JUNCTIONS` with each corner given as its digit
-index and letter, so one lookup names the junction. It works on the digits
-of two words of one level n, keeps no state between calls, and returns the
-distance's integer numerator over 2^n: every level-n distance lies in
+bit, packed into four bits, index `_JUNCTION_AT`, a 16-entry list of
+`JUNCTIONS` with each corner given as its digit index and letter, so one
+list index names the junction and no key is built per call. It works on
+the digits of two words of one level n, keeps no state between calls, and
+returns the distance's integer numerator over 2^n: every level-n distance lies in
 2^-n Z. `dist_level` hands it two words of the stated level, while `dist_G`
 and `tensor_dist_G` pad the shallower word to the deeper level with its
 terminal's pad label, which names the same point and shifts its digits,
@@ -46,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .numerics import dyadic
 from .words import (
@@ -84,12 +85,15 @@ _CODE = {m: 2 * (m == PAD["T"]) + (m == PAD["R"]) for m in LABELS}
 # a corner's index in a (T, L, R) digit tuple
 _CORNER = {d: i for i, d in enumerate(TERMINALS)}
 
-# JUNCTIONS keyed by the two copies' codes, each corner given as its digit
-# index and its letter: (p index, p, q index, q, via index, via).
-_JUNCTION_AT: dict[tuple[int, int], tuple[int, str, int, str, int, str]] = {
-    (_CODE[m], _CODE[m2]): tuple(x for c in corners for x in (_CORNER[c], c))
-    for (m, m2), corners in JUNCTIONS.items()
-}
+# JUNCTIONS indexed by the two copies' codes packed in four bits,
+# code(m) << 2 | code(m2), each corner given as its digit index and its
+# letter: (p index, p, q index, q, via index, via). The ten indices no pair
+# of distinct copies packs to hold None.
+_JUNCTION_AT: list[Optional[tuple[int, str, int, str, int, str]]] = [None] * 16
+for (_m, _m2), _corners in JUNCTIONS.items():
+    _JUNCTION_AT[_CODE[_m] << 2 | _CODE[_m2]] = tuple(
+        x for c in _corners for x in (_CORNER[c], c)
+    )
 
 
 def _crossing(junction: tuple, tu: tuple, du: str, tv: tuple, dv: str, m: int) -> int:
@@ -123,7 +127,9 @@ def _dist(tu: tuple, du: str, tv: tuple, dv: str, n: int) -> int:
     if not diff:
         return int(du != dv)
     m = diff.bit_length() - 1
-    junction = _JUNCTION_AT[(ut >> m & 1) << 1 | ur >> m & 1, (vt >> m & 1) << 1 | vr >> m & 1]
+    junction = _JUNCTION_AT[
+        (ut >> m & 1) << 3 | (ur >> m & 1) << 2 | (vt >> m & 1) << 1 | vr >> m & 1
+    ]
     return _crossing(junction, tu, du, tv, dv, m)
 
 
@@ -184,7 +190,7 @@ def _tensor(mu: str, tu: tuple, du: str, mv: str, tv: tuple, dv: str, n: int) ->
     word and copy mv of another, given by their corner digits and terminals."""
     if mu == mv:
         return _dist(tu, du, tv, dv, n)
-    return _crossing(_JUNCTION_AT[_CODE[mu], _CODE[mv]], tu, du, tv, dv, n)
+    return _crossing(_JUNCTION_AT[_CODE[mu] << 2 | _CODE[mv]], tu, du, tv, dv, n)
 
 
 # ---------------------------------------------------------------------------

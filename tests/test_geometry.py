@@ -1,5 +1,6 @@
 """Exact plane geometry: points (x, yc*sqrt3), the copy maps, and rendering."""
 
+import copy
 import hashlib
 import math
 import pickle
@@ -284,6 +285,27 @@ def test_point2_is_its_pair_of_fractions(a, b):
     assert (p == q, p != q) == (a == b, a != b)
     assert (p < q, p <= q, p > q, p >= q) == (a < b, a <= b, a > b, a >= b)
     assert pickle.loads(pickle.dumps(p)) == p
+
+
+@given(labels=st.text(alphabet="abc", max_size=12), d=st.sampled_from("TLR"))
+@settings(deadline=None, max_examples=100)
+def test_words_pickle_and_copy(labels, d):
+    w = AddressWord(labels, d)
+    c = canonicalize(w)
+    copies = [copy.copy, copy.deepcopy]
+    for k in range(pickle.HIGHEST_PROTOCOL + 1):
+        copies.append(lambda x, k=k: pickle.loads(pickle.dumps(x, k)))
+    for make in copies:
+        w2, c2 = make(w), make(c)
+        assert type(w2) is AddressWord and (w2, w2.toward) == (w, w.toward)
+        assert type(c2) is CanonicalAddress and (c2, c2.word.toward) == (c, c.word.toward)
+
+
+def test_unpickling_a_word_checks_it():
+    # a pickle holds the constructor's arguments, so a tampered one is refused
+    data = pickle.dumps(AddressWord("ab", "T"), 0).replace(b"ab", b"ax")
+    with pytest.raises(ValueError, match="bad label in 'ax'"):
+        pickle.loads(data)
 
 
 @given(a=PAIRS, m=st.sampled_from("abc"))

@@ -514,10 +514,15 @@ def test_junction_table_is_keyed_by_label_codes():
     # a label's code is 2*T + R of its own one-label digits
     code = {m: 2 * t + r for m in "abc" for t, _, r in [corner_digits(m)]}
     assert sorted(code.values()) == [0, 1, 2]
-    assert len(_JUNCTION_AT) == 6
-    assert set(_JUNCTION_AT) == {(code[m], code[m2]) for m in "abc" for m2 in "abc" if m != m2}
+    # indexed by the two codes packed in four bits; exactly the six ordered
+    # pairs of distinct copies have an entry, so a slip in the packing
+    # reaches None, not another pair's junction
+    assert len(_JUNCTION_AT) == 16
+    filled = {i for i, junction in enumerate(_JUNCTION_AT) if junction is not None}
+    assert filled == {code[m] << 2 | code[m2] for m in "abc" for m2 in "abc" if m != m2}
+    assert len(filled) == 6
     for (m, m2), corners in JUNCTIONS.items():
-        p, cp, q, cq, r, cr = _JUNCTION_AT[code[m], code[m2]]
+        p, cp, q, cq, r, cr = _JUNCTION_AT[code[m] << 2 | code[m2]]
         # each corner's digit index names the letter it carries
         assert (cp, cq, cr) == corners
         assert ("TLR"[p], "TLR"[q], "TLR"[r]) == corners

@@ -66,6 +66,7 @@ UNENTERED = {
     "words.AddressWord.__ge__": VALUE_TYPE,
     "words.AddressWord.__gt__": VALUE_TYPE,
     "words.AddressWord.__le__": VALUE_TYPE,
+    "words.AddressWord.__reduce__": VALUE_TYPE,
     "words.AddressWord.__lt__": VALUE_TYPE,
     "words.AddressWord.__repr__": VALUE_TYPE,
     "words.AddressWord.__setattr__": VALUE_TYPE,

@@ -218,8 +218,10 @@ def test_toward_digits(labels, d):
     # a validated word reads its digits when it is built: that readout is
     # its label check
     w = AddressWord(labels, d)
-    assert "toward" in vars(w)
-    digits = w.toward
+    # a slot, not a property: reading the slot itself finds what was stored
+    assert type(AddressWord.toward).__name__ == "member_descriptor"
+    assert not hasattr(w, "__dict__")
+    digits = AddressWord.toward.__get__(w)
     # reference: the labels read as binary digits, 1 where the label is PAD[c],
     # one readout per corner in the order (T, L, R)
     want = tuple(
@@ -251,7 +253,7 @@ def test_every_word_holds_its_digits_from_construction():
         *(t.word for t in thetas(co, delta_point("1/3"), 6)),
     ]
     for x in built:
-        assert vars(x)["toward"] == corner_digits(x.labels), x
+        assert AddressWord.toward.__get__(x) == corner_digits(x.labels), x
 
 
 # ------------------------------------------------- the validation boundary
