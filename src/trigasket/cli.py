@@ -21,9 +21,9 @@ import sys
 from fractions import Fraction
 
 from trigasket.acceptance import SUITES, run_criterion
-from trigasket.coalgebras import get_coalgebra, theta
-from trigasket.counterexamples import APEX, delta_point
+from trigasket.coalgebras import BUILTIN, get_coalgebra, theta
 from trigasket.geometry import (
+    FORMATS,
     Point2,
     RENDER_MAX_DEPTH,
     address_of,
@@ -110,24 +110,9 @@ def _cmd_address(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_point(coalgebra: str, spec: str):
-    if coalgebra == "delta":
-        if spec == "apex":
-            return APEX
-        return delta_point(_fraction(spec))
-    if coalgebra == "gasket-sigma":
-        parts = spec.split(",")
-        if len(parts) != 2:
-            raise ValueError(
-                f"gasket-sigma points are written 'x,ycoeff' (y = ycoeff*sqrt(3)), got {spec!r}"
-            )
-        return Point2(_fraction(parts[0]), _fraction(parts[1]))
-    raise ValueError(f"no point syntax for coalgebra {coalgebra!r}")
-
-
 def _cmd_mediate(args: argparse.Namespace) -> int:
     co = get_coalgebra(args.coalgebra)
-    x = _parse_point(args.coalgebra, args.point)
+    x = BUILTIN[args.coalgebra][2](args.point, _fraction)
     t = theta(co, x, args.depth)
     anchor = coords(t.word)
     print(f"theta_{args.depth} = {t.text}")
@@ -176,16 +161,16 @@ COMMANDS = (
         ("--depth", {"required": True}, "count"),
     )),
     ("mediate", "depth-n address approximant of a point's limit", _cmd_mediate, (
-        ("--coalgebra", {"required": True, "choices": ("gasket-sigma", "delta")}, None),
-        ("--point", {"required": True,
-                     "help": "delta: 'apex' or a rational; gasket-sigma: 'x,ycoeff'"},
+        ("--coalgebra", {"required": True, "choices": BUILTIN}, None),
+        ("--point", {"required": True, "help": "; ".join(
+            f"{name}: {syntax}" for name, (_, syntax, _) in sorted(BUILTIN.items()))},
          "rational"),
         ("--depth", {"required": True}, "count"),
     )),
     ("render", "write a point-cloud rendering", _cmd_render, (
         ("--depth", {"required": True, "help": f"0..{RENDER_MAX_DEPTH}"}, "count"),
         ("--out", {"required": True}, None),
-        ("--format", {"choices": ("svg", "points"), "default": "svg"}, None),
+        ("--format", {"choices": FORMATS, "default": "svg"}, None),
     )),
     ("verify", "run the acceptance criteria", _cmd_verify, (
         ("--suite", {"choices": sorted(SUITES), "default": "all"}, None),

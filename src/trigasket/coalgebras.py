@@ -140,17 +140,48 @@ def finality_check(
     return dyadic(worst, wn)
 
 
+def _gasket_sigma() -> Coalgebra:
+    from .geometry import gasket_space, sigma_inv
+
+    return Coalgebra(gasket_space(), sigma_inv, name="gasket-sigma")
+
+
+def _gasket_point(spec: str, rational: Callable[[str], Fraction]) -> Point:
+    from .geometry import Point2
+
+    parts = spec.split(",")
+    if len(parts) != 2:
+        raise ValueError(
+            f"gasket-sigma points are written 'x,ycoeff' (y = ycoeff*sqrt(3)), got {spec!r}"
+        )
+    return Point2(rational(parts[0]), rational(parts[1]))
+
+
+def _delta() -> Coalgebra:
+    from .counterexamples import delta_coalgebra
+
+    return delta_coalgebra()
+
+
+def _delta_point(spec: str, rational: Callable[[str], Fraction]) -> Point:
+    from .counterexamples import APEX, delta_point
+
+    return APEX if spec == "apex" else delta_point(rational(spec))
+
+
+# Each built-in coalgebra once: name -> (builder, how `--point` writes a point,
+# reader of that text given a rational reader). Builders and readers import
+# when called, so importing the table imports no more of the package.
+BUILTIN = {
+    "gasket-sigma": (_gasket_sigma, "'x,ycoeff'", _gasket_point),
+    "delta": (_delta, "'apex' or a rational", _delta_point),
+}
+
+
 def get_coalgebra(name: str) -> Coalgebra:
-    """Built-in coalgebras by name: gasket-sigma, delta."""
-    if name == "gasket-sigma":
-        from .geometry import gasket_space, sigma_inv
-
-        co = Coalgebra(gasket_space(), lambda p: sigma_inv(p), name="gasket-sigma")
-    elif name == "delta":
-        from .counterexamples import delta_coalgebra
-
-        co = delta_coalgebra()
-    else:
+    """The built-in coalgebra `name`, built from its row of BUILTIN and validated."""
+    if name not in BUILTIN:
         raise KeyError(f"no built-in coalgebra {name!r}")
+    co = BUILTIN[name][0]()
     validate_coalgebra(co)
     return co

@@ -400,13 +400,22 @@ def test_mediate_apex(capsys):
     assert out.splitlines()[0] == "theta_4 = .T"
 
 
-def test_mediate_bad_point_syntax(capsys):
-    code, _, err = run(
-        capsys,
-        "mediate", "--coalgebra", "gasket-sigma", "--point", "1/2", "--depth", "3",
-    )
-    assert code == 1
-    assert "x,ycoeff" in err
+_GASKET_SYNTAX = "error: gasket-sigma points are written 'x,ycoeff' (y = ycoeff*sqrt(3)), got "
+
+
+@pytest.mark.parametrize("coalgebra, point, err", [
+    pytest.param("gasket-sigma", "1/2", _GASKET_SYNTAX + "'1/2'\n", id="gasket-sigma-1/2"),
+    pytest.param("gasket-sigma", "apex", _GASKET_SYNTAX + "'apex'\n", id="gasket-sigma-apex"),
+    pytest.param("gasket-sigma", "1,2,3", _GASKET_SYNTAX + "'1,2,3'\n", id="gasket-sigma-1,2,3"),
+    pytest.param("delta", "1,2", "error: not a rational: '1,2' (Invalid literal for Fraction: "
+                 "'1,2')\n", id="delta-1,2"),
+    pytest.param("delta", "APEX", "error: not a rational: 'APEX' (Invalid literal for Fraction: "
+                 "'APEX')\n", id="delta-APEX"),
+    pytest.param("delta", "2", "error: segment coordinate must lie in [0, 1]\n", id="delta-2"),
+])
+def test_mediate_bad_point_syntax(capsys, coalgebra, point, err):
+    got = run(capsys, "mediate", "--coalgebra", coalgebra, "--point", point, "--depth", "3")
+    assert got == (1, "", err)
 
 
 def test_mediate_names_the_point_given(capsys):

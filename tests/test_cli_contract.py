@@ -16,6 +16,8 @@ import io
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from trigasket.cli import COMMANDS, main
+from trigasket.coalgebras import BUILTIN
+from trigasket.geometry import FORMATS
 
 
 def _mostly(good, near_miss):
@@ -98,6 +100,7 @@ def _option(draw, name, values):
 
 
 # mediate's points: delta's, gasket-sigma's `x,ycoeff`, and near misses of both
+# (a row added to coalgebras.BUILTIN adds its points here)
 POINTS = st.one_of(
     st.just("apex"),
     RATIONALS,
@@ -122,8 +125,7 @@ def _argv(draw, out_dir):
         options = [draw(_option("--x", st.just(x))), draw(_option("--y-coeff", st.just(yc))),
                    draw(_option("--depth", INTS))]
     elif command == "mediate":
-        coalgebra = _mostly(st.sampled_from(["delta", "gasket-sigma"]),
-                            st.sampled_from(["sigma", ""]))
+        coalgebra = _mostly(st.sampled_from(sorted(BUILTIN)), st.sampled_from(["sigma", ""]))
         positionals = []
         options = [draw(_option("--coalgebra", coalgebra)), draw(_option("--point", POINTS)),
                    draw(_option("--depth", INTS))]
@@ -136,7 +138,7 @@ def _argv(draw, out_dir):
         positionals = []
         options = [draw(_option("--depth", depth)), draw(_option("--out", out.map(str)))]
         if draw(st.booleans()):
-            formats = _mostly(st.sampled_from(["svg", "points"]), st.just("png"))
+            formats = _mostly(st.sampled_from(list(FORMATS)), st.just("png"))
             options.append(draw(_option("--format", formats)))
     elif command == "verify":
         # the full suite takes about half a second; one small suite stands in

@@ -4,7 +4,10 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from trigasket import coalgebras
+from trigasket.cli import main
 from trigasket.coalgebras import (
+    BUILTIN,
     Coalgebra,
     finality_check,
     get_coalgebra,
@@ -32,7 +35,7 @@ def canon(text):
     return canonicalize(parse_word(text))
 
 
-@pytest.mark.parametrize("name", ["gasket-sigma", "delta"])
+@pytest.mark.parametrize("name", sorted(BUILTIN))
 def test_builtin_coalgebras_validate(name):
     get_coalgebra(name)
 
@@ -40,6 +43,30 @@ def test_builtin_coalgebras_validate(name):
 def test_get_coalgebra_unknown():
     with pytest.raises(KeyError):
         get_coalgebra("nope")
+
+
+def _corner_point(spec, rational):
+    if spec not in ("T", "L", "R"):
+        raise ValueError(f"corner points are written T, L or R, got {spec!r}")
+    return spec
+
+
+def test_a_new_row_needs_no_other_edit(monkeypatch, capsys):
+    # each marked point of the three-corner space goes to its own copy
+    corners = lambda: Coalgebra(i_space(), lambda p: ("abc"["TLR".index(p)], p), name="corners")
+    monkeypatch.setitem(coalgebras.BUILTIN, "corners", (corners, "T, L or R", _corner_point))
+    assert get_coalgebra("corners").name == "corners"
+    assert main(["mediate", "--coalgebra", "corners", "--point", "L", "--depth", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "theta_3 = .L", "coords = 0/1+0/1√3, 0/1+0/1√3", "bound = 1/8"
+    ]
+    assert main(["mediate", "--coalgebra", "corners", "--point", "X", "--depth", "3"]) == 1
+    assert capsys.readouterr().err == "error: corner points are written T, L or R, got 'X'\n"
+    # the row's coalgebra is validated: one that keeps every corner at a fails
+    stuck = lambda: Coalgebra(i_space(), lambda p: ("a", p), name="stuck-at-a")
+    monkeypatch.setitem(coalgebras.BUILTIN, "stuck-at-a", (stuck, "T", _corner_point))
+    with pytest.raises(ValidationError):
+        get_coalgebra("stuck-at-a")
 
 
 def test_validate_rejects_wrong_corner_behavior():
@@ -105,12 +132,13 @@ def thetas_sample(name):
         canon6 = list(iter_canonical(6))
         pts = [VERTEX["T"], VERTEX["L"], VERTEX["R"], coords(parse_word("b.R"))]
         return pts + [coords(rng.choice(canon6)) for _ in range(20)]
+    assert name == "delta", f"no sample of the coalgebra {name!r}"
     pts = [APEX, delta_point(0), delta_point(1), delta_point(Fraction(1, 2))]
     dens = [rng.randint(1, 4096) for _ in range(20)]
     return pts + [delta_point(Fraction(rng.randint(0, d), d)) for d in dens]
 
 
-@pytest.mark.parametrize("name", ["gasket-sigma", "delta"])
+@pytest.mark.parametrize("name", sorted(BUILTIN))
 def test_thetas_matches_theta(name):
     co = get_coalgebra(name)
     for x in thetas_sample(name):
