@@ -4,7 +4,6 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from trigasket import coalgebras
 from trigasket.cli import main
 from trigasket.coalgebras import (
     BUILTIN,
@@ -54,7 +53,7 @@ def _corner_point(spec, rational):
 def test_a_new_row_needs_no_other_edit(monkeypatch, capsys):
     # each marked point of the three-corner space goes to its own copy
     corners = lambda: Coalgebra(i_space(), lambda p: ("abc"["TLR".index(p)], p), name="corners")
-    monkeypatch.setitem(coalgebras.BUILTIN, "corners", (corners, "T, L or R", _corner_point))
+    monkeypatch.setitem(BUILTIN, "corners", (corners, "T, L or R", _corner_point))
     assert get_coalgebra("corners").name == "corners"
     assert main(["mediate", "--coalgebra", "corners", "--point", "L", "--depth", "3"]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -64,7 +63,7 @@ def test_a_new_row_needs_no_other_edit(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: corner points are written T, L or R, got 'X'\n"
     # the row's coalgebra is validated: one that keeps every corner at a fails
     stuck = lambda: Coalgebra(i_space(), lambda p: ("a", p), name="stuck-at-a")
-    monkeypatch.setitem(coalgebras.BUILTIN, "stuck-at-a", (stuck, "T", _corner_point))
+    monkeypatch.setitem(BUILTIN, "stuck-at-a", (stuck, "T", _corner_point))
     with pytest.raises(ValidationError):
         get_coalgebra("stuck-at-a")
 
