@@ -14,7 +14,6 @@ output is reproducible byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -30,11 +29,12 @@ from trigasket.words import (
     iter_words,
     parse_word,
     prepend,
+    _LABEL_DIGITS,
+    _prefixed,
 )
 from trigasket.metric import (
     _dist,
     _padded,
-    _tensor,
     OracleTable,
     dist_G,
     oracle_table,
@@ -192,33 +192,42 @@ def prefix_diameter_bound() -> str:
 
 
 def gluing_step_isometry() -> str:
-    """Prepending a label is an isometry from the glued tensor onto its image."""
+    """Prepending a label is an isometry from the glued tensor onto its image.
+
+    The tensor side is the kernel one level finer, as in `tensor_dist_G`:
+    each padded word with each label's digit put on top (`_prefixed`). The
+    image side is the kernel on the padded canonical words `prepend` builds.
+    """
     getrandbits = Random(1003).getrandbits
     count = count_canonical(8)
     checked = 0
     for _ in range(1_000):
         u = canonical_at(_below(getrandbits, count))
         v = canonical_at(_below(getrandbits, count))
-        pu = {m: prepend(m, u) for m in LABELS}
-        pv = {m: prepend(m, v) for m in LABELS}
-        # u and v padded once to their common level n, the six images once
-        # to theirs: padding names the same point, so the tensor side's
-        # numerators are over 2^(n+1) and the image side's over 2^lb
+        pu = [prepend(m, u) for m in LABELS]
+        pv = [prepend(m, v) for m in LABELS]
+        # u and v padded once to their common level n, then glued under each
+        # label (level la = n + 1); the six images padded once to level lb
         wu, wv = u.word, v.word
+        du, dv = wu.terminal, wv.terminal
         n = max(len(wu.labels), len(wv.labels))
         tu, tv, la = _padded(wu, n), _padded(wv, n), n + 1
-        lb = max(len(x.word.labels) for x in (*pu.values(), *pv.values()))
-        iu = {m: (_padded(x.word, lb), x.word.terminal) for m, x in pu.items()}
-        iv = {m: (_padded(x.word, lb), x.word.terminal) for m, x in pv.items()}
-        for mu, mv in product(LABELS, repeat=2):
-            a = _tensor(mu, tu, wu.terminal, mv, tv, wv.terminal, n)
-            b = _dist(*iu[mu], *iv[mv], lb)
-            if a << lb != b << la:
-                raise Fail(
-                    f"{mu}*{u.text} / {mv}*{v.text}: "
-                    f"tensor {dyadic(a, la)} vs image {dyadic(b, lb)}"
-                )
-            checked += 1
+        lb = max(len(x.word.labels) for x in (*pu, *pv))
+        copies_v = [
+            (m, _prefixed(_LABEL_DIGITS[m], tv, n), _padded(x.word, lb), x.word.terminal)
+            for m, x in zip(LABELS, pv)
+        ]
+        for mu, x in zip(LABELS, pu):
+            su, iu, eu = _prefixed(_LABEL_DIGITS[mu], tu, n), _padded(x.word, lb), x.word.terminal
+            for mv, sv, iv, ev in copies_v:
+                a = _dist(su, du, sv, dv, la)
+                b = _dist(iu, eu, iv, ev, lb)
+                if a << lb != b << la:
+                    raise Fail(
+                        f"{mu}*{u.text} / {mv}*{v.text}: "
+                        f"tensor {dyadic(a, la)} vs image {dyadic(b, lb)}"
+                    )
+                checked += 1
     return f"exact equality on {checked} label-pair combinations (1000 address pairs, levels <= 8)"
 
 

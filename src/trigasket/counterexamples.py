@@ -67,7 +67,7 @@ class DeltaPoint(namedtuple("DeltaPoint", "s")):
 
     def __new__(cls, s: Union[Fraction, None]) -> "DeltaPoint":
         if s is not None and not 0 <= s <= 1:
-            raise ValueError("segment coordinate must lie in [0, 1]")
+            raise ValueError(f"segment coordinate must lie in [0, 1], got {s}")
         return tuple.__new__(cls, (s,))
 
     @property

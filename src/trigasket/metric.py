@@ -9,28 +9,23 @@ one declaration of the gasket. The formula needs only each side's distances
 to corners, and on words these have a closed form: one minus the barycentric
 weight toward the corner, whose numerator reads the labels as binary digits
 (`AddressWord.toward`, the (T, L, R) tuple of `words.corner_digits`,
-which every word holds from construction). `_crossing` evaluates the formula
-on those integers. The kernel `_dist` never reads a label string: a label
-is fixed by its T and R digits, so the first differing label is the highest
-bit where those readouts differ, and the two labels' codes 2*T + R at that
+which every word holds from construction). The kernel `_dist` is the one
+place the formula is written on words (`spaces._tensor_dist` writes it for
+any tri-pointed space), and it never reads a label string: a label is fixed
+by its T and R digits, so the first differing label is the highest bit
+where those readouts differ, and the two labels' codes 2*T + R at that
 bit, packed into four bits, index `_JUNCTION_AT`, a 16-entry list of
-`JUNCTIONS` with each corner given as its digit index and letter, so one
-list index names the junction and no key is built per call. It works on
+`JUNCTIONS` with each corner given as its digit index and letter. It takes
 the digits of two words of one level n, keeps no state between calls, and
-returns the distance's integer numerator over 2^n: every level-n distance lies in
-2^-n Z. `dist_level` hands it two words of the stated level, while `dist_G`
-and `tensor_dist_G` pad the shallower word to the deeper level with its
-terminal's pad label, which names the same point and shifts its digits,
-and build no word; `words._prefixed` likewise gives the digits of a prefix
-followed by a word from the prefix's digits and the word's. Each public
-function makes one kernel call and builds one Fraction from its numerator
-over 2^n with `numerics.dyadic`: the only common factor of the two is a
-power of two, so shifting it out gives the exact value in lowest terms
-without a gcd. `coalgebras.finality_check` compares the numerators
-themselves, through `_dist_G_num`, and the acceptance criteria compare them
-on digits they padded once, through `_dist` and `_tensor`, the one-step
-formula that `tensor_dist_G` applies; criterion 1 reads the oracle's
-numerators from its table.
+returns the distance's integer numerator over 2^n. `dist_level` hands it
+two words of the stated level; `dist_G` pads the shallower word with its
+terminal's pad label, which names the same point and shifts its digits.
+The gluing step M is the kernel one level finer: `tensor_dist_G` measures
+copy mu of u against copy mv of v as the words mu + u and mv + v (digits
+by `words._prefixed`). Each public function makes one kernel call and
+turns its numerator into a Fraction with `numerics.dyadic`; the finality
+check (`_dist_G_num`) and the acceptance criteria (`_dist`) compare the
+numerators themselves, and criterion 1 reads the oracle's from its table.
 `dist_oracle` rebuilds the same metric with none of that structure
 (equivalence classes + Floyd-Warshall on min-over-representative edge
 weights), so exact agreement between the two is a real check, not a
@@ -57,6 +52,8 @@ from .words import (
     AddressWord,
     CanonicalAddress,
     PAD,
+    _LABEL_DIGITS,
+    _prefixed,
 )
 
 # level n has (3^(n+1) + 3) / 2 classes; measured on CPython 3.11.7 on one
@@ -96,30 +93,17 @@ for (_m, _m2), _corners in JUNCTIONS.items():
     )
 
 
-def _crossing(junction: tuple, tu: tuple, du: str, tv: tuple, dv: str, m: int) -> int:
-    """The gluing formula on integers: 2^m times the cheaper crossing
-    between two copies, through their `_JUNCTION_AT` entry, for two level-m
-    words given by their corner digits tu, tv (`AddressWord.toward`, of
-    which only the low m bits count) and terminals.
-
-    2^m times a word's distance to corner c is 2^m minus its digits toward c,
-    minus 1 if its terminal is c.
-    """
-    p, cp, q, cq, r, cr = junction
-    s = 1 << m
-    mask = s - 1
-    direct = 2 * s - (tu[p] & mask) - (du == cp) - (tv[q] & mask) - (dv == cq)
-    via = 3 * s - (tu[r] & mask) - (du == cr) - (tv[r] & mask) - (dv == cr)
-    return direct if direct < via else via
-
-
 def _dist(tu: tuple, du: str, tv: tuple, dv: str, n: int) -> int:
     """2^n times the quotient metric between two level-n words given by their
-    corner digits tu, tv and terminals du, dv.
+    corner digits tu, tv and terminals du, dv: the gluing formula.
 
-    Each label is fixed by its T and R digits, so the first differing label
-    is the highest set bit of the two readouts' differences, and the codes
-    read at that bit name the junction.
+    The first differing label is the highest set bit m of the T and R
+    readouts' differences, and the codes read there name the junction.
+    Below it each word lies in its copy, and 2^m times its distance to
+    corner c is 2^m minus its low m digits toward c, minus 1 if its terminal
+    is c. The step into the copies and the n - m - 1 shared labels above it
+    halve distances n - m times, so the cheaper crossing, direct or via, an
+    integer over 2^m, is the distance's numerator over 2^n.
     """
     ut, _, ur = tu
     vt, _, vr = tv
@@ -127,10 +111,14 @@ def _dist(tu: tuple, du: str, tv: tuple, dv: str, n: int) -> int:
     if not diff:
         return int(du != dv)
     m = diff.bit_length() - 1
-    junction = _JUNCTION_AT[
+    p, cp, q, cq, r, cr = _JUNCTION_AT[
         (ut >> m & 1) << 3 | (ur >> m & 1) << 2 | (vt >> m & 1) << 1 | vr >> m & 1
     ]
-    return _crossing(junction, tu, du, tv, dv, m)
+    s = 1 << m
+    mask = s - 1
+    direct = 2 * s - (tu[p] & mask) - (du == cp) - (tv[q] & mask) - (dv == cq)
+    via = 3 * s - (tu[r] & mask) - (du == cr) - (tv[r] & mask) - (dv == cr)
+    return direct if direct < via else via
 
 
 def _padded(w: AddressWord, n: int) -> tuple[int, int, int]:
@@ -172,7 +160,7 @@ def _dist_G_num(u: CanonicalAddress, v: CanonicalAddress) -> tuple[int, int]:
 
 
 def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> Fraction:
-    """One gluing step over the address metric, by the same gluing formula.
+    """One gluing step over the address metric: the kernel one level finer.
 
     Label-prepending is an isometry, so this must equal
     dist_G(prepend(mu, u), prepend(mv, v)) exactly; the acceptance suite
@@ -187,10 +175,12 @@ def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) ->
 
 def _tensor(mu: str, tu: tuple, du: str, mv: str, tv: tuple, dv: str, n: int) -> int:
     """2^(n+1) times the one-step distance between copy mu of one level-n
-    word and copy mv of another, given by their corner digits and terminals."""
-    if mu == mv:
-        return _dist(tu, du, tv, dv, n)
-    return _crossing(_JUNCTION_AT[_CODE[mu] << 2 | _CODE[mv]], tu, du, tv, dv, n)
+    word and copy mv of another, given by their corner digits and terminals:
+    the kernel on the level-(n+1) words mu + u and mv + v, whose digits put
+    each label's digit on top (`words._prefixed`)."""
+    return _dist(
+        _prefixed(_LABEL_DIGITS[mu], tu, n), du, _prefixed(_LABEL_DIGITS[mv], tv, n), dv, n + 1
+    )
 
 
 # ---------------------------------------------------------------------------

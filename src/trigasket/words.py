@@ -300,12 +300,11 @@ def embed(w: AddressWord, target_level: int) -> AddressWord:
     return AddressWord(w.labels + pad, w.terminal)
 
 
-def _prefixed(prefix: tuple, w: AddressWord) -> tuple[int, int, int]:
-    """Corner digits of the word prefix + w.labels, given the prefix's
-    corner digits: w's labels are the low len(w.labels) digits."""
-    k = len(w.labels)
+def _prefixed(prefix: tuple, digits: tuple, k: int) -> tuple[int, int, int]:
+    """Corner digits of a prefix followed by k labels, given the prefix's
+    corner digits and the labels': the labels are the low k digits."""
     pt, pl, pr = prefix
-    t, l, r = w.toward
+    t, l, r = digits
     return pt << k | t, pl << k | l, pr << k | r
 
 
@@ -321,7 +320,8 @@ def prepend(m: str, x: CanonicalAddress) -> CanonicalAddress:
     if m not in ANCHOR:
         raise ValueError(f"bad label {m!r}")
     w = x.word
-    return canonicalize(_word_with(m + w.labels, w.terminal, _prefixed(_LABEL_DIGITS[m], w)))
+    toward = _prefixed(_LABEL_DIGITS[m], w.toward, len(w.labels))
+    return canonicalize(_word_with(m + w.labels, w.terminal, toward))
 
 
 # exact level-n tails that satisfy the canonical-form invariants: neither

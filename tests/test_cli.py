@@ -411,7 +411,8 @@ _GASKET_SYNTAX = "error: gasket-sigma points are written 'x,ycoeff' (y = ycoeff*
                  "'1,2')\n", id="delta-1,2"),
     pytest.param("delta", "APEX", "error: not a rational: 'APEX' (Invalid literal for Fraction: "
                  "'APEX')\n", id="delta-APEX"),
-    pytest.param("delta", "2", "error: segment coordinate must lie in [0, 1]\n", id="delta-2"),
+    pytest.param("delta", "2", "error: segment coordinate must lie in [0, 1], got 2\n",
+                 id="delta-2"),
 ])
 def test_mediate_bad_point_syntax(capsys, coalgebra, point, err):
     got = run(capsys, "mediate", "--coalgebra", coalgebra, "--point", point, "--depth", "3")

@@ -507,7 +507,7 @@ def test_padded_digits_match_padded_word(labels, d, extra):
 @settings(deadline=None, max_examples=300)
 def test_prefixed_digits_match_prefixed_word(prefix, tail):
     want = AddressWord(prefix + tail.labels, tail.terminal).toward
-    assert _prefixed(corner_digits(prefix), tail) == want
+    assert _prefixed(corner_digits(prefix), tail.toward, tail.level) == want
 
 
 def test_junction_table_is_keyed_by_label_codes():

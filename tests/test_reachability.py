@@ -46,6 +46,7 @@ UNENTERED = {
     "geometry.gasket_space.<locals>.dist": ITEM_17,
     "geometry.in_triangle": TRACED,
     "geometry.render_points": TRACED,
+    "metric._tensor": "tensor_dist_G's integer step; tensor_dist_G is its one caller",
     "metric.dist_oracle": TRACED,
     "metric.tensor_dist_G": TRACED,
     "numerics.RadicalSum": ITEM_17,

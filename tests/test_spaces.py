@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from trigasket.metric import dist_G
+from trigasket.metric import dist_G, tensor_dist_G
 from trigasket.spaces import (
     ISOMETRIC,
     SHORT,
@@ -110,6 +110,21 @@ def test_tensor_iterates_are_the_address_metric():
         for i, j in pairs:
             assert space.dist(space.points[i], space.points[j]) == dist_G(words[i], words[j])
     assert len(pairs) == 861
+
+
+def test_tensor_of_the_address_space_is_tensor_dist_G():
+    # M applied generically to the canonical addresses of level <= 2 under
+    # dist_G: the glued distance reaches the kernel only at the base level,
+    # through base.dist to the corners, never one level finer as
+    # tensor_dist_G does. Every ordered pair of the 45 labeled points,
+    # glued spellings included
+    pts = tuple(iter_canonical(2))
+    space = tensor(TriPointedSpace("G2", dist_G, *pts[:3], points=pts))
+    labeled = [(m, x) for m in "abc" for x in pts]
+    for p in labeled:
+        for q in labeled:
+            assert space.dist(p, q) == tensor_dist_G(*p, *q)
+    assert len(labeled) == 45
 
 
 def test_map_witness_requires_mark_preservation():

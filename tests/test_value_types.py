@@ -152,7 +152,11 @@ def test_constructors_take_their_field_names():
         (lambda: AddressWord("ab", "X"), ValueError, "bad terminal 'X'"),
         (lambda: CanonicalAddress(parse_word("ba.T")), ValueError, "ba.T carries chain padding"),
         (lambda: CanonicalAddress(parse_word("c.L")), ValueError, "c.L has a rewrite-source tail"),
-        (lambda: DeltaPoint(Fraction(3, 2)), ValueError, "segment coordinate must lie in [0, 1]"),
+        (
+            lambda: DeltaPoint(Fraction(3, 2)),
+            ValueError,
+            "segment coordinate must lie in [0, 1], got 3/2",
+        ),
         (
             lambda: MapWitness(lambda p: "l", SPACE, SPACE, ISOMETRIC, name="flat"),
             ValidationError,
