@@ -107,7 +107,7 @@ def metric_matches_oracle() -> str:
         for i in range(len(ws)):
             tu, du, row = tw[i], dw[i], table.dist[cls[i]]
             for j in range(i + 1, len(ws)):
-                if _dist(tu, du, tw[j], dw[j], level) != row[cls[j]]:
+                if _dist(tu, du, tw[j], dw[j]) != row[cls[j]]:
                     raise Fail(f"mismatch at level {level}: {ws[i].text} / {ws[j].text}")
                 checked += 1
     getrandbits = Random(1001).getrandbits
@@ -115,7 +115,7 @@ def metric_matches_oracle() -> str:
     for _ in range(10_000):
         i = _below(getrandbits, len(ws))
         j = _below(getrandbits, len(ws))
-        if _dist(tw[i], dw[i], tw[j], dw[j], 4) != table.dist[cls[i]][cls[j]]:
+        if _dist(tw[i], dw[i], tw[j], dw[j]) != table.dist[cls[i]][cls[j]]:
             raise Fail(f"mismatch at level 4: {ws[i].text} / {ws[j].text}")
         checked += 1
     return f"exact equality on {checked} pairs (levels 0-3 exhaustive, 10000 random at level 4)"
@@ -166,7 +166,7 @@ def prefix_diameter_bound() -> str:
         x1, x2 = ts[_below(getrandbits, k)], ts[_below(getrandbits, k)]
         (t1, l1, r1), (t2, l2, r2) = x1.toward, x2.toward
         d = _dist(
-            (pt | t1, pl | l1, pr | r1), x1.terminal, (pt | t2, pl | l2, pr | r2), x2.terminal, n + t
+            (pt | t1, pl | l1, pr | r1), x1.terminal, (pt | t2, pl | l2, pr | r2), x2.terminal
         )
         if d > 1 << t:
             prefix = _prefix_text(pt >> t, pr >> t, n)
@@ -177,14 +177,13 @@ def prefix_diameter_bound() -> str:
         k = len(ts)
         x1, x2 = ts[_below(getrandbits, k)], ts[_below(getrandbits, k)]
         y1, y2 = ts[_below(getrandbits, k)], ts[_below(getrandbits, k)]
-        level = n + t
         (t1, l1, r1), (t2, l2, r2) = x1.toward, x2.toward
         d1 = _dist(
-            (pt | t1, pl | l1, pr | r1), x1.terminal, (pt | t2, pl | l2, pr | r2), x2.terminal, level
+            (pt | t1, pl | l1, pr | r1), x1.terminal, (pt | t2, pl | l2, pr | r2), x2.terminal
         )
         (t1, l1, r1), (t2, l2, r2) = y1.toward, y2.toward
         d2 = _dist(
-            (pt | t1, pl | l1, pr | r1), y1.terminal, (pt | t2, pl | l2, pr | r2), y2.terminal, level
+            (pt | t1, pl | l1, pr | r1), y1.terminal, (pt | t2, pl | l2, pr | r2), y2.terminal
         )
         if abs(d1 - d2) > 2 << t:
             raise Fail(f"|d1-d2| > 2^(1-{n}) for prefix {_prefix_text(pt >> t, pr >> t, n)!r}")
@@ -197,6 +196,7 @@ def gluing_step_isometry() -> str:
     The tensor side is the kernel one level finer, as in `tensor_dist_G`:
     each padded word with each label's digit put on top (`_prefixed`). The
     image side is the kernel on the padded canonical words `prepend` builds.
+    The levels la and lb serve only to compare the numerators and print them.
     """
     getrandbits = Random(1003).getrandbits
     count = count_canonical(8)
@@ -220,8 +220,8 @@ def gluing_step_isometry() -> str:
         for mu, x in zip(LABELS, pu):
             su, iu, eu = _prefixed(_LABEL_DIGITS[mu], tu, n), _padded(x.word, lb), x.word.terminal
             for mv, sv, iv, ev in copies_v:
-                a = _dist(su, du, sv, dv, la)
-                b = _dist(iu, eu, iv, ev, lb)
+                a = _dist(su, du, sv, dv)
+                b = _dist(iu, eu, iv, ev)
                 if a << lb != b << la:
                     raise Fail(
                         f"{mu}*{u.text} / {mv}*{v.text}: "
@@ -256,7 +256,7 @@ def uniform_cauchy_modulus() -> str:
                 tp, dp = ths[p - 1]
                 for q in range(p + 1, 15):
                     tq, dq = ths[q - 1]
-                    if _dist(tp, dp, tq, dq, 14) << p > 1 << 14:
+                    if _dist(tp, dp, tq, dq) << p > 1 << 14:
                         raise Fail(f"{name}: d(theta_{p}, theta_{q}) > 2^-{p} at {x!r}")
                     checked += 1
     return f"{checked} (p,q) comparisons, 200 points per coalgebra, depths to 14, zero violations"

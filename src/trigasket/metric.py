@@ -16,13 +16,14 @@ by its T and R digits, so the first differing label is the highest bit
 where those readouts differ, and the two labels' codes 2*T + R at that
 bit, packed into four bits, index `_JUNCTION_AT`, a 16-entry list of
 `JUNCTIONS` with each corner given as its digit index and letter. It takes
-the digits of two words of one level n, keeps no state between calls, and
-returns the distance's integer numerator over 2^n. `dist_level` hands it
-two words of the stated level; `dist_G` pads the shallower word with its
-terminal's pad label, which names the same point and shifts its digits.
-The gluing step M is the kernel one level finer: `tensor_dist_G` measures
-copy mu of u against copy mv of v as the words mu + u and mv + v (digits
-by `words._prefixed`). Each public function makes one kernel call and
+only the digits and terminals of two words of equal length, keeps no state
+between calls, and returns the distance's integer numerator over 2^n, n
+that length, which the caller knows. `dist_level` hands it two words of
+the stated level; `dist_G` pads the shallower word with its terminal's pad
+label, which names the same point and shifts its digits. The gluing step M
+is the kernel one level finer: `tensor_dist_G` measures copy mu of u
+against copy mv of v as the words mu + u and mv + v (digits by
+`words._prefixed`). Each public function makes one kernel call and
 turns its numerator into a Fraction with `numerics.dyadic`; the finality
 check (`_dist_G_num`) and the acceptance criteria (`_dist`) compare the
 numerators themselves, and criterion 1 reads the oracle's from its table.
@@ -93,9 +94,10 @@ for (_m, _m2), _corners in JUNCTIONS.items():
     )
 
 
-def _dist(tu: tuple, du: str, tv: tuple, dv: str, n: int) -> int:
-    """2^n times the quotient metric between two level-n words given by their
-    corner digits tu, tv and terminals du, dv: the gluing formula.
+def _dist(tu: tuple, du: str, tv: tuple, dv: str) -> int:
+    """2^n times the quotient metric between two words of equal length n,
+    given by their corner digits tu, tv and terminals du, dv: the gluing
+    formula. It never needs n, which the caller keeps for the denominator.
 
     The first differing label is the highest set bit m of the T and R
     readouts' differences, and the codes read there name the junction.
@@ -143,7 +145,7 @@ def dist_level(u: AddressWord, v: AddressWord, level: int) -> Fraction:
         raise ValueError(
             f"level mismatch: {u} is level {u.level}, {v} is level {v.level}, want {level}"
         )
-    return dyadic(_dist(u.toward, u.terminal, v.toward, v.terminal, level), level)
+    return dyadic(_dist(u.toward, u.terminal, v.toward, v.terminal), level)
 
 
 def dist_G(u: CanonicalAddress, v: CanonicalAddress) -> Fraction:
@@ -156,31 +158,25 @@ def _dist_G_num(u: CanonicalAddress, v: CanonicalAddress) -> tuple[int, int]:
     """dist_G(u, v) as (numerator, n) over 2^n, n the deeper word's level."""
     wu, wv = u.word, v.word
     n = max(len(wu.labels), len(wv.labels))
-    return _dist(_padded(wu, n), wu.terminal, _padded(wv, n), wv.terminal, n), n
+    return _dist(_padded(wu, n), wu.terminal, _padded(wv, n), wv.terminal), n
 
 
 def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> Fraction:
-    """One gluing step over the address metric: the kernel one level finer.
+    """One gluing step over the address metric: the kernel one level finer,
+    on the words mu + u and mv + v (digits by `words._prefixed`).
 
     Label-prepending is an isometry, so this must equal
-    dist_G(prepend(mu, u), prepend(mv, v)) exactly; the acceptance suite
-    checks that equality. The result lies in 2^-(n+1) Z, n the deeper
-    word's level: the step halves distances in a copy.
+    dist_G(prepend(mu, u), prepend(mv, v)) exactly; the tests check that
+    equality. The result lies in 2^-(n+1) Z, n the deeper word's level: the
+    step halves distances in a copy.
     """
     wu, wv = u.word, v.word
     n = max(len(wu.labels), len(wv.labels))
-    num = _tensor(mu, _padded(wu, n), wu.terminal, mv, _padded(wv, n), wv.terminal, n)
-    return dyadic(num, n + 1)
-
-
-def _tensor(mu: str, tu: tuple, du: str, mv: str, tv: tuple, dv: str, n: int) -> int:
-    """2^(n+1) times the one-step distance between copy mu of one level-n
-    word and copy mv of another, given by their corner digits and terminals:
-    the kernel on the level-(n+1) words mu + u and mv + v, whose digits put
-    each label's digit on top (`words._prefixed`)."""
-    return _dist(
-        _prefixed(_LABEL_DIGITS[mu], tu, n), du, _prefixed(_LABEL_DIGITS[mv], tv, n), dv, n + 1
+    num = _dist(
+        _prefixed(_LABEL_DIGITS[mu], _padded(wu, n), n), wu.terminal,
+        _prefixed(_LABEL_DIGITS[mv], _padded(wv, n), n), wv.terminal,
     )
+    return dyadic(num, n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Guards on the library's surface: the traced benchmark run wraps library
 functions by name, so each must exist; the CLI's start-up imports what the
-tracer needs and nothing heavier; and every module-level function, class or
-table in the package has a caller in the package, or a stated reason."""
+tracer needs and nothing heavier; every module-level function, class or
+table in the package has a caller in the package, or a stated reason; and
+every parameter is read, or has a stated reason."""
 
 import ast
 import importlib
@@ -111,6 +112,51 @@ def test_every_definition_has_a_caller_in_the_package():
     assert sorted(set(orphans) - set(NO_CALLER_IN_PACKAGE)) == []
     # an allowlisted name that gains a caller leaves the list
     assert sorted(set(NO_CALLER_IN_PACKAGE) - set(orphans)) == []
+
+
+# parameters that no body reads, each with its reason
+UNREAD_PARAMETERS = {
+    "words.AddressWord.__setattr__.value": "the protocol fixes the signature; any set raises",
+}
+
+
+def _unread_parameters(prefix: str, node: ast.AST) -> list:
+    """The parameters of every def and lambda under `node` that their own
+    body never reads, `self` and `cls` left out, as qualified names."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        name = getattr(child, "name", "<lambda>")
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = child.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            body = child.body if isinstance(child.body, list) else [child.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            found += [
+                f"{prefix}{name}.{p.arg}"
+                for p in params
+                if p is not None and p.arg not in ("self", "cls") and p.arg not in read
+            ]
+        found += _unread_parameters(
+            f"{prefix}{name}." if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else prefix,
+            child,
+        )
+    return found
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads makes every caller work out a value for
+    # nothing, as the kernel's level once did
+    found = [
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _unread_parameters(f"{path.stem}.", ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(found) == sorted(UNREAD_PARAMETERS)
 
 
 def test_no_fraction_over_a_shift_in_the_package():
