@@ -126,6 +126,7 @@ def _unread_parameters(prefix: str, node: ast.AST) -> list:
     found = []
     for child in ast.iter_child_nodes(node):
         name = getattr(child, "name", "<lambda>")
+        scope = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             a = child.args
             params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
@@ -141,10 +142,7 @@ def _unread_parameters(prefix: str, node: ast.AST) -> list:
                 for p in params
                 if p is not None and p.arg not in ("self", "cls") and p.arg not in read
             ]
-        found += _unread_parameters(
-            f"{prefix}{name}." if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else prefix,
-            child,
-        )
+        found += _unread_parameters(f"{prefix}{name}." if scope else prefix, child)
     return found
 
 
