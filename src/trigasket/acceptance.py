@@ -208,17 +208,16 @@ def gluing_step_isometry() -> str:
         pv = [prepend(m, v) for m in LABELS]
         # u and v padded once to their common level n, then glued under each
         # label (level la = n + 1); the six images padded once to level lb
-        wu, wv = u.word, v.word
-        du, dv = wu.terminal, wv.terminal
-        n = max(len(wu.labels), len(wv.labels))
-        tu, tv, la = _padded(wu, n), _padded(wv, n), n + 1
-        lb = max(len(x.word.labels) for x in (*pu, *pv))
+        du, dv = u.terminal, v.terminal
+        n = max(len(u.labels), len(v.labels))
+        tu, tv, la = _padded(u, n), _padded(v, n), n + 1
+        lb = max(len(x.labels) for x in (*pu, *pv))
         copies_v = [
-            (m, _prefixed(_LABEL_DIGITS[m], tv, n), _padded(x.word, lb), x.word.terminal)
+            (m, _prefixed(_LABEL_DIGITS[m], tv, n), _padded(x, lb), x.terminal)
             for m, x in zip(LABELS, pv)
         ]
         for mu, x in zip(LABELS, pu):
-            su, iu, eu = _prefixed(_LABEL_DIGITS[mu], tu, n), _padded(x.word, lb), x.word.terminal
+            su, iu, eu = _prefixed(_LABEL_DIGITS[mu], tu, n), _padded(x, lb), x.terminal
             for mv, sv, iv, ev in copies_v:
                 a = _dist(su, du, sv, dv)
                 b = _dist(iu, eu, iv, ev)
@@ -251,7 +250,7 @@ def uniform_cauchy_modulus() -> str:
     for name, pts in (("gasket-sigma", gasket_pts), ("delta", delta_pts)):
         co = get_coalgebra(name)
         for x in pts:
-            ths = [(_padded(t.word, 14), t.word.terminal) for t in thetas(co, x, 14)]
+            ths = [(_padded(t, 14), t.terminal) for t in thetas(co, x, 14)]
             for p in range(1, 14):
                 tp, dp = ths[p - 1]
                 for q in range(p + 1, 15):
@@ -328,7 +327,7 @@ def plane_embedding_roundtrip() -> str:
             m2, p2 = sigma_inv(q)
             if sigma(m2, p2) != q:
                 raise Fail(f"sigma_inv(sigma({m}, coords({w.text}))) moved the point")
-            if prepend(m, w).word.labels[:1] == m and (m2, p2) != (m, p):
+            if prepend(m, w).labels[:1] == m and (m2, p2) != (m, p):
                 raise Fail(f"canonical peel of {m}*{w.text} is not ({m}, coords({w.text}))")
             trips += 1
 
@@ -367,10 +366,9 @@ def finality_square() -> str:
     flip = {"a": "b", "b": "c", "c": "a"}
 
     def flipped(t: CanonicalAddress) -> CanonicalAddress:
-        w = t.word
-        if w.level == 0:
+        if t.level == 0:
             return t
-        return canonicalize(AddressWord(flip[w.labels[0]] + w.labels[1:], w.terminal))
+        return canonicalize(AddressWord(flip[t.labels[0]] + t.labels[1:], t.terminal))
 
     try:
         finality_check(delt, sample_d, 12, lambda p, n: [flipped(t) for t in thetas(delt, p, n)])

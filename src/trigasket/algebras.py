@@ -44,9 +44,8 @@ def mediate_from_initial(alg: Algebra, x: CanonicalAddress) -> Point:
     value for every representative of the class) is a consequence of the
     validated invariants and is tested exhaustively.
     """
-    w = x.word
-    p = getattr(alg.space, w.terminal)
-    for m in reversed(w.labels):
+    p = getattr(alg.space, x.terminal)
+    for m in reversed(x.labels):
         p = alg.e(m, p)
     return p
 

@@ -114,7 +114,7 @@ def _cmd_mediate(args: argparse.Namespace) -> int:
     co = get_coalgebra(args.coalgebra)
     x = BUILTIN[args.coalgebra][2](args.point, _fraction)
     t = theta(co, x, args.depth)
-    anchor = coords(t.word)
+    anchor = coords(t)
     print(f"theta_{args.depth} = {t.text}")
     print(f"coords = {surd_text(anchor.x, 0)}, {surd_text(0, anchor.yc)}")
     print(f"bound = {_ratio_text(dyadic(1, args.depth))}")

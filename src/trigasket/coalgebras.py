@@ -101,7 +101,8 @@ def thetas(co: Coalgebra, x: Point, n: int) -> list[CanonicalAddress]:
             ths.append(ths[-1])
         else:
             sh = n - k
-            ths.append(canonicalize(_word_with(labels[:k], ANCHOR[m], (t >> sh, l >> sh, r >> sh))))
+            toward = (t >> sh, l >> sh, r >> sh)
+            ths.append(canonicalize(_word_with(AddressWord, labels[:k], ANCHOR[m], toward)))
     return ths
 
 

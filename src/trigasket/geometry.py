@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .numerics import _ratio_text, decimal_str, ratio
+from .numerics import _ratio_text, ratio
 from .words import (
     ANCHOR,
     AddressWord,
@@ -49,11 +49,19 @@ def surd_text(u: "Fraction | int", v: "Fraction | int") -> str:
 
 
 def surd_decimal(u: "Fraction | int", v: "Fraction | int", places: int = 12) -> str:
-    """u + v*sqrt3 rounded exactly to the given decimal places."""
-    # sqrt(3) to well past the displayed precision, then exact rounding
-    scale = 10 ** (places + 8)
-    sqrt3 = Fraction(math.isqrt(3 * scale * scale), scale)
-    return decimal_str(u + v * sqrt3, places)
+    """u + v*sqrt3, for u, v >= 0, rounded half up to the given places, exactly.
+
+    Over one denominator D, alpha/D = u*10^p + 1/2 and beta/D = v*10^p, and
+    the rounded value is k/10^p, k = (alpha + isqrt(3*beta^2)) // D: if
+    kD <= alpha + beta*sqrt3, the integer kD - alpha is at most its floor.
+    """
+    if u < 0 or v < 0:
+        raise ValueError(f"surd_decimal takes u, v >= 0, got {u}, {v}")
+    scale = 10**places
+    (un, ud), (vn, vd) = Fraction(u).as_integer_ratio(), Fraction(v).as_integer_ratio()
+    alpha, beta = (2 * un * scale + ud) * vd, 2 * vn * scale * ud
+    whole, frac = divmod((alpha + math.isqrt(3 * beta * beta)) // (2 * ud * vd), scale)
+    return f"{whole}.{frac:0{places}d}"
 
 
 class Point2(tuple):
@@ -151,7 +159,7 @@ def sigma(m: str, p: Point2) -> Point2:
     return _point(X + vx * h, Y + vy * h, den << 1)
 
 
-def coords(addr: "AddressWord | CanonicalAddress") -> Point2:
+def coords(w: AddressWord) -> Point2:
     """Plane coordinates of m1...mn.d: sigma_m1(...sigma_mn(VERTEX[d])), as one fold.
 
     Each map halves and adds half its copy's corner, so scaled by 2^(n+1)
@@ -159,7 +167,6 @@ def coords(addr: "AddressWord | CanonicalAddress") -> Point2:
     the labels as binary digits toward T and R (`AddressWord.toward`), 1
     where the label is a (A) or c (C).
     """
-    w = addr.word if isinstance(addr, CanonicalAddress) else addr
     a, _, c = w.toward
     vx, vy = _VERTEX2[w.terminal]
     return _point(a + 2 * c + vx, a + vy, 2 << len(w.labels))
@@ -233,9 +240,17 @@ def address_of(p: Point2, depth: int) -> AddressWord:
     raise ValueError(f"point did not resolve to a corner within depth {depth}")
 
 
-def exact_address(p: Point2, max_depth: int = 4096) -> CanonicalAddress:
-    """The canonical address of a finitely-addressed point."""
-    return canonicalize(address_of(p, max_depth))
+def exact_address(p: Point2) -> CanonicalAddress:
+    """The canonical address of a finitely-addressed point, at any level.
+
+    It peels at most den.bit_length() - 1 steps, den the point's even
+    denominator: den times each weight 2*yc, x - yc, 1 - x - yc is whole. At
+    a canonical word of level n >= 1, 2^n times the weight toward the corner
+    c the last label pads is the readout toward c, odd, plus 1 if the
+    terminal is c, which it is not. So 2^n divides den. The peel stays
+    quadratic in n: each step is on n-bit integers.
+    """
+    return canonicalize(address_of(p, p[2].bit_length() - 1))
 
 
 def gasket_space():

@@ -19,14 +19,15 @@ bit, packed into four bits, index `_JUNCTION_AT`, a 16-entry list of
 only the digits and terminals of two words of equal length, keeps no state
 between calls, and returns the distance's integer numerator over 2^n, n
 that length, which the caller knows. `dist_level` hands it two words of
-the stated level; `dist_G` pads the shallower word with its terminal's pad
-label, which names the same point and shifts its digits. The gluing step M
-is the kernel one level finer: `tensor_dist_G` measures copy mu of u
-against copy mv of v as the words mu + u and mv + v (digits by
-`words._prefixed`). Each public function makes one kernel call and
-turns its numerator into a Fraction with `numerics.dyadic`; the finality
-check (`_dist_G_num`) and the acceptance criteria (`_dist`) compare the
-numerators themselves, and criterion 1 reads the oracle's from its table.
+the stated level; `dist_G` pads the shallower canonical address, a word
+too, with its terminal's pad label, which names the same point and shifts
+its digits. The gluing step M is the kernel one level finer:
+`tensor_dist_G` measures copy mu of u against copy mv of v as the words
+mu + u and mv + v (digits by `words._prefixed`). Each public function
+makes one kernel call and turns its numerator into a Fraction with
+`numerics.dyadic`; the finality check (`_dist_G_num`) and the acceptance
+criteria (`_dist`) compare the numerators, and criterion 1 reads the
+oracle's from its table.
 `dist_oracle` rebuilds the same metric with none of that structure
 (equivalence classes + Floyd-Warshall on min-over-representative edge
 weights), so exact agreement between the two is a real check, not a
@@ -156,9 +157,8 @@ def dist_G(u: CanonicalAddress, v: CanonicalAddress) -> Fraction:
 
 def _dist_G_num(u: CanonicalAddress, v: CanonicalAddress) -> tuple[int, int]:
     """dist_G(u, v) as (numerator, n) over 2^n, n the deeper word's level."""
-    wu, wv = u.word, v.word
-    n = max(len(wu.labels), len(wv.labels))
-    return _dist(_padded(wu, n), wu.terminal, _padded(wv, n), wv.terminal), n
+    n = max(len(u.labels), len(v.labels))
+    return _dist(_padded(u, n), u.terminal, _padded(v, n), v.terminal), n
 
 
 def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) -> Fraction:
@@ -170,11 +170,10 @@ def tensor_dist_G(mu: str, u: CanonicalAddress, mv: str, v: CanonicalAddress) ->
     equality. The result lies in 2^-(n+1) Z, n the deeper word's level: the
     step halves distances in a copy.
     """
-    wu, wv = u.word, v.word
-    n = max(len(wu.labels), len(wv.labels))
+    n = max(len(u.labels), len(v.labels))
     num = _dist(
-        _prefixed(_LABEL_DIGITS[mu], _padded(wu, n), n), wu.terminal,
-        _prefixed(_LABEL_DIGITS[mv], _padded(wv, n), n), wv.terminal,
+        _prefixed(_LABEL_DIGITS[mu], _padded(u, n), n), u.terminal,
+        _prefixed(_LABEL_DIGITS[mv], _padded(v, n), n), v.terminal,
     )
     return dyadic(num, n + 1)
 

@@ -9,7 +9,9 @@ where two copies touch:
     b.T ~ a.L        a.R ~ c.T        c.L ~ b.R
 
 applied under any common prefix. `canonicalize` picks one representative
-per point; `glue_partner` returns the other same-level name when one exists.
+per point, its class's normal form, as a `CanonicalAddress`: an
+`AddressWord` with no field of its own, only the canonical-form checks.
+`glue_partner` returns the other same-level name when one exists.
 
 `PAD` (the copy that keeps each corner) is the one declaration of the
 gasket. Copy m meets copy m2 at the corner m2 keeps, so `GLUE` (those three
@@ -21,17 +23,16 @@ Every word holds its corner digits from construction (`toward`):
 `corner_digits` reads the labels as binary digits toward each corner
 through a byte table that turns any other character into one `int`
 rejects, so the readout is also the label check. A word is built in one
-of two ways. `AddressWord(...)` reads its labels, and so checks them:
-`parse_word`, a junction partner, a padded or enumerated canonical word
-and a peeled address are built so. The private `_word_with` takes digits
-derived from another word's and checks nothing: `iter_words` reads each
-label string once for its three terminals, `canonicalize` shifts the
-canonical word's digits out of its argument's (or hands back the argument
-itself when that is already canonical), and `prepend` puts the glued
-label's digit on top, so no label string is read twice. Both fill the
-word's three slots through the slots' own setters, bound once at import,
-which the word's assignment guard does not see. A canonical form is
-wrapped by `_canonical`, which skips `CanonicalAddress`'s checks.
+of two ways. The constructors read the labels, and so check them:
+`parse_word`, a junction partner, a padded word, `canonical_at` and a
+peeled address are built so. The private `_word_with` builds either class
+from digits derived from another word's and checks nothing: `iter_words`
+and `iter_canonical` read each label string once, `canonicalize` shifts
+the canonical word's digits out of its argument's (or shares them when it
+is in canonical form; a `CanonicalAddress` comes back as it is), and
+`prepend` puts the glued label's digit on top, so no label string is read
+twice. Both fill the word's three slots through the slots' own setters,
+bound once at import, which the word's assignment guard does not see.
 Labels that come from a structure map a user may have written are checked
 where they enter: `coalgebras.unfold` rejects any label but a, b, c, and
 `thetas` reads the trace's digits once and gives each anchored prefix the
@@ -40,7 +41,6 @@ top digits of the trace.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import product
 from typing import Iterator, Optional
 
@@ -106,7 +106,7 @@ class AddressWord:
     """Immutable word: label string plus terminal letter.
 
     Equality, hash and order are those of the tuple (labels, terminal),
-    between words only. `toward` is the (T, L, R) tuple
+    between words of either class only. `toward` is the (T, L, R) tuple
     `corner_digits(labels)`, set when the word is built. Over 2^n, plus
     2^-n if the terminal is c, the readout toward corner c is the point's
     barycentric weight toward c; the digits of the last m labels are its
@@ -117,7 +117,7 @@ class AddressWord:
     `__dict__` filled by `object.__setattr__`, a word takes 105 bytes, not
     145, and `_word_with` 0.28 µs, not 0.43 (CPython 3.11.7);
     `BENCH_45.json` shows `dist-cold` faster for it. `__reduce__` rebuilds
-    a word through the constructor, so pickle and copy get a checked word.
+    a word through its class's constructor, so pickle and copy check it.
     """
 
     __slots__ = ("labels", "terminal", "toward")
@@ -141,10 +141,10 @@ class AddressWord:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return AddressWord, (self.labels, self.terminal)
+        return self.__class__, (self.labels, self.terminal)
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not AddressWord:
+        if not isinstance(other, AddressWord):
             return NotImplemented
         return self.labels == other.labels and self.terminal == other.terminal
 
@@ -152,27 +152,27 @@ class AddressWord:
         return hash((self.labels, self.terminal))
 
     def __lt__(self, other: "AddressWord") -> bool:
-        if other.__class__ is not AddressWord:
+        if not isinstance(other, AddressWord):
             return NotImplemented
         return (self.labels, self.terminal) < (other.labels, other.terminal)
 
     def __le__(self, other: "AddressWord") -> bool:
-        if other.__class__ is not AddressWord:
+        if not isinstance(other, AddressWord):
             return NotImplemented
         return (self.labels, self.terminal) <= (other.labels, other.terminal)
 
     def __gt__(self, other: "AddressWord") -> bool:
-        if other.__class__ is not AddressWord:
+        if not isinstance(other, AddressWord):
             return NotImplemented
         return (self.labels, self.terminal) > (other.labels, other.terminal)
 
     def __ge__(self, other: "AddressWord") -> bool:
-        if other.__class__ is not AddressWord:
+        if not isinstance(other, AddressWord):
             return NotImplemented
         return (self.labels, self.terminal) >= (other.labels, other.terminal)
 
     def __repr__(self) -> str:
-        return f"AddressWord(labels={self.labels!r}, terminal={self.terminal!r})"
+        return f"{self.__class__.__name__}(labels={self.labels!r}, terminal={self.terminal!r})"
 
     @property
     def level(self) -> int:
@@ -194,45 +194,31 @@ _set_terminal = AddressWord.terminal.__set__
 _set_toward = AddressWord.toward.__set__
 
 
-def _word_with(labels: str, terminal: str, toward: tuple[int, int, int]) -> AddressWord:
-    """AddressWord(labels, terminal) without its checks, given its digits,
-    derived from those of the word it was made from or shared with its
-    other terminals."""
-    w = _new(AddressWord)
+def _word_with(cls: type, labels: str, terminal: str, toward: tuple[int, int, int]) -> AddressWord:
+    """cls(labels, terminal) without its checks, given its digits, derived
+    from those of the word it was made from or shared with its other
+    terminals."""
+    w = _new(cls)
     _set_labels(w, labels)
     _set_terminal(w, terminal)
     _set_toward(w, toward)
     return w
 
 
-class CanonicalAddress(namedtuple("CanonicalAddress", "word")):
-    """An AddressWord in canonical form; the blessed constructor is canonicalize()."""
+class CanonicalAddress(AddressWord):
+    """An AddressWord in canonical form: its last label neither pads its
+    terminal nor makes a rewrite source. `canonicalize` makes one of any
+    word; this constructor checks the word, then the two conditions."""
 
     __slots__ = ()
 
-    def __new__(cls, word: AddressWord) -> "CanonicalAddress":
-        if word.labels:
-            if word.labels[-1] == PAD[word.terminal]:
-                raise ValueError(f"{word} carries chain padding")
-            if (word.labels[-1], word.terminal) in REWRITE:
-                raise ValueError(f"{word} has a rewrite-source tail")
-        return tuple.__new__(cls, (word,))
-
-    @property
-    def level(self) -> int:
-        return self.word.level
-
-    @property
-    def text(self) -> str:
-        return self.word.text
-
-    def __str__(self) -> str:
-        return self.text
-
-
-def _canonical(word: AddressWord) -> CanonicalAddress:
-    """CanonicalAddress(word) without its checks, for a word in canonical form."""
-    return tuple.__new__(CanonicalAddress, (word,))
+    def __init__(self, labels: str, terminal: str) -> None:
+        super().__init__(labels, terminal)
+        # the last label, or "" at level 0, which neither test matches
+        if labels[-1:] == PAD[terminal]:
+            raise ValueError(f"{self} carries chain padding")
+        if (labels[-1:], terminal) in REWRITE:
+            raise ValueError(f"{self} has a rewrite-source tail")
 
 
 def parse_word(text: str) -> AddressWord:
@@ -265,12 +251,14 @@ def glue_partner(w: AddressWord) -> Optional[AddressWord]:
 def canonicalize(w: AddressWord) -> CanonicalAddress:
     """Unique representative: strip the chain padding, then rewrite the junction tail.
 
-    A word that is already canonical is its own representative: the result
-    holds w itself, digits and all. Otherwise
-    the result gets w's digits: the k stripped pad labels are the low k
-    digits, so they shift out, and a rewrite moves the last label's digit
-    to the corner of its new label.
+    A CanonicalAddress is its own representative and comes back as it is;
+    any other word already in canonical form is copied, digits tuple and
+    all. Otherwise the result gets w's digits: the k stripped pad labels
+    are the low k digits, so they shift out, and a rewrite moves the last
+    label's digit to the corner of its new label.
     """
+    if isinstance(w, CanonicalAddress):
+        return w
     d = w.terminal
     labels = w.labels.rstrip(PAD[d])
     k = len(w.labels) - len(labels)
@@ -281,11 +269,11 @@ def canonicalize(w: AddressWord) -> CanonicalAddress:
         m2, d, (bt, bl, br) = rewrite
         t, l, r = w.toward
         toward = ((t >> k) + bt, (l >> k) + bl, (r >> k) + br)
-        return _canonical(_word_with(labels[:-1] + m2, d, toward))
+        return _word_with(CanonicalAddress, labels[:-1] + m2, d, toward)
     if not k:
-        return _canonical(w)
+        return _word_with(CanonicalAddress, labels, d, w.toward)
     t, l, r = w.toward
-    return _canonical(_word_with(labels, d, (t >> k, l >> k, r >> k)))
+    return _word_with(CanonicalAddress, labels, d, (t >> k, l >> k, r >> k))
 
 
 def embed(w: AddressWord, target_level: int) -> AddressWord:
@@ -319,9 +307,8 @@ def prepend(m: str, x: CanonicalAddress) -> CanonicalAddress:
     """
     if m not in ANCHOR:
         raise ValueError(f"bad label {m!r}")
-    w = x.word
-    toward = _prefixed(_LABEL_DIGITS[m], w.toward, len(w.labels))
-    return canonicalize(_word_with(m + w.labels, w.terminal, toward))
+    toward = _prefixed(_LABEL_DIGITS[m], x.toward, len(x.labels))
+    return canonicalize(_word_with(AddressWord, m + x.labels, x.terminal, toward))
 
 
 # exact level-n tails that satisfy the canonical-form invariants: neither
@@ -336,7 +323,7 @@ def iter_words(level: int) -> Iterator[AddressWord]:
     for labels in map("".join, product(LABELS, repeat=level)):
         toward = corner_digits(labels)
         for d in TERMINALS:
-            yield _word_with(labels, d, toward)
+            yield _word_with(AddressWord, labels, d, toward)
 
 
 def iter_canonical(max_level: int) -> Iterator[CanonicalAddress]:
@@ -346,11 +333,11 @@ def iter_canonical(max_level: int) -> Iterator[CanonicalAddress]:
     three admissible tails), i.e. (3^(n+1) + 3)/2 cumulatively.
     """
     for d in TERMINALS:
-        yield _canonical(AddressWord("", d))
+        yield _word_with(CanonicalAddress, "", d, (0, 0, 0))
     for n in range(1, max_level + 1):
         for prefix in map("".join, product(LABELS, repeat=n - 1)):
             for m, d in _CANONICAL_TAILS:
-                yield _canonical(AddressWord(prefix + m, d))
+                yield _word_with(CanonicalAddress, prefix + m, d, corner_digits(prefix + m))
 
 
 def count_canonical(max_level: int) -> int:
@@ -369,7 +356,7 @@ def canonical_at(i: int) -> CanonicalAddress:
     if i < 0:
         raise ValueError(f"no canonical address at index {i}")
     if i < 3:
-        return _canonical(AddressWord("", TERMINALS[i]))
+        return CanonicalAddress("", TERMINALS[i])
     n = 1
     while count_canonical(n) <= i:
         n += 1
@@ -379,4 +366,4 @@ def canonical_at(i: int) -> CanonicalAddress:
         p, r = divmod(p, 3)
         prefix.append(LABELS[r])
     m, d = _CANONICAL_TAILS[tail]
-    return _canonical(AddressWord("".join(reversed(prefix)) + m, d))
+    return CanonicalAddress("".join(reversed(prefix)) + m, d)

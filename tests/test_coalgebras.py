@@ -162,7 +162,7 @@ def test_thetas_is_theta_at_each_depth(point, n):
     got = thetas(co, x, n)
     assert got == [theta(co, x, k) for k in range(1, n + 1)]
     # each word carries the digits of its own labels
-    assert [t.word.toward for t in got] == [corner_digits(t.word.labels) for t in got]
+    assert [t.toward for t in got] == [corner_digits(t.labels) for t in got]
 
 
 def test_thetas_requires_positive_depth():
@@ -242,9 +242,8 @@ def test_finality_rejects_corrupted_candidate():
     def bad(p, n):
         out = []
         for t in thetas(co, p, n):
-            w = t.word
-            if w.level:
-                t = canonicalize(AddressWord(flip[w.labels[0]] + w.labels[1:], w.terminal))
+            if t.level:
+                t = canonicalize(AddressWord(flip[t.labels[0]] + t.labels[1:], t.terminal))
             out.append(t)
         return out
 

@@ -158,7 +158,7 @@ def test_finality_defect_is_in_lowest_terms(s, depth, data):
         ths = thetas(co, p, n)
         if p != x:
             return ths
-        return [canonicalize(AddressWord(t.word.labels + tail, d))
+        return [canonicalize(AddressWord(t.labels + tail, d))
                 for t, (tail, d) in zip(ths, tails)]
 
     # the same walk as finality_check, with the defects built by Fraction

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import math
 import pickle
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -28,11 +29,14 @@ from trigasket.geometry import (
     surd_text,
 )
 from trigasket.metric import dist_G
+from trigasket.numerics import decimal_str
 from trigasket.spaces import validate_space
 from trigasket.words import (
     AddressWord,
     CanonicalAddress,
+    _word_with,
     canonicalize,
+    corner_digits,
     count_canonical,
     glue_partner,
     iter_canonical,
@@ -57,10 +61,36 @@ def test_qsqrt3_text_format():
     assert str(pt(-1, Fraction(-1, 4))) == "(-1/1+0/1√3, 0/1-1/4√3)"
 
 
+# y = 0.3000000000005000000000999...: a half-unit boundary of the 12th place
+# crossed by less than sqrt3 cut to 20 places falls short
+HALF_UP_Y = (
+    "babaabbbababaaabbababaabbbbaabababaababbaabbabaabbbbababbababbbababbabbaabaaabaaababbbbbbb.L"
+)
+
+
 def test_qsqrt3_decimal():
     assert surd_decimal(0, Fraction(1), 6) == "1.732051"
     assert surd_decimal(Fraction(1, 3), 0, 4) == "0.3333"
     assert surd_decimal(Fraction(1, 2), 0, 3) == "0.500"
+    assert surd_decimal(0, coords(parse_word(HALF_UP_Y)).yc) == "0.300000000001"
+    with pytest.raises(ValueError, match="takes u, v >= 0"):
+        surd_decimal(0, Fraction(-1, 2))
+
+
+@given(
+    w=st.builds(AddressWord, st.text(alphabet="abc", max_size=200), st.sampled_from("TLR")),
+    u=st.fractions(min_value=0, max_value=2),
+)
+@settings(deadline=None, max_examples=300)
+def test_qsqrt3_decimal_rounds_half_up_exactly(w, u):
+    # k/10^12 is the rounded y exactly when k - 1/2 <= y*10^12 < k + 1/2,
+    # squared: y*10^12 = sqrt(3*yc^2*10^24)
+    yc = coords(w).yc
+    k = int(surd_decimal(0, yc).replace(".", ""))
+    t = 3 * yc * yc * 10**24
+    assert t < (k + Fraction(1, 2)) ** 2
+    assert k == 0 or (k - Fraction(1, 2)) ** 2 <= t
+    assert surd_decimal(u, 0) == decimal_str(u)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +137,9 @@ def test_coords_frozen_values():
 
 def test_coords_junction_pairs_coincide():
     for w in iter_canonical(5):
-        partner = glue_partner(w.word)
+        partner = glue_partner(w)
         if partner is not None:
-            assert coords(w.word) == coords(partner)
+            assert coords(w) == coords(partner)
 
 
 def test_coords_accepts_both_word_types():
@@ -127,7 +157,7 @@ def ref_coords(w):
 
 def test_coords_fold_matches_composition_exhaustive():
     for w in iter_canonical(6):
-        assert coords(w) == ref_coords(w.word)
+        assert coords(w) == ref_coords(w)
 
 
 def ternary(k, n):
@@ -298,7 +328,7 @@ def test_words_pickle_and_copy(labels, d):
     for make in copies:
         w2, c2 = make(w), make(c)
         assert type(w2) is AddressWord and (w2, w2.toward) == (w, w.toward)
-        assert type(c2) is CanonicalAddress and (c2, c2.word.toward) == (c, c.word.toward)
+        assert type(c2) is CanonicalAddress and (c2, c2.toward) == (c, c.toward)
 
 
 def test_unpickling_a_word_checks_it():
@@ -306,6 +336,14 @@ def test_unpickling_a_word_checks_it():
     data = pickle.dumps(AddressWord("ab", "T"), 0).replace(b"ab", b"ax")
     with pytest.raises(ValueError, match="bad label in 'ax'"):
         pickle.loads(data)
+    # a canonical address is rebuilt as one, through its own checks
+    data = pickle.dumps(AddressWord("ba", "T"), 0).replace(b"AddressWord", b"CanonicalAddress")
+    with pytest.raises(ValueError, match="^ba.T carries chain padding$"):
+        pickle.loads(data)
+    bad = _word_with(CanonicalAddress, "ba", "T", corner_digits("ba"))
+    for make in (copy.copy, copy.deepcopy):
+        with pytest.raises(ValueError, match="^ba.T carries chain padding$"):
+            make(bad)
 
 
 @given(a=PAIRS, m=st.sampled_from("abc"))
@@ -422,20 +460,24 @@ def test_peel_matches_fraction_reference_cases(x, yc):
 def test_sigma_inv_inverts_sigma_on_canonicals():
     # sigma_inv(sigma(m, p)) recovers (m, p) whenever m.p is itself canonical
     for w in iter_canonical(4):
-        word = w.word
-        if word.level == 0:
+        if w.level == 0:
             continue
-        m, rest = word.labels[0], CanonicalAddress(
-            canonicalize(parse_word(word.labels[1:] + "." + word.terminal)).word
-        )
-        got_m, got_p = sigma_inv(coords(word))
+        m, rest = w.labels[0], canonicalize(parse_word(w.labels[1:] + "." + w.terminal))
+        got_m, got_p = sigma_inv(coords(w))
         assert got_m == m
-        assert got_p == coords(rest.word)
+        assert got_p == coords(rest)
 
 
 def test_exact_address_round_trip():
     for w in iter_canonical(5):
-        assert exact_address(coords(w.word)) == w
+        assert exact_address(coords(w)) == w
+    # the peel depth is read off the point, so any level resolves
+    rng = random.Random(5402)
+    for n in (5_000, 20_000):
+        w = CanonicalAddress("".join(rng.choice("abc") for _ in range(n - 1)) + "b", "R")
+        assert exact_address(coords(w)) == w
+    with pytest.raises(ValueError, match="did not resolve"):
+        exact_address(pt(Fraction(1, 3), 0))
 
 
 def test_address_of_depth_too_small():

@@ -246,8 +246,8 @@ def test_dist_G_matches_embedded_pairs_exhaustively():
         for v in pts[: i + 1]:
             n = max(u.level, v.level)
             d = dist_G(u, v)
-            assert d == dist_level(embed(u.word, n), embed(v.word, n), n)
-            assert d == dist_oracle(embed(u.word, 4), embed(v.word, 4), 4)
+            assert d == dist_level(embed(u, n), embed(v, n), n)
+            assert d == dist_oracle(embed(u, 4), embed(v, 4), 4)
 
 
 def test_dist_G_embedding_invariance():
@@ -255,7 +255,7 @@ def test_dist_G_embedding_invariance():
     base = dist_G(u, v)
     for extra in range(1, 4):
         n = max(u.level, v.level) + extra
-        assert dist_level(embed(u.word, n), embed(v.word, n), n) == base
+        assert dist_level(embed(u, n), embed(v, n), n) == base
 
 
 labels5 = st.text(alphabet="abc", max_size=5)
@@ -490,7 +490,7 @@ def test_dist_G_mixed_levels(levels, shape, mu, mv, data):
     u, v = words
     n = max(u.level, v.level)
     d = dist_G(u, v)
-    assert d == dist_level(embed(u.word, n), embed(v.word, n), n)
+    assert d == dist_level(embed(u, n), embed(v, n), n)
     assert d == dist_G(v, u)
     assert (d == 0) == (u == v)
     assert tensor_dist_G(mu, u, mv, v) == dist_G(prepend(mu, u), prepend(mv, v))
@@ -599,4 +599,4 @@ def test_integer_kernel_matches_public_functions(levels, data):
     num, n = _dist_G_num(x, y)
     assert n == max(x.level, y.level)
     assert Fraction(num, 2**n) == dist_G(x, y)
-    assert Fraction(num, 2**n) == dist_level(embed(x.word, n), embed(y.word, n), n)
+    assert Fraction(num, 2**n) == dist_level(embed(x, n), embed(y, n), n)

@@ -21,7 +21,7 @@ from trigasket.words import iter_canonical
 
 def test_gasket_sigma_is_an_isometry():
     space = gasket_space()
-    points = [coords(w.word) for w in iter_canonical(3)]
+    points = [coords(w) for w in iter_canonical(3)]
     w = MapWitness(sigma_inv, space, tensor(space), ISOMETRIC, name="gasket-sigma")
     assert certify(w, combinations(points, 2)) == 861
 

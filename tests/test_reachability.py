@@ -71,9 +71,6 @@ UNENTERED = {
     "words.AddressWord.__repr__": VALUE_TYPE,
     "words.AddressWord.__setattr__": VALUE_TYPE,
     "words.AddressWord.__str__": VALUE_TYPE,
-    "words.CanonicalAddress.__new__": VALUE_TYPE,
-    "words.CanonicalAddress.__str__": VALUE_TYPE,
-    "words.CanonicalAddress.level": VALUE_TYPE,
     "words.embed": TRACED,
 }
 

@@ -17,7 +17,7 @@ from trigasket.spaces import (
     tensor,
     validate_space,
 )
-from trigasket.words import PAD, AddressWord, CanonicalAddress, iter_canonical
+from trigasket.words import PAD, CanonicalAddress, iter_canonical
 
 
 def test_validate_i_space():
@@ -93,7 +93,7 @@ def _as_word(point, level):
     for _ in range(level):
         m, point = point
         labels += m
-    return CanonicalAddress(AddressWord(labels.rstrip(PAD[point]), point))
+    return CanonicalAddress(labels.rstrip(PAD[point]), point)
 
 
 def test_tensor_iterates_are_the_address_metric():

@@ -1,6 +1,7 @@
 """The value types' contract: repr text (error messages embed it), a hash
 equal to the hash of the field tuple (so set and dict order under a fixed
-PYTHONHASHSEED is stable), equality and order within a type, fields that
+PYTHONHASHSEED is stable), equality and order within a type (a canonical
+address is a word), fields that
 cannot be assigned, and the constructors' keyword names and messages."""
 
 from fractions import Fraction
@@ -40,11 +41,7 @@ HALF, ZERO, ONE = Fraction(1, 2), Fraction(0), Fraction(1)
 # (value, its field tuple, its repr)
 CASES = [
     (AddressWord("ab", "T"), ("ab", "T"), "AddressWord(labels='ab', terminal='T')"),
-    (
-        CanonicalAddress(AddressWord("aa", "L")),
-        (AddressWord("aa", "L"),),
-        "CanonicalAddress(word=AddressWord(labels='aa', terminal='L'))",
-    ),
+    (CanonicalAddress("aa", "L"), ("aa", "L"), "CanonicalAddress(labels='aa', terminal='L')"),
     (APEX, (None,), "DeltaPoint(s=None)"),
     (delta_point("1/3"), (Fraction(1, 3),), "DeltaPoint(s=Fraction(1, 3))"),
     (Point2(HALF, ZERO), (HALF, ZERO), "Point2(x=Fraction(1, 2), yc=Fraction(0, 1))"),
@@ -114,6 +111,10 @@ def test_address_word_equals_only_words():
     assert w != ("ab", "T")
     with pytest.raises(TypeError):
         w < ("ab", "T")
+    # a canonical address is the word it spells
+    u, c = AddressWord("ab", "R"), CanonicalAddress("ab", "R")
+    assert c == u and u == c and hash(c) == hash(u) and c != AddressWord("ab", "L")
+    assert c != ("ab", "R")
 
 
 def test_order_is_the_field_order():
@@ -123,7 +124,7 @@ def test_order_is_the_field_order():
     u, v = AddressWord("a", "L"), AddressWord("a", "T")
     assert (u < v, u <= v, u > v, u >= v) == (True, True, False, False)
     assert (u <= u, u >= u, u < u) == (True, True, False)
-    c = [CanonicalAddress(parse_word(t)) for t in ("b.R", "a.L", ".T")]
+    c = [CanonicalAddress(*t.split(".")) for t in ("b.R", "a.L", ".T")]
     assert [x.text for x in sorted(c)] == [".T", "a.L", "b.R"]
 
 
@@ -139,7 +140,7 @@ def test_radical_sum_not_equal_is_exact():
 
 def test_constructors_take_their_field_names():
     w = AddressWord(labels="ba", terminal="L")
-    assert CanonicalAddress(word=w).word is w
+    assert CanonicalAddress(labels="ba", terminal="L") == w
     assert DeltaPoint(s=HALF) == delta_point(HALF)
     m = MapWitness(f=_ident, domain=SPACE, codomain=SPACE, claimed_class=ISOMETRIC, name="id")
     assert m.name == "id"
@@ -150,8 +151,9 @@ def test_constructors_take_their_field_names():
     [
         (lambda: AddressWord("ad", "T"), ValueError, "bad label in 'ad'"),
         (lambda: AddressWord("ab", "X"), ValueError, "bad terminal 'X'"),
-        (lambda: CanonicalAddress(parse_word("ba.T")), ValueError, "ba.T carries chain padding"),
-        (lambda: CanonicalAddress(parse_word("c.L")), ValueError, "c.L has a rewrite-source tail"),
+        (lambda: CanonicalAddress("ba", "T"), ValueError, "ba.T carries chain padding"),
+        (lambda: CanonicalAddress("c", "L"), ValueError, "c.L has a rewrite-source tail"),
+        (lambda: CanonicalAddress("ax", "R"), ValueError, "bad label in 'ax'"),
         (
             lambda: DeltaPoint(Fraction(3, 2)),
             ValueError,

@@ -83,9 +83,9 @@ def test_canonicalize_long_pad_run():
 
 def test_canonical_address_rejects_reducible():
     with pytest.raises(ValueError):
-        CanonicalAddress(parse_word("ba.T"))  # trailing chain padding
+        CanonicalAddress("ba", "T")  # trailing chain padding
     with pytest.raises(ValueError):
-        CanonicalAddress(parse_word("c.L"))  # junction rewrite source
+        CanonicalAddress("c", "L")  # junction rewrite source
 
 
 # one junction orbit per gluing relation, plus padding collapse
@@ -123,7 +123,8 @@ def test_glue_partner_cases():
 @given(words)
 def test_canonicalize_idempotent(w):
     c = canonicalize(w)
-    assert canonicalize(c.word) == c
+    assert canonicalize(c) is c
+    assert canonicalize(AddressWord(c.labels, c.terminal)) == c
 
 
 @settings(deadline=None, max_examples=300)
@@ -242,15 +243,16 @@ def test_every_word_holds_its_digits_from_construction():
     built = [
         w,
         *iter_words(2),
-        *(c.word for c in iter_canonical(2)),
-        canonical_at(40).word,
+        *iter_canonical(2),
+        canonical_at(40),
         embed(w, 8),
         glue_partner(parse_word("cab.R")),
-        canonicalize(parse_word("acbaa.T")).word,
-        canonicalize(parse_word("acb.T")).word,
-        prepend("c", canonicalize(w)).word,
+        canonicalize(parse_word("acbaa.T")),
+        canonicalize(parse_word("acb.T")),
+        canonicalize(parse_word("acba.R")),
+        prepend("c", canonicalize(w)),
         address_of(coords(w), 5),
-        *(t.word for t in thetas(co, delta_point("1/3"), 6)),
+        *thetas(co, delta_point("1/3"), 6),
     ]
     for x in built:
         assert AddressWord.toward.__get__(x) == corner_digits(x.labels), x
@@ -267,7 +269,7 @@ def _canonicalize_reference(w: AddressWord) -> CanonicalAddress:
     if labels and (labels[-1], d) in REWRITE:
         m2, d = REWRITE[(labels[-1], d)]
         labels = labels[:-1] + m2
-    return CanonicalAddress(AddressWord(labels, d))
+    return CanonicalAddress(labels, d)
 
 
 @st.composite
@@ -288,9 +290,9 @@ def test_canonicalize_matches_the_validating_reference(w):
     want = _canonicalize_reference(w)
     got = canonicalize(w)
     assert type(got) is CanonicalAddress and got == want
-    assert CanonicalAddress(got.word) == got
-    # an already canonical word is kept, digits and all
-    assert (got.word is w) == (want.word == w)
+    assert CanonicalAddress(got.labels, got.terminal) == got
+    # an already canonical word is copied, sharing its digits tuple
+    assert (got.toward is w.toward) == (want == w)
 
 
 def test_outside_input_is_validated():
@@ -302,7 +304,7 @@ def test_outside_input_is_validated():
 
 
 def _assert_digits_carried(w: AddressWord) -> None:
-    c = canonicalize(w).word
+    c = canonicalize(w)
     assert c.toward == corner_digits(c.labels)
 
 
@@ -332,5 +334,5 @@ def test_canonical_word_carries_its_digits_cases(text):
 @settings(deadline=None, max_examples=300)
 @given(leveled_words(), st.sampled_from("abc"))
 def test_prepend_carries_its_digits(w, m):
-    c = prepend(m, canonicalize(w)).word
+    c = prepend(m, canonicalize(w))
     assert c.toward == corner_digits(c.labels)

@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 
 
 METRIC = "src/trigasket/metric.py"
+WORDS = "src/trigasket/words.py"
 
 CATALOGUE: tuple[Mutant, ...] = (
     Mutant("via-constant", METRIC, "via = 3 * s", "via = 2 * s",
@@ -61,17 +62,28 @@ CATALOGUE: tuple[Mutant, ...] = (
     Mutant("direct-constant", METRIC, "direct = 2 * s -", "direct = 2 * s + 1 -",
            "the direct route is two half-copies, 2^m + 2^m over 2^m"),
     Mutant("tensor-prefix-shift", METRIC,
-           "_LABEL_DIGITS[mu], _padded(wu, n), n), wu.terminal,\n"
-           "        _prefixed(_LABEL_DIGITS[mv], _padded(wv, n), n), wv.terminal,",
-           "_LABEL_DIGITS[mu], _padded(wu, n), n + 1), wu.terminal,\n"
-           "        _prefixed(_LABEL_DIGITS[mv], _padded(wv, n), n + 1), wv.terminal,",
+           "_LABEL_DIGITS[mu], _padded(u, n), n), u.terminal,\n"
+           "        _prefixed(_LABEL_DIGITS[mv], _padded(v, n), n), v.terminal,",
+           "_LABEL_DIGITS[mu], _padded(u, n), n + 1), u.terminal,\n"
+           "        _prefixed(_LABEL_DIGITS[mv], _padded(v, n), n + 1), v.terminal,",
            "the label's digit goes directly above the n padded digits"),
     Mutant("tensor-labels-swapped", METRIC,
-           "_LABEL_DIGITS[mu], _padded(wu, n), n), wu.terminal,\n"
-           "        _prefixed(_LABEL_DIGITS[mv], _padded(wv, n), n), wv.terminal,",
-           "_LABEL_DIGITS[mv], _padded(wu, n), n), wu.terminal,\n"
-           "        _prefixed(_LABEL_DIGITS[mu], _padded(wv, n), n), wv.terminal,",
+           "_LABEL_DIGITS[mu], _padded(u, n), n), u.terminal,\n"
+           "        _prefixed(_LABEL_DIGITS[mv], _padded(v, n), n), v.terminal,",
+           "_LABEL_DIGITS[mv], _padded(u, n), n), u.terminal,\n"
+           "        _prefixed(_LABEL_DIGITS[mu], _padded(v, n), n), v.terminal,",
            "copy mu holds u and copy mv holds v"),
+    Mutant("junction-packing", METRIC, "(ut >> m & 1) << 3 | (ur >> m & 1) << 2",
+           "(ut >> m & 1) << 2 | (ur >> m & 1) << 3",
+           "a copy's code is 2*T + R, packed as code(m) << 2 | code(m2)"),
+    Mutant("reduce-class", WORDS, "return self.__class__, (self.labels, self.terminal)",
+           "return AddressWord, (self.labels, self.terminal)",
+           "a pickled or copied canonical address is rebuilt as one, through its checks"),
+    Mutant("canonicalize-keeps-plain-word", WORDS,
+           "return _word_with(CanonicalAddress, labels, d, w.toward)", "return w",
+           "canonicalize returns a CanonicalAddress, even of a word already in canonical form"),
+    Mutant("canonical-at-reversed", WORDS, '"".join(reversed(prefix)) + m', '"".join(prefix) + m',
+           "the prefix's base-3 digits are read most significant first"),
 )
 
 # tests run alone as well, so that the matrix shows what each kills even
