@@ -61,8 +61,8 @@ def test_qsqrt3_text_format():
     assert str(pt(-1, Fraction(-1, 4))) == "(-1/1+0/1√3, 0/1-1/4√3)"
 
 
-# y = 0.3000000000005000000000999...: a half-unit boundary of the 12th place
-# crossed by less than sqrt3 cut to 20 places falls short
+# y = 0.30000000000050000000009...: above the half unit of the 12th place by
+# less than sqrt3 cut to 20 places resolves, so only exact rounding rounds up
 HALF_UP_Y = (
     "babaabbbababaaabbababaabbbbaabababaababbaabbabaabbbbababbababbbababbabbaabaaabaaababbbbbbb.L"
 )

@@ -1,8 +1,8 @@
 """The value types' contract: repr text (error messages embed it), a hash
 equal to the hash of the field tuple (so set and dict order under a fixed
 PYTHONHASHSEED is stable), equality and order within a type (a canonical
-address is a word), fields that
-cannot be assigned, and the constructors' keyword names and messages."""
+address is a word), fields that cannot be assigned, and the constructors'
+keyword names and messages."""
 
 from fractions import Fraction
 
