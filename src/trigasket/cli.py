@@ -7,7 +7,8 @@ rational, so that a spaced negative value is joined to them, and which
 take a count that must be nonnegative.
 
 Every subcommand validates before computing and prints exact values;
-identical argv always produces byte-identical stdout. Exit codes: 0 on
+`numerics` reads each rational argument and writes each value's text.
+Identical argv always produces byte-identical stdout. Exit codes: 0 on
 success, 1 when validation or computation rejects the input, 2 for usage
 errors (argparse's default).
 """
@@ -18,64 +19,13 @@ import argparse
 import gc
 import re
 import sys
-from fractions import Fraction
 
 from trigasket.acceptance import SUITES, run_criterion
 from trigasket.coalgebras import BUILTIN, get_coalgebra, theta
-from trigasket.geometry import (
-    FORMATS,
-    Point2,
-    RENDER_MAX_DEPTH,
-    address_of,
-    coords,
-    render,
-    surd_decimal,
-    surd_text,
-)
+from trigasket.geometry import FORMATS, Point2, RENDER_MAX_DEPTH, address_of, coords, render
 from trigasket.metric import dist_G, dist_level
-from trigasket.numerics import _ratio_text, _text_int, dyadic, format_dist
+from trigasket.numerics import _fraction, _ratio_text, dyadic, format_dist, surd_decimal, surd_text
 from trigasket.words import canonicalize, parse_word
-
-
-# One grammar on every interpreter, CPython 3.11's Fraction(str): a sign,
-# digits with optional "_" groups, then "/" and a denominator, or a
-# fractional part and an optional exponent; no space around "/". The digits
-# are read in chunks, past sys.get_int_max_str_digits(), and the exponent is
-# refused past ±MAX_EXPONENT by its significant digits before any power is
-# taken: Linux caps one argument at 131,072 bytes, so the cap admits every
-# value one argument can spell as a plain decimal. `re` compiles the pattern
-# on first use, so importing the CLI compiles none.
-MAX_EXPONENT = 131_072
-_DIGITS = r"\d+(?:_\d+)*"
-_RATIONAL = (
-    rf"\s*([-+]?)(?=\.?\d)(\d*|{_DIGITS})"
-    rf"(?:/({_DIGITS})|(?:\.(\d*|{_DIGITS}))?(?:[eE]([-+]?)({_DIGITS}))?)\s*"
-)
-
-
-def _fraction(text: str) -> Fraction:
-    try:
-        match = re.fullmatch(_RATIONAL, text)
-        if match is None:
-            raise ValueError(f"Invalid literal for Fraction: {text!r}")
-        sign, num, den, frac, esign, exp = match.groups()
-        num = num.replace("_", "")
-        if den is not None:
-            value = Fraction(_text_int(num), _text_int(den.replace("_", "")))
-        else:
-            frac = (frac or "").replace("_", "")
-            # leading zeros, in any script's digits, count for nothing
-            digits = (exp or "0").replace("_", "")
-            digits = digits[next((i for i, c in enumerate(digits) if int(c)), -1) :]
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise ValueError(f"exponent {esign}{exp} is outside ±{MAX_EXPONENT}")
-            shift = (-int(digits) if esign == "-" else int(digits)) - len(frac)
-            value = _text_int(num + frac) * Fraction(10) ** shift
-        return -value if sign == "-" else value
-    except ZeroDivisionError:
-        raise ValueError(f"not a rational: {text!r} (zero denominator)") from None
-    except ValueError as exc:
-        raise ValueError(f"not a rational: {text!r} ({exc})") from None
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -112,7 +62,7 @@ def _cmd_address(args: argparse.Namespace) -> int:
 
 def _cmd_mediate(args: argparse.Namespace) -> int:
     co = get_coalgebra(args.coalgebra)
-    x = BUILTIN[args.coalgebra][2](args.point, _fraction)
+    x = BUILTIN[args.coalgebra][2](args.point)
     t = theta(co, x, args.depth)
     anchor = coords(t)
     print(f"theta_{args.depth} = {t.text}")

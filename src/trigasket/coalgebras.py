@@ -5,7 +5,9 @@ label trace; anchoring the trace after n steps at the corner matched to the
 last label (a->T, b->L, c->R) gives a canonical address theta_n whose tail
 is pinned down to within 2^-n. The limit of that sequence is the mediating
 map into the completed address space. The gate `finality_check` returns
-what it measured and raises ValidationError at its first breach.
+what it measured and raises ValidationError at its first breach. `BUILTIN`
+declares each built-in coalgebra with the reader of its `--point` text,
+which reads rationals with `numerics._fraction`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .metric import _dist_G_num
-from .numerics import dyadic
+from .numerics import _fraction, dyadic
 from .spaces import Point, TriPointedSpace, ValidationError
 from .words import (
     ANCHOR,
@@ -147,7 +149,7 @@ def _gasket_sigma() -> Coalgebra:
     return Coalgebra(gasket_space(), sigma_inv, name="gasket-sigma")
 
 
-def _gasket_point(spec: str, rational: Callable[[str], Fraction]) -> Point:
+def _gasket_point(spec: str) -> Point:
     from .geometry import Point2
 
     parts = spec.split(",")
@@ -155,7 +157,7 @@ def _gasket_point(spec: str, rational: Callable[[str], Fraction]) -> Point:
         raise ValueError(
             f"gasket-sigma points are written 'x,ycoeff' (y = ycoeff*sqrt(3)), got {spec!r}"
         )
-    return Point2(rational(parts[0]), rational(parts[1]))
+    return Point2(_fraction(parts[0]), _fraction(parts[1]))
 
 
 def _delta() -> Coalgebra:
@@ -164,15 +166,15 @@ def _delta() -> Coalgebra:
     return delta_coalgebra()
 
 
-def _delta_point(spec: str, rational: Callable[[str], Fraction]) -> Point:
+def _delta_point(spec: str) -> Point:
     from .counterexamples import APEX, delta_point
 
-    return APEX if spec == "apex" else delta_point(rational(spec))
+    return APEX if spec == "apex" else delta_point(_fraction(spec))
 
 
 # Each built-in coalgebra once: name -> (builder, how `--point` writes a point,
-# reader of that text given a rational reader). Builders and readers import
-# when called, so importing the table imports no more of the package.
+# reader of that text). Builders and readers import when called, so importing
+# the table imports no more of the package.
 BUILTIN = {
     "gasket-sigma": (_gasket_sigma, "'x,ycoeff'", _gasket_point),
     "delta": (_delta, "'apex' or a rational", _delta_point),

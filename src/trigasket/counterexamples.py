@@ -17,7 +17,7 @@ from typing import NamedTuple, Union
 from .algebras import Algebra
 from .coalgebras import Coalgebra, theta
 from .metric import dist_G
-from .numerics import ratio, sqrt_fraction
+from .numerics import _fraction_text, ratio, sqrt_fraction
 from .spaces import TriPointedSpace, ValidationError, discrete_space, i_space
 from .words import AddressWord, canonicalize
 
@@ -67,7 +67,7 @@ class DeltaPoint(namedtuple("DeltaPoint", "s")):
 
     def __new__(cls, s: Union[Fraction, None]) -> "DeltaPoint":
         if s is not None and not 0 <= s <= 1:
-            raise ValueError(f"segment coordinate must lie in [0, 1], got {s}")
+            raise ValueError(f"segment coordinate must lie in [0, 1], got {_fraction_text(s)}")
         return tuple.__new__(cls, (s,))
 
     @property
@@ -75,7 +75,7 @@ class DeltaPoint(namedtuple("DeltaPoint", "s")):
         return self.s is None
 
     def __str__(self) -> str:
-        return "apex" if self.is_apex else str(self.s)
+        return "apex" if self.is_apex else _fraction_text(self.s)
 
 
 APEX = DeltaPoint(None)

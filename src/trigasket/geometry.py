@@ -16,7 +16,8 @@ Fractions: `coords` makes (A + 2C + 2*corner, A + 2*corner, 2^(n+1)),
 `sigma` and `sigma_inv` make the triple of a midpoint or a preimage, and
 each reduces it once (`_point`). Squared Euclidean distances
 dx^2 + 3*dyc^2 are plain rationals. Square roots are never extracted except
-for display, where a coordinate is shown as u + v*sqrt3 with one of u, v zero.
+for display, where `numerics.surd_text` shows a coordinate as u + v*sqrt3
+with one of u, v zero.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .numerics import _ratio_text, ratio
+from .numerics import ratio, surd_text
 from .words import (
     ANCHOR,
     AddressWord,
@@ -39,29 +40,6 @@ from .words import (
 # points in about 3.2 s with a 16 MB peak RSS, since rows stream to the file
 # (CPython 3.11.7, fresh process, no cached bytecode, shared 2-CPU Xeon)
 RENDER_MAX_DEPTH = 12
-
-
-def surd_text(u: "Fraction | int", v: "Fraction | int") -> str:
-    """Pinned CLI format of u + v*sqrt3: "p/q+r/s√3", both components always shown."""
-    head = ("-" if u < 0 else "") + _ratio_text(abs(u))
-    sign = "-" if v < 0 else "+"
-    return f"{head}{sign}{_ratio_text(abs(v))}√3"
-
-
-def surd_decimal(u: "Fraction | int", v: "Fraction | int", places: int = 12) -> str:
-    """u + v*sqrt3, for u, v >= 0, rounded half up to the given places, exactly.
-
-    Over one denominator D, alpha/D = u*10^p + 1/2 and beta/D = v*10^p, and
-    the rounded value is k/10^p, k = (alpha + isqrt(3*beta^2)) // D: if
-    kD <= alpha + beta*sqrt3, the integer kD - alpha is at most its floor.
-    """
-    if u < 0 or v < 0:
-        raise ValueError(f"surd_decimal takes u, v >= 0, got {u}, {v}")
-    scale = 10**places
-    (un, ud), (vn, vd) = Fraction(u).as_integer_ratio(), Fraction(v).as_integer_ratio()
-    alpha, beta = (2 * un * scale + ud) * vd, 2 * vn * scale * ud
-    whole, frac = divmod((alpha + math.isqrt(3 * beta * beta)) // (2 * ud * vd), scale)
-    return f"{whole}.{frac:0{places}d}"
 
 
 class Point2(tuple):

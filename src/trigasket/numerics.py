@@ -15,11 +15,18 @@ a plane point's `x` and `yc`, as `Fraction(num, den)` would, with the same
 gcd and without the constructor's type dispatch. Both fill Fraction's two slots with a
 coprime pair whose denominator is positive, which is the normal form
 Fraction's own constructor makes, so either value is that Fraction.
+
+This module also owns the text of exact values. `_fraction` reads every
+rational the command line takes, in one grammar on every interpreter.
+`_ratio_text`, `_fraction_text`, `surd_text` and `format_dist` print them,
+in chunks past CPython's limit for converting an int, and `surd_decimal` is
+the one half-up decimal rounding, of a rational and of u + v*sqrt3 alike.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
 from typing import Union
@@ -71,18 +78,6 @@ def ratio(num: int, den: int) -> Fraction:
     return value
 
 
-def decimal_str(value: Fraction, places: int = 12) -> str:
-    """Exact half-up decimal rendering of a rational, no float round trip."""
-    if value < 0:
-        return "-" + decimal_str(-value, places)
-    scale = 10**places
-    # round half up: floor((n*scale*2 + d) / (2 d))
-    n, d = value.numerator, value.denominator
-    scaled = (n * scale * 2 + d) // (2 * d)
-    whole, frac = divmod(scaled, scale)
-    return f"{whole}.{frac:0{places}d}"
-
-
 # CPython refuses str() of an int longer than sys.get_int_max_str_digits()
 # digits (4300 by default, never below 640), so longer ints go out, and come
 # back in, in chunks
@@ -115,9 +110,80 @@ def _ratio_text(value: Fraction) -> str:
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
+def _fraction_text(value: Rational) -> str:
+    """str(value) of a rational, whatever the length of its numerator and
+    denominator: its sign, then p, or p/q when q > 1."""
+    text = ("-" if value < 0 else "") + _int_text(abs(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{_int_text(value.denominator)}"
+
+
+def surd_text(u: Rational, v: Rational) -> str:
+    """Pinned CLI format of u + v*sqrt3: "p/q+r/s√3", both components always shown."""
+    head = ("-" if u < 0 else "") + _ratio_text(abs(u))
+    sign = "-" if v < 0 else "+"
+    return f"{head}{sign}{_ratio_text(abs(v))}√3"
+
+
+def surd_decimal(u: Rational, v: Rational, places: int = 12) -> str:
+    """u + v*sqrt3, for u, v >= 0, rounded half up to the given places, exactly.
+
+    Over one denominator D, alpha/D = u*10^p + 1/2 and beta/D = v*10^p, and
+    the rounded value is k/10^p, k = (alpha + isqrt(3*beta^2)) // D: if
+    kD <= alpha + beta*sqrt3, the integer kD - alpha is at most its floor.
+    """
+    if u < 0 or v < 0:
+        raise ValueError(f"surd_decimal takes u, v >= 0, got {u}, {v}")
+    scale = 10**places
+    (un, ud), (vn, vd) = Fraction(u).as_integer_ratio(), Fraction(v).as_integer_ratio()
+    alpha, beta = (2 * un * scale + ud) * vd, 2 * vn * scale * ud
+    whole, frac = divmod((alpha + math.isqrt(3 * beta * beta)) // (2 * ud * vd), scale)
+    return f"{whole}.{frac:0{places}d}"
+
+
 def format_dist(value: Fraction, places: int = 12) -> str:
     """CLI-facing distance format: exact p/q fraction plus fixed decimal."""
-    return f"{_ratio_text(value)} = {decimal_str(value, places)}"
+    return f"{_ratio_text(value)} = {surd_decimal(value, 0, places)}"
+
+
+# One grammar on every interpreter, CPython 3.11's Fraction(str): a sign,
+# digits with optional "_" groups, then "/" and a denominator, or a
+# fractional part and an optional exponent; no space around "/". The digits
+# are read in chunks, past sys.get_int_max_str_digits(), and the exponent is
+# refused past ±MAX_EXPONENT by its significant digits before any power is
+# taken: Linux caps one argument at 131,072 bytes, so the cap admits every
+# value one argument can spell as a plain decimal. `re` compiles the pattern
+# on first use, so importing the package compiles none.
+MAX_EXPONENT = 131_072
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = (
+    rf"\s*([-+]?)(?=\.?\d)(\d*|{_DIGITS})"
+    rf"(?:/({_DIGITS})|(?:\.(\d*|{_DIGITS}))?(?:[eE]([-+]?)({_DIGITS}))?)\s*"
+)
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        match = re.fullmatch(_RATIONAL, text)
+        if match is None:
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        sign, num, den, frac, esign, exp = match.groups()
+        num = num.replace("_", "")
+        if den is not None:
+            value = Fraction(_text_int(num), _text_int(den.replace("_", "")))
+        else:
+            frac = (frac or "").replace("_", "")
+            # leading zeros, in any script's digits, count for nothing
+            digits = (exp or "0").replace("_", "")
+            digits = digits[next((i for i, c in enumerate(digits) if int(c)), -1) :]
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ValueError(f"exponent {esign}{exp} is outside ±{MAX_EXPONENT}")
+            shift = (-int(digits) if esign == "-" else int(digits)) - len(frac)
+            value = _text_int(num + frac) * Fraction(10) ** shift
+        return -value if sign == "-" else value
+    except ZeroDivisionError:
+        raise ValueError(f"not a rational: {text!r} (zero denominator)") from None
+    except ValueError as exc:
+        raise ValueError(f"not a rational: {text!r} ({exc})") from None
 
 
 def _sqrt_exact(q: Fraction) -> Fraction | None:

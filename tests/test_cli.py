@@ -15,10 +15,10 @@ from random import Random
 
 import pytest
 
-from trigasket.cli import MAX_EXPONENT, _fraction, attach_negatives, entry, main
-from trigasket.geometry import coords, surd_decimal
+from trigasket.cli import attach_negatives, entry, main
+from trigasket.geometry import coords
 from trigasket.metric import dist_G
-from trigasket.numerics import decimal_str
+from trigasket.numerics import MAX_EXPONENT, _fraction, surd_decimal
 from trigasket.words import canonicalize, count_canonical, parse_word
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -110,7 +110,7 @@ def test_dist_and_gdist_print_level_16000_values_exactly(capsys):
     assert (code, err) == (0, "")
     ratio, dec = out.removesuffix("\n").split(" = ")
     assert ratio == "/".join((p, q))
-    assert dec == decimal_str(d)
+    assert dec == surd_decimal(d, 0)
 
 
 def test_coords_prints_level_16000_coordinates_exactly(capsys):
@@ -413,10 +413,19 @@ _GASKET_SYNTAX = "error: gasket-sigma points are written 'x,ycoeff' (y = ycoeff*
                  "'APEX')\n", id="delta-APEX"),
     pytest.param("delta", "2", "error: segment coordinate must lie in [0, 1], got 2\n",
                  id="delta-2"),
+    pytest.param("delta", "-1/3", "error: segment coordinate must lie in [0, 1], got -1/3\n",
+                 id="delta--1/3"),
 ])
 def test_mediate_bad_point_syntax(capsys, coalgebra, point, err):
     got = run(capsys, "mediate", "--coalgebra", coalgebra, "--point", point, "--depth", "3")
     assert got == (1, "", err)
+
+
+@pytest.mark.parametrize("point", ["1" + "0" * 5000, "-1/" + "3" * 5000], ids=["10^5000", "-1/3…3"])
+def test_mediate_names_a_delta_point_past_the_int_digit_limit(capsys, point):
+    # str() refuses an int of more than 4,300 digits, so the value is printed in chunks
+    got = run(capsys, "mediate", "--coalgebra", "delta", "--point", point, "--depth", "3")
+    assert got == (1, "", f"error: segment coordinate must lie in [0, 1], got {point}\n")
 
 
 def test_mediate_names_the_point_given(capsys):

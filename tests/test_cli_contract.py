@@ -6,7 +6,7 @@ the same argv prints the same stdout again.
 The commands are those of `cli.COMMANDS`, and every long option it
 declares has its spellings here. Depths and exponents stay small, so that
 every case runs in milliseconds: the CLI refuses an exponent past
-`cli.MAX_EXPONENT` before computing, but the work caps that large depths
+`numerics.MAX_EXPONENT` before computing, but the work caps that large depths
 and levels need are not stated yet (ROADMAP item 21).
 """
 

@@ -44,7 +44,7 @@ def test_get_coalgebra_unknown():
         get_coalgebra("nope")
 
 
-def _corner_point(spec, rational):
+def _corner_point(spec):
     if spec not in ("T", "L", "R"):
         raise ValueError(f"corner points are written T, L or R, got {spec!r}")
     return spec

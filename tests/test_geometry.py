@@ -25,11 +25,9 @@ from trigasket.geometry import (
     render_points,
     sigma,
     sigma_inv,
-    surd_decimal,
-    surd_text,
 )
 from trigasket.metric import dist_G
-from trigasket.numerics import decimal_str
+from trigasket.numerics import surd_decimal, surd_text
 from trigasket.spaces import validate_space
 from trigasket.words import (
     AddressWord,
@@ -84,13 +82,15 @@ def test_qsqrt3_decimal():
 @settings(deadline=None, max_examples=300)
 def test_qsqrt3_decimal_rounds_half_up_exactly(w, u):
     # k/10^12 is the rounded y exactly when k - 1/2 <= y*10^12 < k + 1/2,
-    # squared: y*10^12 = sqrt(3*yc^2*10^24)
+    # squared: y*10^12 = sqrt(3*yc^2*10^24); the same bounds hold for a
+    # rational u, unsquared
     yc = coords(w).yc
     k = int(surd_decimal(0, yc).replace(".", ""))
     t = 3 * yc * yc * 10**24
     assert t < (k + Fraction(1, 2)) ** 2
     assert k == 0 or (k - Fraction(1, 2)) ** 2 <= t
-    assert surd_decimal(u, 0) == decimal_str(u)
+    k = int(surd_decimal(u, 0).replace(".", ""))
+    assert k - Fraction(1, 2) <= u * 10**12 < k + Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

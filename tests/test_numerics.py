@@ -5,21 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 from trigasket.numerics import (
     RadicalSum,
+    _fraction_text,
     _int_text,
-    decimal_str,
     format_dist,
     sqrt_fraction,
+    surd_decimal,
 )
 
 
-def test_decimal_str_half_up():
-    assert decimal_str(Fraction(1, 2)) == "0.500000000000"
-    assert decimal_str(Fraction(1, 3)) == "0.333333333333"
-    assert decimal_str(Fraction(2, 3)) == "0.666666666667"
-    # ties round away from zero
-    assert decimal_str(Fraction(5, 10**13)) == "0.000000000001"
-    assert decimal_str(Fraction(-5, 10**13)) == "-0.000000000001"
-    assert decimal_str(Fraction(3)) == "3.000000000000"
+def test_surd_decimal_rounds_a_rational_half_up():
+    assert surd_decimal(Fraction(1, 2), 0) == "0.500000000000"
+    assert surd_decimal(Fraction(1, 3), 0) == "0.333333333333"
+    assert surd_decimal(Fraction(2, 3), 0) == "0.666666666667"
+    # ties round up
+    assert surd_decimal(Fraction(5, 10**13), 0) == "0.000000000001"
+    assert surd_decimal(Fraction(3), 0) == "3.000000000000"
 
 
 def test_format_dist():
@@ -33,6 +33,17 @@ def test_int_text_past_the_str_digit_limit():
     assert _int_text(10**1200 + 7) == "1" + "0" * 1199 + "7"
     assert _int_text(10**600 - 1) == "9" * 600
     assert _int_text(0) == "0"
+
+
+@pytest.mark.parametrize("value", [Fraction(2), Fraction(-1, 3), Fraction(0), Fraction(3, 2),
+                                   Fraction(-7), 5])
+def test_fraction_text_is_str(value):
+    assert _fraction_text(value) == str(value)
+
+
+def test_fraction_text_past_the_str_digit_limit():
+    assert _fraction_text(Fraction(10**5000)) == "1" + "0" * 5000
+    assert _fraction_text(Fraction(-1, (10**5000 - 1) // 3)) == "-1/" + "3" * 5000
 
 
 def test_sqrt_fraction_perfect_square():

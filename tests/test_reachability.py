@@ -49,6 +49,7 @@ UNENTERED = {
     "metric.dist_oracle": TRACED,
     "metric.tensor_dist_G": TRACED,
     "numerics.RadicalSum": ITEM_17,
+    "numerics._fraction_text": FAILURE,
     "numerics._sgn": ITEM_17,
     "numerics._sign_one_radical": ITEM_17,
     "numerics._sqrt_exact": ITEM_17,

@@ -1,9 +1,12 @@
+import sys
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import combinations
+from random import Random
 
 import pytest
 
-from trigasket.metric import dist_G, tensor_dist_G
+from trigasket.metric import dist_G, dist_level, tensor_dist_G
 from trigasket.spaces import (
     ISOMETRIC,
     SHORT,
@@ -17,7 +20,7 @@ from trigasket.spaces import (
     tensor,
     validate_space,
 )
-from trigasket.words import PAD, CanonicalAddress, iter_canonical
+from trigasket.words import LABELS, PAD, AddressWord, CanonicalAddress, iter_canonical
 
 
 def test_validate_i_space():
@@ -110,6 +113,44 @@ def test_tensor_iterates_are_the_address_metric():
         for i, j in pairs:
             assert space.dist(space.points[i], space.points[j]) == dist_G(words[i], words[j])
     assert len(pairs) == 861
+
+
+def _iterate_pairs(rng, count, max_level):
+    """Pairs of level-n words, n in 1..max_level, that share a prefix of
+    any length below n, then differ anywhere: glued spellings included."""
+    for _ in range(count):
+        n = rng.randint(1, max_level)
+        shared = "".join(rng.choices(LABELS, k=rng.randint(0, n - 1)))
+
+        def word():
+            labels = shared + "".join(rng.choices(LABELS, k=n - len(shared)))
+            return AddressWord(labels, rng.choice("TLR"))
+
+        yield n, word(), word()
+
+
+@pytest.mark.parametrize("seed, count, max_level", [(5501, 2_000, 8), (5502, 60, 400)])
+def test_the_functors_own_iterate_is_dist_level(seed, count, max_level):
+    """M^n(I), built lazily: `tensor` applied n times to the three corners,
+    each level's metric cached. The word m1...mn.d is the nested point
+    (m1, (m2, ... (mn, d))), and its glued distance, the paper's recursion
+    in `_tensor_dist`, equals `dist_level` exactly. The recursion shares
+    JUNCTIONS and GLUE with the kernel, but reads no digit and no mask, and
+    finds no first differing bit, so it holds the closed form to the functor.
+    """
+    spaces = [i_space()._replace(points=None)]
+    for _ in range(max_level):
+        space = tensor(spaces[-1])
+        spaces.append(space._replace(dist=lru_cache(maxsize=None)(space.dist)))
+    limit = sys.getrecursionlimit()
+    # each level nests two frames in the next: its metric and the cache around it
+    sys.setrecursionlimit(max(limit, 3 * max_level + 500))
+    try:
+        for n, u, v in _iterate_pairs(Random(seed), count, max_level):
+            p, q = (reduce(lambda x, m: (m, x), reversed(w.labels), w.terminal) for w in (u, v))
+            assert spaces[n].dist(p, q) == dist_level(u, v, n), (u, v)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_tensor_of_the_address_space_is_tensor_dist_G():

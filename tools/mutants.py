@@ -48,6 +48,8 @@ class Mutant(NamedTuple):
 
 METRIC = "src/trigasket/metric.py"
 WORDS = "src/trigasket/words.py"
+NUMERICS = "src/trigasket/numerics.py"
+COUNTEREXAMPLES = "src/trigasket/counterexamples.py"
 
 CATALOGUE: tuple[Mutant, ...] = (
     Mutant("via-constant", METRIC, "via = 3 * s", "via = 2 * s",
@@ -84,11 +86,18 @@ CATALOGUE: tuple[Mutant, ...] = (
            "canonicalize returns a CanonicalAddress, even of a word already in canonical form"),
     Mutant("canonical-at-reversed", WORDS, '"".join(reversed(prefix)) + m', '"".join(prefix) + m',
            "the prefix's base-3 digits are read most significant first"),
+    Mutant("surd-decimal-no-half", NUMERICS, "2 * un * scale + ud", "2 * un * scale",
+           "the rounded decimal adds half a unit of the last place before it floors"),
+    Mutant("exponent-cap-off-by-one", NUMERICS, "int(digits) > MAX_EXPONENT",
+           "int(digits) >= MAX_EXPONENT", "an exponent of exactly the cap is read, not refused"),
+    Mutant("delta-message-str", COUNTEREXAMPLES, "got {_fraction_text(s)}", "got {s}",
+           "str() of a Fraction refuses an int of more than 4,300 digits"),
 )
 
 # tests run alone as well, so that the matrix shows what each kills even
 # when an earlier test stops Tier-1's -x run first
-FOCUSED = ("tests/test_metric.py::test_each_cell_side_is_freyds_interval",)
+FOCUSED = ("tests/test_metric.py::test_each_cell_side_is_freyds_interval",
+           "tests/test_spaces.py::test_the_functors_own_iterate_is_dist_level")
 
 # what the copy holds: the code, the tests and every file the tests read
 COPIED = ("src", "tests", "tools", "perfbench", "pyproject.toml", "BENCHMARK.json")
